@@ -7,9 +7,8 @@
 //! trace.
 
 use ccnuma_trace::{MissRecord, Trace};
-use ccnuma_types::{MachineConfig, NodeId, VirtPage};
+use ccnuma_types::{FxHashMap, MachineConfig, NodeId, VirtPage};
 use core::fmt;
-use std::collections::HashMap;
 
 /// Tag for the three static baselines, used when labelling results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +60,7 @@ pub trait Placer {
 pub struct RoundRobin {
     nodes: u16,
     next: u16,
-    placed: HashMap<VirtPage, NodeId>,
+    placed: FxHashMap<VirtPage, NodeId>,
 }
 
 impl RoundRobin {
@@ -75,7 +74,7 @@ impl RoundRobin {
         RoundRobin {
             nodes,
             next: 0,
-            placed: HashMap::new(),
+            placed: FxHashMap::default(),
         }
     }
 }
@@ -98,7 +97,7 @@ impl Placer for RoundRobin {
 /// machines and the paper's baseline for Section 7.
 #[derive(Debug, Clone, Default)]
 pub struct FirstTouch {
-    placed: HashMap<VirtPage, NodeId>,
+    placed: FxHashMap<VirtPage, NodeId>,
 }
 
 impl FirstTouch {
@@ -141,7 +140,7 @@ impl Placer for FirstTouch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PostFacto {
-    best: HashMap<VirtPage, NodeId>,
+    best: FxHashMap<VirtPage, NodeId>,
 }
 
 impl PostFacto {
@@ -190,45 +189,63 @@ impl PostFacto {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PostFactoBuilder {
-    cfg: MachineConfig,
-    counts: HashMap<VirtPage, Vec<u64>>,
+    nodes: usize,
+    /// The node of each processor ([`MachineConfig::proc_nodes`]).
+    proc_nodes: Vec<NodeId>,
+    /// Each page's slot in `counts`, in first-miss order.
+    slots: FxHashMap<VirtPage, u32>,
+    /// Per-node miss counts, stride `nodes` per slot.
+    counts: Vec<u64>,
 }
 
 impl PostFactoBuilder {
     /// An empty builder for a machine shaped like `cfg`.
     pub fn new(cfg: &MachineConfig) -> PostFactoBuilder {
         PostFactoBuilder {
-            cfg: cfg.clone(),
-            counts: HashMap::new(),
+            nodes: cfg.nodes as usize,
+            proc_nodes: cfg.proc_nodes(),
+            slots: FxHashMap::default(),
+            counts: Vec::new(),
         }
     }
 
     /// Counts one record toward its node's claim on the page. TLB-only
     /// records are ignored — post-facto placement optimizes cache misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record's processor is out of range for the machine.
     pub fn observe(&mut self, r: &MissRecord) {
         if r.source != ccnuma_trace::MissSource::Cache {
             return;
         }
-        let node = self.cfg.node_of_proc(r.proc);
-        let per_node = self
-            .counts
-            .entry(r.page)
-            .or_insert_with(|| vec![0; self.cfg.nodes as usize]);
-        per_node[node.index()] += 1;
+        let node = self.proc_nodes[r.proc.index()];
+        let fresh = self.slots.len() as u32;
+        let base = *self.slots.entry(r.page).or_insert(fresh) as usize * self.nodes;
+        if base == self.counts.len() {
+            self.counts.resize(base + self.nodes, 0);
+        }
+        self.counts[base + node.index()] += 1;
     }
 
     /// Resolves every page to the node that took the most misses to it.
     /// Ties break toward the lowest-numbered node, deterministically.
     pub fn finish(self) -> PostFacto {
-        let best = self
-            .counts
+        let PostFactoBuilder {
+            nodes,
+            slots,
+            counts,
+            ..
+        } = self;
+        let best = slots
             .into_iter()
-            .map(|(page, per_node)| {
+            .map(|(page, slot)| {
+                let per_node = &counts[slot as usize * nodes..][..nodes];
                 let (idx, _) = per_node
                     .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                    .expect("per_node vector is non-empty");
+                    .expect("a machine has at least one node");
                 (page, NodeId(idx as u16))
             })
             .collect();
@@ -337,6 +354,41 @@ mod tests {
             NodeId(6),
             "unseen -> first touch"
         );
+    }
+
+    #[test]
+    fn post_facto_counts_interleaved_pages_per_node() {
+        // Two processors per node: procs 4 and 5 both count for node 2.
+        let mut cfg = MachineConfig::cc_numa().with_nodes(4);
+        cfg.procs_per_node = 2;
+        let mut b = PostFactoBuilder::new(&cfg);
+        let misses = [
+            (7, 10),
+            (4, 11),
+            (5, 10),
+            (0, 12),
+            (4, 10),
+            (7, 11),
+            (6, 12),
+            (6, 12),
+            (0, 10),
+        ];
+        for (t, &(proc, page)) in misses.iter().enumerate() {
+            b.observe(&MissRecord::user_data_read(
+                Ns(t as u64),
+                ProcId(proc),
+                Pid(0),
+                VirtPage(page),
+            ));
+        }
+        let mut pf = b.finish();
+        assert_eq!(pf.len(), 3);
+        // Page 10: node 2 twice (procs 5 and 4), nodes 3 and 0 once.
+        assert_eq!(pf.place(VirtPage(10), NodeId(1)), NodeId(2));
+        // Page 11: nodes 2 and 3 tie; the lower node wins.
+        assert_eq!(pf.place(VirtPage(11), NodeId(1)), NodeId(2));
+        // Page 12: node 3 twice beats node 0 once.
+        assert_eq!(pf.place(VirtPage(12), NodeId(1)), NodeId(3));
     }
 
     #[test]

@@ -26,7 +26,25 @@ use std::path::{Path, PathBuf};
 /// assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_update(FNV1A64_OFFSET, bytes)
+}
+
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash `h` over `bytes`, so a stream can be
+/// hashed piecewise: hashing `a` then `b` equals hashing `a ++ b`.
+///
+/// # Examples
+///
+/// ```
+/// use ccnuma_obs::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
+///
+/// let h = fnv1a64_update(fnv1a64_update(FNV1A64_OFFSET, b"ab"), b"cd");
+/// assert_eq!(h, fnv1a64(b"abcd"));
+/// ```
+#[inline]
+pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

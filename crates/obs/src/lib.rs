@@ -72,7 +72,7 @@ mod verbosity;
 
 pub use audit::{AuditAction, AuditEvent, AuditLog, AuditTotals, Decision};
 pub use checkpoint::{CheckpointJournal, CheckpointRecord, JournalContents, CHECKPOINT_SCHEMA};
-pub use export::{artifact_slug, fnv1a64, write_run_artifacts};
+pub use export::{artifact_slug, fnv1a64, fnv1a64_update, write_run_artifacts, FNV1A64_OFFSET};
 pub use hist::{bucket_bounds, bucket_of, Histogram, BUCKETS};
 pub use json::JsonValue;
 pub use metrics::Metrics;

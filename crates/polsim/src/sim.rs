@@ -6,8 +6,9 @@ use ccnuma_core::{
     PolicyEngine, PolicyParams, PostFactoBuilder, RoundRobin, StaticPolicyKind,
 };
 use ccnuma_trace::{MissRecord, MissSource, Trace};
-use ccnuma_types::{MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset, VirtPage};
-use std::collections::HashMap;
+use ccnuma_types::{
+    FxHashMap, MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset, VirtPage,
+};
 
 /// The contentionless memory model of Section 8.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,25 +180,84 @@ impl SimPolicy {
     }
 }
 
-/// Per-page placement state during a replay: the master's node plus any
-/// replica nodes (nearest-copy semantics — the policy simulator does not
-/// model stale mappings, unlike the machine simulator).
+/// Copies a page holds before its [`Placement`] spills to the heap: every
+/// node of the paper's eight-node machine.
+const INLINE_COPIES: usize = 8;
+
+/// Per-page placement state during a replay: the master's node first,
+/// then replica nodes in creation order (nearest-copy semantics — the
+/// policy simulator does not model stale mappings, unlike the machine
+/// simulator). The order matters: the cheapest-copy scan breaks cost
+/// ties toward the earlier copy.
+///
+/// Up to [`INLINE_COPIES`] copies live inline, so placing, replicating
+/// and collapsing a page allocate nothing on machines of up to that many
+/// nodes; a larger copy set moves to a `Vec`.
 #[derive(Debug, Clone)]
-struct Placement {
-    copies: Vec<NodeId>,
+enum Placement {
+    Inline {
+        len: u8,
+        copies: [NodeId; INLINE_COPIES],
+    },
+    Spilled(Vec<NodeId>),
 }
 
 impl Placement {
+    /// A page held only by its master copy on `master`.
+    fn at(master: NodeId) -> Placement {
+        let mut copies = [NodeId(0); INLINE_COPIES];
+        copies[0] = master;
+        Placement::Inline { len: 1, copies }
+    }
+
+    /// Every copy, master first.
+    fn copies(&self) -> &[NodeId] {
+        match self {
+            Placement::Inline { len, copies } => &copies[..*len as usize],
+            Placement::Spilled(copies) => copies,
+        }
+    }
+
     fn master(&self) -> NodeId {
-        self.copies[0]
+        self.copies()[0]
     }
 
     fn has(&self, node: NodeId) -> bool {
-        self.copies.contains(&node)
+        self.copies().contains(&node)
     }
 
     fn is_replicated(&self) -> bool {
-        self.copies.len() > 1
+        self.copies().len() > 1
+    }
+
+    /// Moves the master copy to `node`.
+    fn migrate(&mut self, node: NodeId) {
+        match self {
+            Placement::Inline { copies, .. } => copies[0] = node,
+            Placement::Spilled(copies) => copies[0] = node,
+        }
+    }
+
+    /// Appends a replica on `node`, spilling to the heap when the inline
+    /// array is full.
+    fn replicate(&mut self, node: NodeId) {
+        match self {
+            Placement::Inline { len, copies } if (*len as usize) < INLINE_COPIES => {
+                copies[*len as usize] = node;
+                *len += 1;
+            }
+            Placement::Inline { copies, .. } => {
+                let mut spilled = copies.to_vec();
+                spilled.push(node);
+                *self = Placement::Spilled(spilled);
+            }
+            Placement::Spilled(copies) => copies.push(node),
+        }
+    }
+
+    /// Drops every replica, keeping the master.
+    fn collapse(&mut self) {
+        *self = Placement::at(self.master());
     }
 }
 
@@ -236,12 +296,13 @@ impl Placement {
 /// ```
 pub struct Replay {
     cfg: PolsimConfig,
-    machine: MachineConfig,
     /// The latency model misses are charged through (flat unless the
     /// config installs a preset).
     topo: Topology,
     filter: TraceFilter,
-    placements: HashMap<VirtPage, Placement>,
+    /// The node of each processor ([`MachineConfig::proc_nodes`]).
+    proc_nodes: Vec<NodeId>,
+    placements: FxHashMap<VirtPage, Placement>,
     placer: Option<Box<dyn Placer>>,
     dynamic: Option<(PolicyEngine, MissMetric)>,
     priming: Option<PostFactoBuilder>,
@@ -287,9 +348,9 @@ impl Replay {
         Replay {
             cfg: cfg.clone(),
             topo: cfg.topology_model(),
-            machine,
+            proc_nodes: machine.proc_nodes(),
             filter,
-            placements: HashMap::new(),
+            placements: FxHashMap::default(),
             placer,
             dynamic,
             priming,
@@ -339,21 +400,26 @@ impl Replay {
     /// Replays one record: establishes placement at first sight of the
     /// page, charges stall for cache misses passing the filter, and lets
     /// a dynamic policy act on whatever its metric admits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record's processor is out of range for the machine.
     pub fn observe(&mut self, rec: &MissRecord) {
-        self.seal();
-        let node = self.machine.node_of_proc(rec.proc);
+        // Test before sealing: taking the (large) builder out of its
+        // `Option` on every record would copy it each time.
+        if self.priming.is_some() {
+            self.seal();
+        }
+        let node = self.proc_nodes[rec.proc.index()];
         // Establish placement at first sight of the page (first touch for
         // dynamic policies, the placer's choice for static ones).
         let placer = &mut self.placer;
-        let placement = self
-            .placements
-            .entry(rec.page)
-            .or_insert_with(|| Placement {
-                copies: vec![match placer {
-                    Some(p) => p.place(rec.page, node),
-                    None => node,
-                }],
-            });
+        let placement = self.placements.entry(rec.page).or_insert_with(|| {
+            Placement::at(match placer {
+                Some(p) => p.place(rec.page, node),
+                None => node,
+            })
+        });
 
         // Stall accounting: cache misses passing the filter are charged
         // for the cheapest copy through the topology. On the flat model
@@ -361,7 +427,7 @@ impl Replay {
         // on-node, remote latency otherwise.
         if rec.source == MissSource::Cache && self.filter.admits(rec.mode) {
             let (cost, tier) = placement
-                .copies
+                .copies()
                 .iter()
                 .map(|&c| {
                     (
@@ -387,12 +453,9 @@ impl Replay {
         if !metric.admits(rec) {
             return;
         }
-        let mapped = if placement.has(node) {
-            node
-        } else {
-            placement.master()
-        };
-        let loc = PageLocation::new(mapped, node, &placement.copies);
+        let on_node = placement.has(node);
+        let mapped = if on_node { node } else { placement.master() };
+        let loc = PageLocation::from_parts(mapped, node, on_node, placement.is_replicated());
         let miss = ObservedMiss {
             now: rec.time,
             proc: rec.proc,
@@ -403,18 +466,18 @@ impl Replay {
         match engine.observe(miss, &loc, false) {
             PolicyAction::Nothing(_) | PolicyAction::Remap { .. } => {}
             PolicyAction::Migrate { to } => {
-                placement.copies[0] = to;
+                placement.migrate(to);
                 self.report.migrations += 1;
                 self.report.mig_overhead += self.cfg.move_cost;
             }
             PolicyAction::Replicate { at } => {
-                placement.copies.push(at);
+                placement.replicate(at);
                 self.report.replications += 1;
                 self.report.rep_overhead += self.cfg.move_cost;
             }
             PolicyAction::Collapse => {
                 if placement.is_replicated() {
-                    placement.copies.truncate(1);
+                    placement.collapse();
                     self.report.collapses += 1;
                     self.report.rep_overhead += self.cfg.move_cost;
                 }
@@ -785,6 +848,83 @@ mod tests {
         // + 1800 (cross read) + 3600 (cross write).
         assert_eq!(r.remote_misses, 3);
         assert_eq!(r.remote_stall, Ns(900 + 1800 + 3600));
+    }
+
+    #[test]
+    fn copy_set_keeps_creation_order_past_its_inline_capacity() {
+        let mut p = Placement::at(NodeId(3));
+        let replicas: Vec<NodeId> = (0..16).filter(|&n| n != 3).map(NodeId).collect();
+        for (i, &node) in replicas.iter().enumerate() {
+            p.replicate(node);
+            assert_eq!(
+                matches!(p, Placement::Spilled(_)),
+                i + 2 > INLINE_COPIES,
+                "{} copies",
+                i + 2
+            );
+        }
+        assert_eq!(p.copies()[0], NodeId(3));
+        assert_eq!(&p.copies()[1..], replicas.as_slice());
+        assert!(p.is_replicated() && p.has(NodeId(15)));
+        p.migrate(NodeId(9));
+        assert_eq!(p.master(), NodeId(9));
+        assert_eq!(p.copies().len(), 16);
+        p.collapse();
+        assert_eq!(p.copies(), [NodeId(9)]);
+        assert!(matches!(p, Placement::Inline { len: 1, .. }));
+    }
+
+    #[test]
+    fn page_replicated_on_all_sixteen_nodes_then_collapsed() {
+        // Page 1 is first touched by proc 0 (node 0), which keeps reading
+        // it until it is a sharer (100 misses, below the 128 trigger).
+        // Then procs 1..=15 each take 128 remote read misses in turn;
+        // the 128th triggers a replica on the reader's node, so the page
+        // ends up with 16 copies — twice the inline capacity. One more
+        // read per node is then local everywhere. A write from proc 3
+        // (charged locally: node 3 holds a replica) collapses the page
+        // back to node 0, after which proc 3 misses remotely again and
+        // proc 0 locally.
+        let mut b = TraceBuilder::new();
+        let mut t = 0u64;
+        let mut push = |b: &mut TraceBuilder, proc: u16, write: bool| {
+            let (p, pid, page) = (ProcId(proc), Pid(0), VirtPage(1));
+            b.push(if write {
+                MissRecord::user_data_write(Ns(t), p, pid, page)
+            } else {
+                MissRecord::user_data_read(Ns(t), p, pid, page)
+            });
+            t += 100;
+        };
+        for _ in 0..100 {
+            push(&mut b, 0, false);
+        }
+        for proc in 1..16 {
+            for _ in 0..128 {
+                push(&mut b, proc, false);
+            }
+        }
+        for proc in 0..16 {
+            push(&mut b, proc, false);
+        }
+        push(&mut b, 3, true);
+        push(&mut b, 3, false);
+        push(&mut b, 0, false);
+        let trace = b.finish();
+
+        let cfg = PolsimConfig::section8(16);
+        let r = simulate(&trace, &cfg, SimPolicy::base_dynamic(), TraceFilter::All);
+        assert_eq!(r.replications, 15, "{:?}", r.policy_stats);
+        assert_eq!(r.collapses, 1);
+        assert_eq!(r.migrations, 0);
+        // Local: 100 (node 0 warm-up) + 16 (one read per node) + 1 (the
+        // write) + 1 (node 0's last read). Remote: 15 × 128 + 1.
+        assert_eq!(r.local_misses, 118);
+        assert_eq!(r.remote_misses, 1921);
+        assert_eq!(r.local_stall, Ns(118 * 300));
+        assert_eq!(r.remote_stall, Ns(1921 * 1200));
+        assert_eq!(r.rep_overhead, Ns::from_us(16 * 350));
+        assert_eq!(r.mig_overhead, Ns::ZERO);
     }
 
     #[test]

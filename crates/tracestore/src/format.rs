@@ -26,7 +26,7 @@
 //! scanning.
 
 use crate::varint;
-use ccnuma_obs::{fnv1a64, Phase, Profiler, SpanProfiler};
+use ccnuma_obs::{fnv1a64, fnv1a64_update, Phase, Profiler, SpanProfiler, FNV1A64_OFFSET};
 use ccnuma_trace::io::{encode_flags, record_from_parts, ReadTraceError, TraceStream, MAGIC};
 use ccnuma_trace::MissRecord;
 use std::fmt;
@@ -190,9 +190,9 @@ fn decode_footer_body(body: &[u8], checksum: u64) -> Result<ChunkIndex, StoreErr
     };
     let mut pos = 0;
     let count = varint::read_u64(body, &mut pos).ok_or(corrupt("footer chunk count"))?;
-    if count > body.len() as u64 {
-        // Each entry takes at least two bytes; a count beyond the body
-        // length is garbage and must not drive an allocation.
+    // Each entry takes at least two bytes, so a count past half the
+    // remaining body is garbage and must not drive an allocation.
+    if count > ((body.len() - pos) / 2) as u64 {
         return Err(corrupt("footer chunk count out of range"));
     }
     let mut chunks = Vec::with_capacity(count as usize);
@@ -234,25 +234,83 @@ fn encode_chunk_body(records: &[MissRecord]) -> Vec<u8> {
     body
 }
 
-/// Decodes a chunk body back into records.
-fn decode_chunk_body(body: &[u8], chunk: usize) -> Result<Vec<MissRecord>, StoreError> {
+/// Smallest encoded record: four one-byte varints and the flags byte.
+const MIN_RECORD_BYTES: usize = 5;
+
+/// Bytes of the checksum folded into the decode per record: more than
+/// the typical record, so the decode loop hashes all but a short tail.
+const HASH_BYTES_PER_RECORD: usize = 8;
+
+/// Verifies a chunk body against its `checksum` and decodes it into
+/// `records`, replacing their contents. On error `records` may hold a
+/// prefix of the chunk; the caller discards it.
+///
+/// The outcome is exactly that of checking the checksum first: a body
+/// whose checksum fails is a [`StoreError::ChecksumMismatch`] whether or
+/// not it also fails to decode.
+fn decode_chunk(
+    body: &[u8],
+    checksum: u64,
+    chunk: usize,
+    records: &mut Vec<MissRecord>,
+) -> Result<(), StoreError> {
+    match decode_chunk_body(body, chunk, records) {
+        Ok(hash) if hash == checksum => Ok(()),
+        Err(e) if fnv1a64(body) == checksum => Err(e),
+        _ => Err(StoreError::ChecksumMismatch { chunk }),
+    }
+}
+
+/// Decodes a chunk body into `records`, replacing their contents, and
+/// returns the FNV-1a 64 of the body. FNV-1a is a serial chain of
+/// multiplies, so rather than make a pass of its own it is folded into
+/// the decode loop a fixed block per record, where it overlaps with the
+/// varint decoding.
+fn decode_chunk_body(
+    body: &[u8],
+    chunk: usize,
+    records: &mut Vec<MissRecord>,
+) -> Result<u64, StoreError> {
     let corrupt = |what| StoreError::Corrupt { chunk, what };
+    records.clear();
+    let mut hash = FNV1A64_OFFSET;
+    let mut hashed = 0;
     let mut pos = 0;
     let count = varint::read_u64(body, &mut pos).ok_or(corrupt("record count"))?;
-    // Each record needs at least 5 bytes, so a count past the body
-    // length can never be satisfied; reject before allocating.
-    if count > body.len() as u64 {
+    // A count the remaining bytes cannot hold is garbage; reject it
+    // before it drives the reservation below.
+    if count > ((body.len() - pos) / MIN_RECORD_BYTES) as u64 {
         return Err(corrupt("record count out of range"));
     }
-    let mut records = Vec::with_capacity(count as usize);
+    records.reserve(count as usize);
     let (mut pt, mut pp, mut ppid, mut pproc) = (0u64, 0u64, 0i64, 0i64);
     for _ in 0..count {
-        let dt = varint::read_u64(body, &mut pos).ok_or(corrupt("time delta"))?;
-        let dp = varint::read_u64(body, &mut pos).ok_or(corrupt("page delta"))?;
-        let dpid = varint::read_u64(body, &mut pos).ok_or(corrupt("pid delta"))?;
-        let dproc = varint::read_u64(body, &mut pos).ok_or(corrupt("proc delta"))?;
-        let flags = *body.get(pos).ok_or(corrupt("flags byte"))?;
-        pos += 1;
+        if let Some(block) = body.get(hashed..hashed + HASH_BYTES_PER_RECORD) {
+            hash = fnv1a64_update(hash, block);
+            hashed += HASH_BYTES_PER_RECORD;
+        }
+        let word = body
+            .get(pos..pos + 8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        let ([dt, dp, dpid, dproc], flags) = match word.and_then(record_in_word) {
+            Some((fields, flags, len)) => {
+                pos += len;
+                (fields, flags)
+            }
+            None => {
+                let mut field =
+                    |what| varint::read_u64(body, &mut pos).ok_or_else(|| corrupt(what));
+                let fields = [
+                    field("time delta")?,
+                    field("page delta")?,
+                    field("pid delta")?,
+                    field("proc delta")?,
+                ];
+                let flags = *body.get(pos).ok_or_else(|| corrupt("flags byte"))?;
+                pos += 1;
+                (fields, flags)
+            }
+        };
         let time = pt.wrapping_add(varint::unzigzag(dt) as u64);
         let page = pp.wrapping_add(varint::unzigzag(dp) as u64);
         let pid = ppid + varint::unzigzag(dpid);
@@ -268,7 +326,57 @@ fn decode_chunk_body(body: &[u8], chunk: usize) -> Result<Vec<MissRecord>, Store
     if pos != body.len() {
         return Err(corrupt("trailing bytes in chunk"));
     }
-    Ok(records)
+    Ok(fnv1a64_update(hash, &body[hashed..]))
+}
+
+/// Splits one encoded record out of `word`, the eight bytes at its start
+/// (little-endian): the four varint fields, the flags byte and the
+/// record's length in bytes. `None` when the record does not fit in the
+/// word; the caller then reads it field by field.
+///
+/// This is the common case — a typical record takes five to seven
+/// bytes — and it decodes without branching on each field's length:
+/// the varint ends are the bytes with a clear continuation bit, found
+/// by counting trailing zeros.
+#[inline]
+fn record_in_word(word: u64) -> Option<([u64; 4], u8, usize)> {
+    // Bit 7 of every byte that ends a varint.
+    let mut ends = !word & 0x8080_8080_8080_8080;
+    let mut start = 0;
+    let mut fields = [0u64; 4];
+    for field in &mut fields {
+        let end = ends.trailing_zeros();
+        if end > 55 {
+            // The flags byte after the fourth field must be in the word.
+            return None;
+        }
+        ends &= ends - 1;
+        // The field's bytes, bits `start..=end`: at most four, as four
+        // fields end within seven bytes.
+        let bytes = (word >> start) & (u64::MAX >> (63 - (end - start)));
+        *field = varint::compact_u32(bytes);
+        start = end + 1;
+    }
+    Some((fields, (word >> start) as u8, start as usize / 8 + 1))
+}
+
+/// Reads the `u32(body_len) u64(checksum)` head that follows a marker
+/// byte, then the body into `body` (replacing its contents, reusing its
+/// allocation), and returns the checksum.
+///
+/// The body is read through `take(body_len)`, so `body` grows only as
+/// far as the bytes actually present: a damaged length field cannot
+/// request gigabytes before the read fails. A body shorter than its
+/// length field is [`io::ErrorKind::UnexpectedEof`].
+fn read_frame<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<u64> {
+    let mut head = [0u8; 12];
+    r.read_exact(&mut head)?;
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+    body.clear();
+    if r.take(u64::from(len)).read_to_end(body)? != len as usize {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(u64::from_le_bytes(head[4..].try_into().expect("8 bytes")))
 }
 
 /// Summary returned by [`TraceWriter::finish`].
@@ -482,7 +590,12 @@ enum ReaderKind<R: Read> {
 
 struct V2State<R: Read> {
     reader: R,
-    current: std::vec::IntoIter<MissRecord>,
+    /// The current chunk's bytes and decoded records. Both buffers are
+    /// reused for every chunk, so a steady-state read allocates nothing.
+    body: Vec<u8>,
+    records: Vec<MissRecord>,
+    /// Index in `records` of the next record to yield.
+    next: usize,
     chunks_done: usize,
     records_done: u64,
     footer_seen: bool,
@@ -568,7 +681,9 @@ impl<R: Read> TraceReader<R> {
             }
             VERSION_V2 => ReaderKind::V2(V2State {
                 reader,
-                current: Vec::new().into_iter(),
+                body: Vec::new(),
+                records: Vec::new(),
+                next: 0,
                 chunks_done: 0,
                 records_done: 0,
                 footer_seen: false,
@@ -624,9 +739,13 @@ impl<R: Read> TraceReader<R> {
 }
 
 impl<R: Read> V2State<R> {
-    /// Loads the next chunk into `current`. Returns `Ok(false)` at a
-    /// clean end of stream (footer validated, or salvage stop).
+    /// Loads the next non-empty chunk into `records`. Returns `Ok(false)`
+    /// at a clean end of stream (footer validated, or salvage stop). A
+    /// chunk's records become visible only after its checksum and its
+    /// whole body validate.
     fn refill(&mut self) -> Result<bool, StoreError> {
+        self.records.clear();
+        self.next = 0;
         loop {
             let mut marker = [0u8; 1];
             match self.reader.read_exact(&mut marker) {
@@ -643,50 +762,30 @@ impl<R: Read> V2State<R> {
                     // not — a damaged read is not a representative
                     // decode timing).
                     let span = self.prof.as_mut().and_then(|p| p.enter(Phase::TraceDecode));
-                    let mut head = [0u8; 12];
-                    if let Err(e) = self.reader.read_exact(&mut head) {
-                        return self.stop_io(e);
-                    }
-                    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-                    let checksum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
-                    let mut body = vec![0u8; len as usize];
-                    if let Err(e) = self.reader.read_exact(&mut body) {
-                        return self.stop_io(e);
-                    }
-                    if fnv1a64(&body) != checksum {
-                        return self.stop(
-                            SalvageReason::DamagedChunk,
-                            StoreError::ChecksumMismatch {
-                                chunk: self.chunks_done,
-                            },
-                        );
-                    }
-                    let records = match decode_chunk_body(&body, self.chunks_done) {
-                        Ok(r) => r,
-                        Err(e) => return self.stop(SalvageReason::DamagedChunk, e),
+                    let checksum = match read_frame(&mut self.reader, &mut self.body) {
+                        Ok(c) => c,
+                        Err(e) => return self.stop_io(e),
                     };
+                    if let Err(e) =
+                        decode_chunk(&self.body, checksum, self.chunks_done, &mut self.records)
+                    {
+                        return self.stop(SalvageReason::DamagedChunk, e);
+                    }
                     self.chunks_done += 1;
                     if let Some(p) = self.prof.as_mut() {
                         p.exit(Phase::TraceDecode, span);
                     }
-                    if records.is_empty() {
+                    if self.records.is_empty() {
                         continue;
                     }
-                    self.current = records.into_iter();
                     return Ok(true);
                 }
                 FOOTER_MARKER => {
-                    let mut head = [0u8; 12];
-                    if let Err(e) = self.reader.read_exact(&mut head) {
-                        return self.stop_io(e);
-                    }
-                    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-                    let checksum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
-                    let mut body = vec![0u8; len as usize];
-                    if let Err(e) = self.reader.read_exact(&mut body) {
-                        return self.stop_io(e);
-                    }
-                    let index = match decode_footer_body(&body, checksum) {
+                    let checksum = match read_frame(&mut self.reader, &mut self.body) {
+                        Ok(c) => c,
+                        Err(e) => return self.stop_io(e),
+                    };
+                    let index = match decode_footer_body(&self.body, checksum) {
                         Ok(i) => i,
                         Err(e) => return self.stop(SalvageReason::MissingFooter, e),
                     };
@@ -727,9 +826,11 @@ impl<R: Read> V2State<R> {
     }
 
     /// In salvage mode, record the reason and end cleanly; otherwise
-    /// surface the error.
+    /// surface the error. Either way nothing of the failing chunk is
+    /// yielded.
     fn stop(&mut self, reason: SalvageReason, err: StoreError) -> Result<bool, StoreError> {
         self.finished = true;
+        self.records.clear();
         if self.salvage {
             self.salvaged = Some(SalvageInfo {
                 chunks_kept: self.chunks_done,
@@ -756,25 +857,23 @@ impl<R: Read> Iterator for TraceReader<R> {
                 Some(item.map_err(StoreError::from))
             }
             ReaderKind::V2(s) => {
-                if let Some(rec) = s.current.next() {
-                    s.records_done += 1;
-                    return Some(Ok(rec));
-                }
-                if s.finished || s.footer_seen {
-                    return None;
-                }
-                match s.refill() {
-                    Ok(true) => {
-                        let rec = s.current.next().expect("refilled chunk is non-empty");
-                        s.records_done += 1;
-                        Some(Ok(rec))
+                if s.next == s.records.len() {
+                    if s.finished || s.footer_seen {
+                        return None;
                     }
-                    Ok(false) => None,
-                    Err(e) => {
-                        s.finished = true;
-                        Some(Err(e))
+                    match s.refill() {
+                        Ok(true) => {}
+                        Ok(false) => return None,
+                        Err(e) => {
+                            s.finished = true;
+                            return Some(Err(e));
+                        }
                     }
                 }
+                let rec = s.records[s.next];
+                s.next += 1;
+                s.records_done += 1;
+                Some(Ok(rec))
             }
         }
     }
@@ -792,22 +891,18 @@ pub fn read_chunk_at<R: Read + Seek>(
     entry: ChunkEntry,
 ) -> Result<Vec<MissRecord>, StoreError> {
     r.seek(SeekFrom::Start(entry.offset))?;
-    let mut head = [0u8; 13];
-    r.read_exact(&mut head)?;
-    if head[0] != CHUNK_MARKER {
+    let mut marker = [0u8; 1];
+    r.read_exact(&mut marker)?;
+    if marker[0] != CHUNK_MARKER {
         return Err(StoreError::Corrupt {
             chunk: chunk_no,
             what: "index points at a non-chunk",
         });
     }
-    let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes"));
-    let checksum = u64::from_le_bytes(head[5..].try_into().expect("8 bytes"));
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    if fnv1a64(&body) != checksum {
-        return Err(StoreError::ChecksumMismatch { chunk: chunk_no });
-    }
-    let records = decode_chunk_body(&body, chunk_no)?;
+    let mut body = Vec::new();
+    let checksum = read_frame(r, &mut body)?;
+    let mut records = Vec::new();
+    decode_chunk(&body, checksum, chunk_no, &mut records)?;
     if records.len() as u64 != entry.records {
         return Err(StoreError::Corrupt {
             chunk: chunk_no,
@@ -912,30 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_in_a_chunk_is_a_checksum_error() {
-        let t = sample(300);
-        let mut buf = encode(&t, 100);
-        let mut cur = Cursor::new(&buf);
-        let index = ChunkIndex::read_from(&mut cur).unwrap();
-        // Flip a byte inside the second chunk's body.
-        let victim = (index.chunks[1].offset + 15) as usize;
-        buf[victim] ^= 0x40;
-        let res: Result<Vec<_>, _> = TraceReader::new(buf.as_slice()).unwrap().collect();
-        match res {
-            Err(StoreError::ChecksumMismatch { chunk: 1 }) => {}
-            other => panic!("expected checksum mismatch in chunk 1, got {other:?}"),
-        }
-        // Salvage keeps the first chunk.
-        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
-        let recovered: Result<Vec<_>, _> = (&mut lenient).collect();
-        assert_eq!(recovered.unwrap().len(), 100);
-        assert_eq!(
-            lenient.salvaged().unwrap().reason,
-            SalvageReason::DamagedChunk
-        );
-    }
-
-    #[test]
     fn missing_footer_is_detected() {
         let t = sample(50);
         let full = encode(&t, 100);
@@ -1019,5 +1090,314 @@ mod tests {
         ccnuma_trace::io::write_trace(&mut v1, &t).unwrap();
         let back: Result<Vec<_>, _> = TraceReader::new(v1.as_slice()).unwrap().collect();
         assert_eq!(back.unwrap(), t.as_slice());
+    }
+
+    /// Assembles a v2 file from explicit chunk bodies. Unlike the writer
+    /// it can emit empty, uneven or forged chunks; every frame still
+    /// carries a valid checksum and the footer indexes every chunk.
+    fn assemble(bodies: &[Vec<u8>]) -> Vec<u8> {
+        fn frame(out: &mut Vec<u8>, marker: u8, body: &[u8]) {
+            out.push(marker);
+            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            out.extend_from_slice(&fnv1a64(body).to_le_bytes());
+            out.extend_from_slice(body);
+        }
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION_V2.to_le_bytes());
+        let mut footer = Vec::new();
+        varint::write_u64(&mut footer, bodies.len() as u64);
+        let mut total = 0;
+        for body in bodies {
+            let records = varint::read_u64(body, &mut 0).unwrap();
+            total += records;
+            varint::write_u64(&mut footer, out.len() as u64);
+            varint::write_u64(&mut footer, records);
+            frame(&mut out, CHUNK_MARKER, body);
+        }
+        varint::write_u64(&mut footer, total);
+        frame(&mut out, FOOTER_MARKER, &footer);
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(END_MAGIC);
+        out
+    }
+
+    fn bodies(chunks: &[&[MissRecord]]) -> Vec<Vec<u8>> {
+        chunks.iter().map(|c| encode_chunk_body(c)).collect()
+    }
+
+    fn offsets(buf: &[u8]) -> Vec<usize> {
+        let index = ChunkIndex::read_from(&mut Cursor::new(buf)).unwrap();
+        index.chunks.iter().map(|c| c.offset as usize).collect()
+    }
+
+    /// Every record a reader yields before it stops, and its error. A
+    /// stopped reader must stay stopped.
+    fn drain(r: &mut TraceReader<&[u8]>) -> (Vec<MissRecord>, Option<StoreError>) {
+        let mut ok = Vec::new();
+        let mut err = None;
+        for rec in &mut *r {
+            match rec {
+                Ok(rec) => ok.push(rec),
+                Err(e) => {
+                    err = Some(e);
+                    break;
+                }
+            }
+        }
+        assert!(r.next().is_none(), "a stopped reader yielded more");
+        (ok, err)
+    }
+
+    /// Capacity of the reader's reused body buffer.
+    fn body_capacity(r: &TraceReader<&[u8]>) -> usize {
+        match &r.kind {
+            ReaderKind::V2(s) => s.body.capacity(),
+            ReaderKind::V1 { .. } => 0,
+        }
+    }
+
+    fn is_eof(e: &StoreError) -> bool {
+        matches!(e, StoreError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
+    }
+
+    /// One record at the start of `bytes`, read field by field.
+    fn record_by_fields(bytes: &[u8]) -> Option<([u64; 4], u8, usize)> {
+        let mut pos = 0;
+        let mut fields = [0; 4];
+        for field in &mut fields {
+            *field = varint::read_u64(bytes, &mut pos)?;
+        }
+        let flags = *bytes.get(pos)?;
+        Some((fields, flags, pos + 1))
+    }
+
+    #[test]
+    fn word_decode_agrees_with_field_by_field_decode() {
+        // splitmix64: a fixed stream of words, so the test is repeatable.
+        let mut state = 0u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut fitted = 0;
+        for _ in 0..200_000 {
+            // Clear continuation bits at random as well, so that most
+            // words hold a whole record.
+            let word = next() & !(next() & 0x8080_8080_8080_8080);
+            let expect = record_by_fields(&word.to_le_bytes()).filter(|&(_, _, len)| len <= 8);
+            assert_eq!(record_in_word(word), expect, "{word:#018x}");
+            fitted += usize::from(expect.is_some());
+        }
+        assert!(fitted > 100_000, "only {fitted} words held a record");
+    }
+
+    #[test]
+    fn assembled_files_match_the_writer() {
+        let t = sample(300);
+        let r = t.as_slice();
+        let buf = assemble(&bodies(&[&r[..100], &r[100..200], &r[200..]]));
+        assert_eq!(buf, encode(&t, 100));
+    }
+
+    #[test]
+    fn flipped_high_bit_in_a_chunk_length_is_a_typed_error() {
+        let t = sample(300);
+        let mut buf = encode(&t, 100);
+        let chunk1 = offsets(&buf)[1];
+        // The top byte of chunk 1's little-endian length: it now claims
+        // over 2 GiB, far past the end of the file.
+        buf[chunk1 + 4] ^= 0x80;
+
+        let mut strict = TraceReader::new(buf.as_slice()).unwrap();
+        let (ok, err) = drain(&mut strict);
+        assert_eq!(ok, &t.as_slice()[..100]);
+        let err = err.expect("strict read must fail");
+        assert!(is_eof(&err), "expected a truncated chunk, got {err:?}");
+        // The body buffer grew only as far as the bytes present.
+        assert!(body_capacity(&strict) <= 2 * buf.len());
+
+        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
+        let (kept, err) = drain(&mut lenient);
+        assert!(err.is_none());
+        assert_eq!(kept, &t.as_slice()[..100]);
+        assert_eq!(
+            lenient.salvaged(),
+            Some(SalvageInfo {
+                chunks_kept: 1,
+                records_kept: 100,
+                reason: SalvageReason::TruncatedChunk,
+            })
+        );
+        assert!(body_capacity(&lenient) <= 2 * buf.len());
+
+        let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
+        let err = read_chunk_at(&mut Cursor::new(&buf), 1, index.chunks[1]).unwrap_err();
+        assert!(is_eof(&err), "expected a truncated chunk, got {err:?}");
+    }
+
+    #[test]
+    fn flipped_high_bit_in_the_footer_length_is_a_typed_error() {
+        let t = sample(300);
+        let mut buf = encode(&t, 100);
+        let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
+        let last = index.chunks[2].offset as usize;
+        let last_len = u32::from_le_bytes(buf[last + 1..last + 5].try_into().unwrap()) as usize;
+        let footer = last + 13 + last_len;
+        assert_eq!(buf[footer], FOOTER_MARKER);
+        buf[footer + 4] ^= 0x80;
+
+        let mut strict = TraceReader::new(buf.as_slice()).unwrap();
+        let (ok, err) = drain(&mut strict);
+        assert_eq!(ok, t.as_slice());
+        assert!(is_eof(&err.expect("strict read must fail")));
+        assert!(body_capacity(&strict) <= 2 * buf.len());
+
+        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
+        let (kept, err) = drain(&mut lenient);
+        assert!(err.is_none());
+        assert_eq!(kept, t.as_slice());
+        assert_eq!(lenient.salvaged().unwrap().chunks_kept, 3);
+    }
+
+    #[test]
+    fn forged_record_count_is_rejected_before_reserving() {
+        // Ten bytes after the count hold at most two 5-byte records.
+        for (count, ok) in [(2u64, true), (3, false), (1 << 40, false)] {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, count);
+            body.extend_from_slice(&[0; 10]);
+            let mut records = Vec::new();
+            match decode_chunk_body(&body, 7, &mut records) {
+                Ok(_) => assert!(ok, "count {count} accepted"),
+                Err(StoreError::Corrupt {
+                    chunk: 7,
+                    what: "record count out of range",
+                }) => {
+                    assert!(!ok, "count {count} rejected");
+                    assert_eq!(records.capacity(), 0, "no reservation for a forged count");
+                }
+                Err(e) => panic!("count {count}: unexpected {e:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn forged_footer_count_is_rejected() {
+        // Nine bytes after the count hold at most four two-byte entries
+        // (and the one-byte total).
+        for (count, ok) in [(4u64, true), (5, false)] {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, count);
+            body.extend_from_slice(&[0; 9]);
+            let res = decode_footer_body(&body, fnv1a64(&body));
+            match res {
+                Ok(index) => {
+                    assert!(ok, "count {count} accepted");
+                    assert_eq!(index.chunks.len(), 4);
+                }
+                Err(StoreError::Corrupt {
+                    what: "footer chunk count out of range",
+                    ..
+                }) => assert!(!ok, "count {count} rejected"),
+                Err(e) => panic!("count {count}: unexpected {e:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bit_flip_in_a_chunk_is_a_checksum_error() {
+        // Chunk 2 follows a longer chunk, so a reader that reuses its
+        // buffers must not leak chunk 1's records past the failure.
+        let t = sample(530);
+        let r = t.as_slice();
+        let clean = assemble(&bodies(&[&r[..100], &r[100..400], &r[400..450], &r[450..]]));
+        let chunk2 = offsets(&clean)[2];
+        let body2_len = u32::from_le_bytes(clean[chunk2 + 1..chunk2 + 5].try_into().unwrap());
+        let last_flags = chunk2 + 13 + body2_len as usize - 1;
+        // Two damages to chunk 2's body: a flipped bit in a delta, which
+        // still decodes, and reserved bits in the last record's flags,
+        // which do not. Both are checksum failures.
+        for (at, damage) in [(chunk2 + 15, 0x40), (last_flags, 0xf0)] {
+            let mut buf = clean.clone();
+            buf[at] ^= damage;
+
+            let (ok, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+            assert_eq!(ok, &r[..400]);
+            match err {
+                Some(StoreError::ChecksumMismatch { chunk: 2 }) => {}
+                other => panic!("expected checksum mismatch in chunk 2, got {other:?}"),
+            }
+
+            let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
+            let (kept, err) = drain(&mut lenient);
+            assert!(err.is_none());
+            assert_eq!(kept, &r[..400]);
+            assert_eq!(
+                lenient.salvaged(),
+                Some(SalvageInfo {
+                    chunks_kept: 2,
+                    records_kept: 400,
+                    reason: SalvageReason::DamagedChunk,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn decode_failure_after_a_longer_chunk_yields_no_stale_records() {
+        // Chunk 2 carries a valid checksum but its last record has
+        // reserved flag bits, so 49 of its records decode before the
+        // failure; none of them may surface.
+        let t = sample(530);
+        let r = t.as_slice();
+        let mut chunks = bodies(&[&r[..100], &r[100..400], &r[400..450], &r[450..]]);
+        *chunks[2].last_mut().unwrap() = 0xf0;
+        let buf = assemble(&chunks);
+
+        let (ok, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+        assert_eq!(ok, &r[..400]);
+        assert!(matches!(err, Some(StoreError::BadFlags(0xf0))), "{err:?}");
+
+        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
+        let (kept, err) = drain(&mut lenient);
+        assert!(err.is_none());
+        assert_eq!(kept, &r[..400]);
+        assert_eq!(
+            lenient.salvaged().unwrap().reason,
+            SalvageReason::DamagedChunk
+        );
+    }
+
+    #[test]
+    fn uneven_and_empty_chunks_roundtrip() {
+        let t = sample(700);
+        let r = t.as_slice();
+        let layouts: [&[&[MissRecord]]; 4] = [
+            // The last chunk is shorter than the one before it.
+            &[&r[..500], &r[500..]],
+            &[&r[..100], &r[100..650], &r[650..]],
+            // Empty chunks: in the middle, at the end, and alone.
+            &[&r[..300], &r[300..300], &r[300..]],
+            &[&r[..0], r, &r[700..]],
+        ];
+        for layout in layouts {
+            let buf = assemble(&bodies(layout));
+            let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+            let (back, err) = drain(&mut reader);
+            assert!(err.is_none(), "{err:?}");
+            assert_eq!(back, r);
+            assert_eq!(reader.records_read(), 700);
+            assert!(reader.salvaged().is_none());
+            let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
+            for (i, entry) in index.chunks.iter().enumerate() {
+                let chunk = read_chunk_at(&mut Cursor::new(&buf), i, *entry).unwrap();
+                assert_eq!(chunk.len() as u64, entry.records);
+            }
+        }
+        let buf = assemble(&bodies(&[&r[..0]]));
+        let (back, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+        assert!(back.is_empty() && err.is_none());
     }
 }

@@ -20,6 +20,7 @@ use ccnuma_obs::{Phase, Profiler, SpanProfiler};
 use ccnuma_polsim::{PolsimConfig, PolsimReport, Replay, SimPolicy, TraceFilter};
 use ccnuma_trace::MissRecord;
 use ccnuma_types::{Ns, TopologyPreset};
+use core::convert::Infallible;
 use core::fmt;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -496,16 +497,16 @@ struct SweepCkpt<'a> {
 
 /// Replays one cell, reopening the trace stream for the second pass a
 /// post-facto policy needs.
-fn replay_cell<I, F>(
+fn replay_cell<E, I, F>(
     cell: &CellParams,
     nodes: u16,
     other_time: Ns,
     filter: TraceFilter,
     open: &F,
-) -> Result<(PolsimReport, u64), StoreError>
+) -> Result<(PolsimReport, u64), E>
 where
-    I: Iterator<Item = Result<MissRecord, StoreError>>,
-    F: Fn() -> Result<I, StoreError>,
+    I: Iterator<Item = Result<MissRecord, E>>,
+    F: Fn() -> Result<I, E>,
 {
     let cfg = cell.config(nodes, other_time);
     let mut replay = Replay::new(&cfg, cell.policy.to_sim(cell.trigger, cell.sample), filter);
@@ -526,7 +527,8 @@ where
 /// Replays one cell against an in-memory record slice — the serve
 /// daemon's eval path, where the trace is already resident. Infallible
 /// by construction: the only error source in a replay is the trace
-/// stream, and a slice cannot fail.
+/// stream, and a slice cannot fail (its error type is uninhabited, so
+/// the per-record error checks compile away).
 pub fn eval_cell(
     cell: &CellParams,
     nodes: u16,
@@ -534,9 +536,11 @@ pub fn eval_cell(
     filter: TraceFilter,
     records: &[MissRecord],
 ) -> (PolsimReport, u64) {
-    let open = || Ok(records.iter().map(|r| Ok(*r)));
-    replay_cell(cell, nodes, other_time, filter, &open)
-        .expect("in-memory replay cannot hit a store error")
+    let open = || Ok(records.iter().map(|r| Ok::<_, Infallible>(*r)));
+    match replay_cell(cell, nodes, other_time, filter, &open) {
+        Ok(done) => done,
+        Err(never) => match never {},
+    }
 }
 
 /// Runs the sweep: every distinct cell is replayed once, on up to

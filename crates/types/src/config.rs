@@ -208,6 +208,15 @@ impl MachineConfig {
         NodeId(proc.0 / self.procs_per_node)
     }
 
+    /// [`node_of_proc`](MachineConfig::node_of_proc) for every processor,
+    /// indexed by processor number: a per-record loop indexes this table
+    /// instead of re-checking and dividing on every record.
+    pub fn proc_nodes(&self) -> Vec<NodeId> {
+        (0..self.procs())
+            .map(|p| self.node_of_proc(ProcId(p)))
+            .collect()
+    }
+
     /// The home node of a physical frame. Frames are numbered node-major:
     /// node 0 owns frames `0..frames_per_node`, node 1 the next block, etc.
     ///
@@ -353,6 +362,18 @@ mod tests {
         assert_eq!(c.node_of_frame(Frame(4096)), NodeId(1));
         assert_eq!(c.first_frame_of(NodeId(2)), Frame(8192));
         assert_eq!(c.total_frames(), 8 * 4096);
+    }
+
+    #[test]
+    fn proc_node_table_matches_node_of_proc() {
+        let mut c = MachineConfig::cc_numa().with_nodes(3);
+        c.procs_per_node = 2;
+        let table = c.proc_nodes();
+        assert_eq!(table.len(), 6);
+        for (p, &node) in table.iter().enumerate() {
+            assert_eq!(node, c.node_of_proc(ProcId(p as u16)));
+        }
+        assert_eq!(table[5], NodeId(2));
     }
 
     #[test]
