@@ -11,9 +11,6 @@
 //!                       [--hard-deadline SECS]
 //!                       [-v|--verbose] [-q|--quiet]
 //! repro all [--scale ...] [--jobs N] [--resume DIR]
-//! repro bench [--scale quick|standard|full] [--window-us N]
-//!             [--out FILE] [--baseline FILE] [--check]
-//!             [--tolerance PCT] [--history FILE]
 //! repro obs report DIR [--out FILE]
 //! repro trace <capture|info|verify> [WORKLOAD|SLUG]...
 //!             [--scale S] [--trace-dir DIR] [--json]
@@ -30,7 +27,7 @@
 //! repro serve [--addr HOST:PORT] [--trace-dir DIR] [--results-dir DIR]
 //!             [--workers N] [--queue-depth N] [--prewarm SLUG,..]
 //!             [--trace-budget-bytes N] [--max-cells N]
-//!             [--max-body-bytes N] [--max-sweeps N] [--window-us N]
+//!             [--max-body-bytes N] [--max-sweeps N]
 //!             [--soft-deadline SECS] [--hard-deadline SECS]
 //! repro loadgen --url HOST:PORT [--concurrency N] [--duration SECS]
 //!               [--trace NAME] [--out FILE]
@@ -82,7 +79,7 @@
 //!
 //! With `--profile` (requires `--obs-dir`), every computed run is
 //! additionally timed by the host-side span profiler: each run's
-//! directory gains a `profile.json` (`ccnuma-profile/1` phase summary)
+//! directory gains a `profile.json` (`ccnuma-profile/2` phase summary)
 //! and a `host-trace.json` (host-time Chrome trace), and the invocation
 //! writes a merged `DIR/profile.json`. The profiler watches only the
 //! host's wall clock, so profiled stdout stays byte-identical to an
@@ -92,14 +89,6 @@
 //! the fleet rollup (summed counters, merged histograms with
 //! p50/p90/p99, merged host profile); `--out FILE` adds a
 //! `ccnuma-obs-report/1` JSON document.
-//!
-//! `repro bench` gains regression tracking: `--baseline FILE` compares
-//! the fresh measurements against a committed `BENCH_hotpath.json`,
-//! `--check` makes any figure falling more than `--tolerance PCT`
-//! (default 20) below baseline exit 1, and every invocation appends one
-//! `ccnuma-bench-history/1` line to `--history FILE` (default
-//! `BENCH_history.jsonl`). All bench artifacts are written atomically
-//! (temp file + rename), so a concurrent reader never sees a torn file.
 //!
 //! With `--trace-dir DIR`, captured miss traces are stored under `DIR`
 //! in the chunked v2 format and served from there on later invocations
@@ -277,124 +266,6 @@ fn chaos_summary(faults: FaultSpec, ok: u64, failed: u64, t: &FaultStats) -> Str
     s
 }
 
-/// `repro bench`: time every workload under FT and Mig/Rep and write
-/// `BENCH_hotpath.json` (schema `ccnuma-bench-hotpath/3`). Timings go to
-/// the file and a summary to stderr; nothing is printed to stdout, so
-/// the subcommand composes with scripts the way `--obs-dir` does. With
-/// `--baseline FILE` the fresh figures are diffed against a committed
-/// baseline (on stderr), `--check` turns any out-of-tolerance figure
-/// into exit 1, and one `ccnuma-bench-history/1` line is appended to
-/// the `--history` trajectory either way. File writes are atomic.
-fn run_bench(args: &[String]) -> ! {
-    let usage = "usage: repro bench [--scale quick|standard|full] [--shards N] [--window-us N] \
-                 [--out FILE] [--baseline FILE] [--check] [--tolerance PCT] [--history FILE]";
-    let mut scale = Scale::standard();
-    let mut scale_label = "standard".to_string();
-    let mut shards = ShardPlan::serial();
-    let mut window_us: Option<u64> = None;
-    let mut out = PathBuf::from("BENCH_hotpath.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut check = false;
-    let mut tolerance = ccnuma_bench::DEFAULT_TOLERANCE_PCT;
-    let mut history = PathBuf::from("BENCH_history.jsonl");
-    let mut it = args.iter();
-    fn path_value(flag: &str, it: &mut std::slice::Iter<'_, String>) -> PathBuf {
-        it.next().map(PathBuf::from).unwrap_or_else(|| {
-            eprintln!("{flag} expects a file path");
-            std::process::exit(2);
-        })
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().map(String::as_str);
-                (scale, scale_label) = match v {
-                    Some("quick") => (Scale::quick(), "quick".into()),
-                    Some("standard") => (Scale::standard(), "standard".into()),
-                    Some("full") => (Scale::full(), "full".into()),
-                    other => {
-                        eprintln!("--scale expects quick|standard|full, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--shards" => shards = parse_shards("--shards", &mut it),
-            "--window-us" => window_us = Some(parse_window("--window-us", &mut it)),
-            "--out" => out = path_value("--out", &mut it),
-            "--baseline" => baseline = Some(path_value("--baseline", &mut it)),
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance = match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(t) if t >= 0.0 => t,
-                    _ => {
-                        eprintln!("--tolerance expects a non-negative percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--history" => history = path_value("--history", &mut it),
-            other => {
-                eprintln!("repro bench: unknown argument {other:?}");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if check && baseline.is_none() {
-        eprintln!("repro bench: --check requires --baseline FILE\n{usage}");
-        std::process::exit(2);
-    }
-    let start = Instant::now();
-    let report =
-        ccnuma_bench::hotpath_bench(scale, &scale_label, &WorkloadKind::ALL, shards, window_us);
-    let (refs, wall, rate) = report.totals();
-    if let Err(e) = ccnuma_bench::atomic_write(&out, report.to_json().as_bytes()) {
-        eprintln!("writing {}: {e}", out.display());
-        std::process::exit(1);
-    }
-    let outcome = baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("reading baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let result = ccnuma_bench::check_against_baseline(&report, &text, tolerance)
-            .unwrap_or_else(|e| {
-                eprintln!("bench check against {}: {e}", path.display());
-                std::process::exit(1);
-            });
-        eprint!("{}", result.render());
-        result
-    });
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let line = ccnuma_bench::history_line(&report, outcome.as_ref(), unix_time);
-    if let Err(e) = ccnuma_bench::append_history(&history, &line) {
-        eprintln!("appending {}: {e}", history.display());
-        std::process::exit(1);
-    }
-    eprintln!(
-        "bench: {} run(s), {} refs in {:.2}s ({:.0} refs/s), wall {:.2}s -> {} (history {})",
-        report.runs.len(),
-        refs,
-        wall,
-        rate,
-        start.elapsed().as_secs_f64(),
-        out.display(),
-        history.display()
-    );
-    let regressed = check && outcome.as_ref().is_some_and(|c| !c.ok());
-    if regressed {
-        eprintln!(
-            "bench check FAILED: {} regression(s) beyond {tolerance:.1}%",
-            outcome
-                .as_ref()
-                .map_or(0, ccnuma_bench::BenchCheck::regressions)
-        );
-    }
-    std::process::exit(i32::from(regressed));
-}
-
 /// `repro obs report DIR [--out FILE]`: aggregate one invocation's
 /// artifact tree into a fleet summary (stdout) and optionally the
 /// `ccnuma-obs-report/1` JSON document.
@@ -439,7 +310,7 @@ fn run_obs_cmd(args: &[String]) -> ! {
     });
     print!("{}", report.render(&dir));
     if let Some(path) = &out {
-        if let Err(e) = ccnuma_bench::atomic_write(path, report.to_json().as_bytes()) {
+        if let Err(e) = ccnuma_faults::atomic_write(path, report.to_json().as_bytes()) {
             eprintln!("writing {}: {e}", path.display());
             std::process::exit(1);
         }
@@ -896,7 +767,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
         }
     };
     if let (Some(path), Some(prof)) = (&profile_out, &prof) {
-        if let Err(e) = ccnuma_bench::atomic_write(path, prof.to_json().as_bytes()) {
+        if let Err(e) = ccnuma_faults::atomic_write(path, prof.to_json().as_bytes()) {
             eprintln!("writing {}: {e}", path.display());
             std::process::exit(1);
         }
@@ -945,7 +816,7 @@ fn run_serve_cmd(args: &[String]) -> ! {
     let usage = "usage: repro serve [--addr HOST:PORT] [--trace-dir DIR] \
                  [--results-dir DIR] [--workers N] [--queue-depth N] \
                  [--prewarm SLUG,..] [--trace-budget-bytes N] [--max-cells N] \
-                 [--max-body-bytes N] [--max-sweeps N] [--window-us N] \
+                 [--max-body-bytes N] [--max-sweeps N] \
                  [--soft-deadline SECS] [--hard-deadline SECS]";
     fn pos_num(flag: &str, it: &mut std::slice::Iter<'_, String>) -> u64 {
         match it.next().and_then(|v| v.parse::<u64>().ok()) {
@@ -984,16 +855,6 @@ fn run_serve_cmd(args: &[String]) -> ! {
                 cfg.max_body_bytes = pos_num("--max-body-bytes", &mut it) as usize;
             }
             "--max-sweeps" => cfg.max_sweeps = pos_num("--max-sweeps", &mut it) as usize,
-            "--window-us" => {
-                // Accepted for CLI uniformity with all/bench/sweep; the
-                // daemon replays stored traces and never opens a
-                // scheduling window, so the value is validated and noted
-                // but cannot change any response.
-                let us = parse_window("--window-us", &mut it);
-                eprintln!(
-                    "serve: --window-us {us} has no effect (the daemon replays stored traces)"
-                );
-            }
             "--soft-deadline" => {
                 cfg.soft_deadline = Some(parse_deadline(
                     "--soft-deadline",
@@ -1085,7 +946,7 @@ fn run_loadgen_cmd(args: &[String]) -> ! {
         Ok(json) => {
             match &out {
                 Some(path) => {
-                    if let Err(e) = ccnuma_bench::atomic_write(path, json.as_bytes()) {
+                    if let Err(e) = ccnuma_faults::atomic_write(path, json.as_bytes()) {
                         eprintln!("writing {}: {e}", path.display());
                         std::process::exit(1);
                     }
@@ -1117,7 +978,6 @@ fn parse_deadline(flag: &str, raw: &str) -> Duration {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => run_bench(&args[1..]),
         Some("obs") => run_obs_cmd(&args[1..]),
         Some("trace") => run_trace_cmd(&args[1..]),
         Some("sweep") => run_sweep_cmd(&args[1..]),
@@ -1266,7 +1126,7 @@ fn main() {
              [--trace-dir DIR] [--faults SCENARIO] [--chaos-seed N] [--resume DIR] \
              [--soft-deadline SECS] [--hard-deadline SECS] [-v|-q]"
         );
-        eprintln!("       repro all | repro bench | repro obs report | repro trace | repro sweep");
+        eprintln!("       repro all | repro obs report | repro trace | repro sweep");
         eprintln!("       repro serve | repro loadgen");
         eprintln!("       repro --list | repro --list-faults");
         std::process::exit(2);

@@ -30,23 +30,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod checkpoint;
 pub mod experiments;
 mod helpers;
-pub mod hotbench;
 pub mod obsreport;
 pub mod plan;
 
-pub use baseline::{
-    append_history, atomic_write, check_against_baseline, history_line, BenchCheck, BenchDelta,
-    DeltaReason, DEFAULT_TOLERANCE_PCT, HISTORY_SCHEMA,
-};
 pub use checkpoint::{ResumeState, ResumedRun, RunJournal};
 pub use helpers::{
     dynamic_options, dynamic_spec, ft_options, ft_spec, traced_ft, traced_ft_spec, trigger_for,
     RunPair,
 };
-pub use hotbench::{hotpath_bench, tracestore_bench, BenchReport, BenchRun, TraceBench};
 pub use obsreport::{build_report, InvocationMeta, ObsReport, PhaseSummary, OBS_REPORT_SCHEMA};
 pub use plan::{Executor, ExecutorStats, RunFailure, RunPlan, RunTiming, TracedRun};

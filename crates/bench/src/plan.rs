@@ -849,7 +849,7 @@ impl Executor {
     }
 
     /// Writes the merged invocation profile to `<dir>/profile.json`
-    /// (the same `ccnuma-profile/1` document the per-run artifacts
+    /// (the same `ccnuma-profile/2` document the per-run artifacts
     /// use), creating `dir` if needed. Returns the file's path; no-op
     /// `None` when profiling is off.
     ///
@@ -1100,8 +1100,8 @@ mod tests {
         profiled.execute(&plan);
         assert!(plain.invocation_profile().is_none());
         let prof = profiled.invocation_profile().expect("profiling is on");
-        // One Run span per computed run. The windowed engine enters
-        // Phase::Memory once per lane window (batching references), so
+        // One Run span per computed run. Phase::Memory counts only the
+        // serial tail's references (lane windows are Phase::Lanes), so
         // the entry count is positive but well below one-per-reference.
         assert_eq!(prof.entries(Phase::Run), 2);
         let total_refs: u64 = plan
@@ -1129,7 +1129,7 @@ mod tests {
             .unwrap()
             .expect("profiling on");
         let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.starts_with("{\"schema\":\"ccnuma-profile/1\""));
+        assert!(text.starts_with("{\"schema\":\"ccnuma-profile/2\""));
         assert_eq!(plain.write_invocation_profile(&dir).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,10 +5,12 @@
 //!    artifacts' *structure* (phases, strides, entries, spans) is
 //!    byte-comparable across `--jobs 1` and `--jobs 4` — only the
 //!    host-time duration fields may differ.
-//! 2. `repro bench --baseline --check` passes against its own fresh
-//!    measurement and fails (exit 1) against an inflated baseline.
+//! 2. Every lane window of the windowed engine is one timed `lanes`
+//!    span, while `memory` stays stride-sampled per tail reference.
 //! 3. `repro obs report` aggregates an invocation's artifact tree.
 //! 4. `repro sweep --profile` emits a replay-phase profile.
+//! 5. Host time has one ledger (the perfsuite benchmark): `bench` is an
+//!    unknown name to `repro`, and `repro serve` refuses `--window-us`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -38,7 +40,7 @@ fn stdout_of(out: &std::process::Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
 }
 
-/// The determinism-relevant structure of a `ccnuma-profile/1` document:
+/// The determinism-relevant structure of a `ccnuma-profile/2` document:
 /// per phase `(name, stride, entries, spans)`. Duration fields are host
 /// measurements and deliberately excluded.
 fn profile_structure(path: &Path) -> Vec<(String, u64, u64, u64)> {
@@ -46,7 +48,7 @@ fn profile_structure(path: &Path) -> Vec<(String, u64, u64, u64)> {
     let doc = ccnuma_obs::JsonValue::parse(&text).expect("profile parses");
     assert_eq!(
         doc.get("schema").and_then(|s| s.as_str()),
-        Some("ccnuma-profile/1")
+        Some("ccnuma-profile/2")
     );
     doc.get("phases")
         .and_then(|p| p.as_array())
@@ -107,6 +109,9 @@ fn profiled_stdout_is_identical_and_structure_survives_jobs() {
     let memory = inv1.iter().find(|(name, ..)| name == "memory").unwrap();
     assert!(memory.2 > 0, "memory phase saw the references");
     assert_eq!(memory.1, 1024, "memory phase is stride-sampled");
+    let lanes = inv1.iter().find(|(name, ..)| name == "lanes").unwrap();
+    assert!(lanes.2 > 0, "lane windows ran");
+    assert_eq!(lanes.3, lanes.2, "every lane window is timed");
 
     // Per-run artifacts: same slugs, same per-slug structure, and the
     // Chrome trace rides along.
@@ -147,83 +152,17 @@ fn profile_without_obs_dir_is_refused() {
 }
 
 #[test]
-fn bench_check_passes_itself_and_fails_an_inflated_baseline() {
-    let dir = scratch("benchcheck");
-    let out_json = dir.join("bench.json");
-    let history = dir.join("BENCH_history.jsonl");
-    // Self-check: the baseline read back is the measurement just
-    // written, so nothing can be out of tolerance.
-    let ok = repro(&[
-        "bench",
-        "--scale",
-        "quick",
-        "--out",
-        out_json.to_str().unwrap(),
-        "--baseline",
-        out_json.to_str().unwrap(),
-        "--check",
-        "--history",
-        history.to_str().unwrap(),
-    ]);
+fn retired_bench_subcommand_and_serve_window_flag_exit_2() {
+    let bench = repro(&["bench", "--scale", "quick"]);
+    assert_eq!(bench.status.code(), Some(2));
+    assert!(bench.stdout.is_empty(), "nothing renders for `bench`");
+    let serve = repro(&["serve", "--window-us", "10"]);
+    assert_eq!(serve.status.code(), Some(2));
     assert!(
-        ok.status.success(),
-        "self-check must pass: {}",
-        String::from_utf8_lossy(&ok.stderr)
+        String::from_utf8_lossy(&serve.stderr).contains("repro serve: unknown argument"),
+        "{}",
+        String::from_utf8_lossy(&serve.stderr)
     );
-    assert!(String::from_utf8_lossy(&ok.stderr).contains("bench check"));
-    assert!(out_json.is_file());
-    assert!(
-        !dir.join("bench.json.tmp").exists(),
-        "atomic write cleans up"
-    );
-
-    // An inflated baseline (absurd throughput) must fail the check.
-    let fake = dir.join("fake-baseline.json");
-    std::fs::write(
-        &fake,
-        r#"{"schema":"ccnuma-bench-hotpath/4","scale":"quick","runs":[],
-            "totals":{"total_refs":1,"wall_seconds":1.0,"refs_per_sec":1e12}}"#,
-    )
-    .unwrap();
-    let fail = repro(&[
-        "bench",
-        "--scale",
-        "quick",
-        "--out",
-        out_json.to_str().unwrap(),
-        "--baseline",
-        fake.to_str().unwrap(),
-        "--check",
-        "--history",
-        history.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        fail.status.code(),
-        Some(1),
-        "inflated baseline must regress"
-    );
-    let err = String::from_utf8_lossy(&fail.stderr);
-    assert!(err.contains("bench check FAILED"), "{err}");
-    assert!(err.contains("FAIL totals refs_per_sec"), "{err}");
-
-    // Both invocations appended to the trajectory.
-    let text = std::fs::read_to_string(&history).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-    for line in &lines {
-        let doc = ccnuma_obs::JsonValue::parse(line).expect("history line parses");
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some("ccnuma-bench-history/1")
-        );
-        assert_eq!(doc.get("checked").and_then(|c| c.as_bool()), Some(true));
-    }
-    let last = ccnuma_obs::JsonValue::parse(lines[1]).unwrap();
-    assert!(
-        last.get("regressions").and_then(|r| r.as_u64()).unwrap() >= 1,
-        "the failed check records its regressions"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

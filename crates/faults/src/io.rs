@@ -3,7 +3,7 @@
 //! PR 3 made the *simulated* kernel degrade gracefully under injected
 //! faults; this module does the same for the *host* pipeline. Every
 //! artifact writer in the workspace — the trace store, the obs
-//! exporters, the checkpoint journal, the bench baseline/history files —
+//! exporters, the checkpoint journal, the sweep service's result cache —
 //! performs its filesystem traffic through a [`Storage`]
 //! implementation:
 //!

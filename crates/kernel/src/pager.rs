@@ -1097,6 +1097,33 @@ mod tests {
     }
 
     #[test]
+    fn coarse_memlock_makes_concurrent_replicates_wait_longer() {
+        // Eight CPUs' interrupts replicate eight distinct pages at the
+        // same instant. Fine locking queues them only on the allocation
+        // memlock; coarse locking also queues their chain links there.
+        let serve = |granularity| {
+            let cfg =
+                PagerConfig::for_machine(MachineConfig::cc_numa()).with_granularity(granularity);
+            let mut p = Pager::new(cfg);
+            for i in 0..8u64 {
+                p.first_touch(Pid(1), VirtPage(i), NodeId(0));
+                p.first_touch(Pid(2), VirtPage(i), NodeId(4));
+                let out =
+                    p.service_batch(Ns::from_ms(1), &[PageOp::replicate(VirtPage(i), NodeId(4))]);
+                assert!(out[0].succeeded(), "{granularity:?}");
+            }
+            (p.locks().acquisitions(), p.locks().total_wait())
+        };
+        let (coarse_acq, coarse_wait) = serve(LockGranularity::Coarse);
+        let (fine_acq, fine_wait) = serve(LockGranularity::Fine);
+        assert_eq!(coarse_acq, fine_acq, "same acquisitions, different locks");
+        assert!(
+            coarse_wait > fine_wait,
+            "coarse {coarse_wait:?} vs fine {fine_wait:?}"
+        );
+    }
+
+    #[test]
     fn per_op_latency_in_papers_range() {
         let mut p = pager();
         for i in 0..3u64 {

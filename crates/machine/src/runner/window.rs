@@ -281,15 +281,15 @@ impl Lane {
 }
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
-    /// References the windowed phase must leave for the serial tail:
-    /// one window can consume at most this many, so running windows
-    /// only while `refs_left` exceeds it can never overdraw.
     /// The configured window length (the `--window-us` knob, or the
     /// built-in default).
     pub(super) fn window(&self) -> Ns {
         self.opts.window_us.map_or(WINDOW, Ns::from_us)
     }
 
+    /// References the windowed phase must leave for the serial tail:
+    /// one window can consume at most this many, so running windows
+    /// only while `refs_left` exceeds it can never overdraw.
     pub(super) fn window_tail_bound(&self) -> u64 {
         let min_step = self.spec.config.compute_ns_per_ref.0.max(1);
         self.clocks.len() as u64 * (self.window().0 / min_step + 2)
@@ -376,7 +376,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             rr_nodes: self.rr_nodes,
             end,
         };
-        let span = self.prof.enter(Phase::Memory);
+        let span = self.prof.enter(Phase::Lanes);
         if shards <= 1 {
             for lane in &mut lanes {
                 lane.run_window(&ctx);
@@ -394,11 +394,12 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 }
             });
         }
-        self.prof.exit(Phase::Memory, span);
+        self.prof.exit(Phase::Lanes, span);
 
         // Fold lane state back in CPU order (deterministic float sums),
         // then replay the event pool in canonical (time, cpu, seq)
-        // order.
+        // order. Handoff, sort and replay are all merge time.
+        let span = self.prof.enter(Phase::Merge);
         let mut pool = std::mem::take(&mut self.carry);
         let mut consumed = 0u64;
         let mut tlbs = Vec::with_capacity(procs);
@@ -432,7 +433,6 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         let cut = pool.partition_point(|e| e.time < end);
         self.carry = pool.split_off(cut);
 
-        let span = self.prof.enter(Phase::Merge);
         let mut outcome = Ok(());
         for ev in pool {
             outcome = self.replay(ev);

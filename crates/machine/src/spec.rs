@@ -288,17 +288,20 @@ mod tests {
         assert_eq!(plain.sim_time, profiled.sim_time);
         assert_eq!(plain.cpu_time, profiled.cpu_time);
         // The span structure derives from deterministic sim event
-        // counts: the whole run is one run span, the memory phase is
-        // entered once per window in the windowed phase plus once per
-        // reference in the serial tail, and a second profiled run
+        // counts: the whole run is one run span, the lanes phase is
+        // entered (and timed) once per window, the memory phase once per
+        // reference of the serial tail, and a second profiled run
         // reproduces the same entry/span counts for every phase.
         assert_eq!(prof.entries(Phase::Run), 1);
         assert_eq!(prof.spans(Phase::Run), 1);
+        assert!(prof.entries(Phase::Lanes) > 0, "windows ran");
+        assert_eq!(prof.spans(Phase::Lanes), prof.entries(Phase::Lanes));
+        assert!(prof.entries(Phase::Merge) >= prof.entries(Phase::Lanes));
         let w = spec.build_workload();
         assert!(prof.entries(Phase::Memory) > 0);
         assert!(
-            prof.entries(Phase::Memory) <= w.total_refs,
-            "windows batch references: {} entries for {} refs",
+            prof.entries(Phase::Memory) < w.total_refs,
+            "windows batch references: {} tail entries for {} refs",
             prof.entries(Phase::Memory),
             w.total_refs
         );

@@ -8,10 +8,11 @@
 //!
 //! [`JsonValue`] is the matching reader: a small recursive-descent
 //! parser for the artifacts this workspace writes (`metrics.json`,
-//! `run-metadata.json`, `BENCH_hotpath.json`, `profile.json`), used by
-//! the fleet-aggregation (`repro obs report`) and bench-regression
-//! (`repro bench --check`) surfaces. Numbers keep their raw text so
-//! `u64` counters survive without a float round-trip.
+//! `run-metadata.json`, `profile.json`, checkpoint journals, trace
+//! sidecars) and for request bodies, used by the fleet aggregation
+//! (`repro obs report`), checkpoint resume and the sweep service.
+//! Numbers keep their raw text so `u64` counters survive without a
+//! float round-trip.
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn push_json_str(out: &mut String, s: &str) {

@@ -46,7 +46,7 @@
 //! // Pager is a coarse phase (stride 1): every entry was timed.
 //! assert_eq!(prof.spans(Phase::Pager), 10);
 //! let json = prof.to_json();
-//! assert!(json.starts_with("{\"schema\":\"ccnuma-profile/1\""));
+//! assert!(json.starts_with("{\"schema\":\"ccnuma-profile/2\""));
 //! ```
 //!
 //! The null path is statically off:
@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema tag of the per-run `profile.json` artifact.
-pub const PROFILE_SCHEMA: &str = "ccnuma-profile/1";
+pub const PROFILE_SCHEMA: &str = "ccnuma-profile/2";
 
 /// Instrumented host phases.
 ///
@@ -79,11 +79,12 @@ pub enum Phase {
     /// Scheduler quantum-boundary work (re-query, context switch,
     /// adaptive tick, storm driving).
     Sched,
-    /// One memory reference through TLB / L2 / coherence / NUMA memory
-    /// (stride-sampled: this is the per-reference hot path).
+    /// One memory reference of the serial tail through TLB / L2 /
+    /// coherence / NUMA memory (stride-sampled: this is the
+    /// per-reference hot path). Lane windows are [`Phase::Lanes`].
     Memory,
-    /// One coherence write (victim invalidation) inside the memory
-    /// phase (stride-sampled).
+    /// One coherence write (victim invalidation) inside the merge
+    /// replay or the serial tail's memory phase (stride-sampled).
     Coherence,
     /// One pager batch service (page ops, shootdown, outcome handling).
     Pager,
@@ -95,14 +96,20 @@ pub enum Phase {
     TraceDecode,
     /// One policy-simulator replay of a sweep cell.
     Replay,
-    /// One window merge in sharded execution: applying lane events
-    /// (first touches, coherence writes, policy driving) in canonical
-    /// order on the coordinating thread.
+    /// One window merge in the windowed engine: folding lane state back,
+    /// sorting the event pool, and applying lane events (first touches,
+    /// coherence writes, policy driving) in canonical order on the
+    /// coordinating thread.
     Merge,
+    /// One lane pass of the windowed engine: every CPU stepping its
+    /// references through TLB / L2 / NUMA memory up to the window end
+    /// (across shard threads when sharded). Entered once per window, so
+    /// every entry is timed.
+    Lanes,
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const PHASES: usize = 10;
+pub const PHASES: usize = 11;
 
 impl Phase {
     /// Every phase, in the canonical artifact order.
@@ -117,6 +124,7 @@ impl Phase {
         Phase::TraceDecode,
         Phase::Replay,
         Phase::Merge,
+        Phase::Lanes,
     ];
 
     /// Stable artifact name.
@@ -132,6 +140,7 @@ impl Phase {
             Phase::TraceDecode => "trace_decode",
             Phase::Replay => "replay",
             Phase::Merge => "merge",
+            Phase::Lanes => "lanes",
         }
     }
 
@@ -305,7 +314,7 @@ impl SpanProfiler {
         }
     }
 
-    /// Renders the `ccnuma-profile/1` artifact.
+    /// Renders the `ccnuma-profile/2` artifact.
     ///
     /// Every phase appears, in [`Phase::ALL`] order, with its stride and
     /// its deterministic `entries`/`spans` counts; the `*_ns` fields and
@@ -457,7 +466,7 @@ impl Profiler for SpanProfiler {
 }
 
 /// Writes the profile artifact pair for one run under
-/// `<dir>/runs/<slug>/`: `profile.json` (the `ccnuma-profile/1`
+/// `<dir>/runs/<slug>/`: `profile.json` (the `ccnuma-profile/2`
 /// summary) and `host-trace.json` (the host-time Chrome trace). Returns
 /// the run's artifact directory.
 ///
@@ -589,7 +598,7 @@ mod tests {
         let s = p.enter(Phase::Run);
         p.exit(Phase::Run, s);
         let json = p.to_json();
-        assert!(json.starts_with("{\"schema\":\"ccnuma-profile/1\",\"phases\":["));
+        assert!(json.starts_with("{\"schema\":\"ccnuma-profile/2\",\"phases\":["));
         assert!(json.ends_with("}\n"));
         let mut last = 0;
         for phase in Phase::ALL {

@@ -118,6 +118,9 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<String> {
             )));
         }
     }
+    // Close the probe before the timed phase: an idle keep-alive
+    // connection would pin one daemon worker until its read timeout.
+    drop(probe);
 
     let deadline = Instant::now() + opts.duration;
     let t0 = Instant::now();

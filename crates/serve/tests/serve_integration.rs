@@ -2,9 +2,10 @@
 //! port: cold/warm eval, byte-identical answers across a daemon
 //! restart (the on-disk result cache), queue-full shedding with
 //! `Retry-After`, typed 4xx for malformed requests, the metrics
-//! document, and the sweep POST/stream lifecycle.
+//! document, the sweep POST/stream lifecycle, and `run_loadgen`
+//! against as many connections as workers.
 
-use ccnuma_serve::{start, HttpClient, ServeConfig};
+use ccnuma_serve::{run_loadgen, start, HttpClient, LoadgenOptions, ServeConfig};
 use ccnuma_trace::{MissRecord, Trace};
 use ccnuma_tracestore::{TraceMeta, TraceStore};
 use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
@@ -299,5 +300,39 @@ fn oversized_sweep_grid_is_rejected_with_cell_budget() {
     assert!(resp.text().contains("cell_budget"), "{}", resp.text());
     drop(c);
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loadgen_probe_does_not_pin_a_worker() {
+    use ccnuma_obs::json::JsonValue;
+    let dir = test_dir("loadgen");
+    let _ = std::fs::remove_dir_all(&dir);
+    let slug = seed_store(&dir);
+
+    // As many client connections as daemon workers: a probe connection
+    // left open through the timed phase would hold one worker, and one
+    // client's first request would then wait until another client
+    // disconnects at the deadline or the daemon's 5 s read timeout
+    // frees the probe's worker.
+    let handle = start(cfg(&dir)).unwrap();
+    let opts = LoadgenOptions {
+        addr: handle.addr(),
+        concurrency: 2,
+        duration: Duration::from_secs(1),
+        trace: Some(slug),
+    };
+    let report = run_loadgen(&opts).unwrap();
+    handle.shutdown();
+    let v = JsonValue::parse(&report).unwrap();
+    let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap();
+    assert!(u("requests") > 0, "{report}");
+    assert_eq!(u("transport_errors"), 0, "{report}");
+    let max_us = v
+        .get("latency_us")
+        .and_then(|l| l.get("max"))
+        .and_then(JsonValue::as_u64)
+        .unwrap();
+    assert!(max_us < 500_000, "a client stalled {max_us} us: {report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
