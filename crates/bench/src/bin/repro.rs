@@ -49,7 +49,7 @@
 //!
 //! `repro serve` runs the sweep-as-a-service daemon: stored traces stay
 //! resident in memory, one `POST /v1/eval` replays one sweep cell, and
-//! every finished cell is journaled in a content-addressed on-disk
+//! every finished cell is stored in a content-addressed on-disk
 //! result cache so repeated queries — including across daemon restarts
 //! — are answered byte-identically without touching the simulator.
 //! `repro loadgen` is the matching load generator; see README.md
@@ -105,14 +105,17 @@
 //! --max-bytes N` evicts least-recently-used entries until the store
 //! fits the byte budget (loads freshen an entry's LRU stamp).
 //!
-//! With `--resume DIR`, the invocation journals every completed run (or
-//! sweep cell) to a `ccnuma-checkpoint/1` directory and restores
-//! journaled results instead of recomputing them, so a killed
-//! invocation rerun with the same `--resume DIR` completes only the
-//! missing work while printing byte-identical stdout. `--soft-deadline
-//! SECS` warns on stderr when a run overruns; `--hard-deadline SECS`
-//! converts an overrunning run into a failure (never journaled, plan
-//! continues).
+//! With `--resume DIR`, the invocation stores every completed run (or
+//! sweep cell) in the content-addressed store at `DIR` — the serve
+//! daemon's layout: v2 trace entries at `DIR`, checksummed results
+//! under `DIR/results` — and restores stored results instead of
+//! recomputing them, so a killed invocation rerun with the same
+//! `--resume DIR` completes only the missing work while printing
+//! byte-identical stdout. A damaged entry is a warning plus a
+//! recomputation. `trace fsck` and `trace gc` cover the results too.
+//! `--soft-deadline SECS` warns on stderr when a run overruns;
+//! `--hard-deadline SECS` converts an overrunning run into a failure
+//! (never stored, plan continues).
 //!
 //! Stderr chatter is gated by one verbosity knob: `-v`/`--verbose` and
 //! `-q`/`--quiet` flags first, then the `CCNUMA_LOG` environment
@@ -121,12 +124,11 @@
 
 use ccnuma_bench::{experiments, traced_ft_spec, Executor, RunPlan};
 use ccnuma_faults::{FaultScenario, FaultSpec, FaultStats};
-use ccnuma_obs::checkpoint::CheckpointJournal;
 use ccnuma_obs::Verbosity;
 use ccnuma_serve::{LoadgenOptions, ServeConfig};
 use ccnuma_tracestore::{
-    fsck, gc, run_sweep, run_sweep_profiled, run_sweep_resumable, ChunkIndex, ResultCache,
-    StoreListing, SweepPolicy, SweepSpec, TraceStore,
+    fsck, gc, run_sweep, run_sweep_cached, run_sweep_profiled, ChunkIndex, ResultCache,
+    StoreListing, SweepPolicy, SweepSpec, SweepStore, TraceStore, RESULTS_DIR,
 };
 use ccnuma_types::{ShardPlan, TopologyPreset};
 use ccnuma_workloads::{Scale, WorkloadKind};
@@ -726,20 +728,17 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     }
     let open = || store.open(&slug).map(|(reader, _)| reader);
     let mut resumed = 0usize;
-    let (report, prof) = if let Some(ckpt_dir) = &resume {
-        let journal = CheckpointJournal::open(ckpt_dir).unwrap_or_else(|e| {
-            eprintln!("opening checkpoint {}: {e}", ckpt_dir.display());
+    let (report, prof) = if let Some(resume_dir) = &resume {
+        let results = ResultCache::new(resume_dir.join(RESULTS_DIR)).unwrap_or_else(|e| {
+            eprintln!("opening result store {}: {e}", resume_dir.display());
             std::process::exit(1);
         });
-        match run_sweep_resumable(
-            &spec,
-            nodes,
-            other_time,
-            jobs,
-            open,
-            &journal,
+        let store = SweepStore {
+            results: &results,
+            trace_slug: &slug,
             soft_deadline,
-        ) {
+        };
+        match run_sweep_cached(&spec, nodes, other_time, jobs, open, &store) {
             Ok((report, n)) => {
                 resumed = n;
                 (report, None)
@@ -810,7 +809,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
 }
 
 /// `repro serve`: run the sweep-as-a-service daemon until SIGTERM or
-/// SIGINT (graceful: in-flight sweep cells are journaled in the result
+/// SIGINT (graceful: in-flight sweep cells are stored in the result
 /// cache before exit).
 fn run_serve_cmd(args: &[String]) -> ! {
     let usage = "usage: repro serve [--addr HOST:PORT] [--trace-dir DIR] \
@@ -873,7 +872,7 @@ fn run_serve_cmd(args: &[String]) -> ! {
             }
         }
     }
-    cfg.results_dir = results_dir.unwrap_or_else(|| cfg.trace_dir.join("results"));
+    cfg.results_dir = results_dir.unwrap_or_else(|| cfg.trace_dir.join(RESULTS_DIR));
     match ccnuma_serve::run(cfg) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
@@ -1089,7 +1088,7 @@ fn main() {
                 resume_dir = match it.next() {
                     Some(dir) => Some(PathBuf::from(dir)),
                     None => {
-                        eprintln!("--resume expects a checkpoint directory path");
+                        eprintln!("--resume expects a result store directory path");
                         std::process::exit(2);
                     }
                 };
@@ -1190,8 +1189,8 @@ fn main() {
         exec = exec.with_deadlines(soft_deadline, hard_deadline);
     }
     if let Some(dir) = &resume_dir {
-        exec = exec.with_checkpoint(dir.clone()).unwrap_or_else(|e| {
-            eprintln!("opening checkpoint {}: {e}", dir.display());
+        exec = exec.with_resume(dir).unwrap_or_else(|e| {
+            eprintln!("opening result store {}: {e}", dir.display());
             std::process::exit(1);
         });
     }
@@ -1294,7 +1293,7 @@ fn main() {
                     listing.entries.len()
                 ));
             }
-            let results = dir.join("results");
+            let results = dir.join(RESULTS_DIR);
             if results.is_dir() {
                 if let Ok(cache) = ResultCache::new(&results) {
                     let (n, b) = cache.footprint();

@@ -30,16 +30,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod experiments;
 mod helpers;
 pub mod obsreport;
 pub mod plan;
+pub mod resume;
 
-pub use checkpoint::{ResumeState, ResumedRun, RunJournal};
 pub use helpers::{
     dynamic_options, dynamic_spec, ft_options, ft_spec, traced_ft, traced_ft_spec, trigger_for,
     RunPair,
 };
 pub use obsreport::{build_report, InvocationMeta, ObsReport, PhaseSummary, OBS_REPORT_SCHEMA};
 pub use plan::{Executor, ExecutorStats, RunFailure, RunPlan, RunTiming, TracedRun};
+pub use resume::ResumeStore;

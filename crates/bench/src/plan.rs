@@ -21,14 +21,14 @@
 //! the executor's locks guard simple collections that are never left in
 //! a torn state, so a poisoned guard's data is still valid.
 
-use crate::checkpoint::RunJournal;
+use crate::resume::ResumeStore;
 use ccnuma_faults::{atomic_write, FaultSpec, FaultStats};
 use ccnuma_machine::{RunReport, RunSpec};
 use ccnuma_obs::{
     artifact_slug, json::JsonWriter, NullRecorder, RunRecorder, SpanProfiler, Verbosity,
 };
 use ccnuma_trace::Trace;
-use ccnuma_tracestore::{TraceMeta, TraceStore};
+use ccnuma_tracestore::{StoreError, TraceMeta, TraceStore};
 use ccnuma_types::{Ns, ShardPlan, TopologyPreset};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -142,8 +142,8 @@ pub struct ExecutorStats {
     /// Traces served from the on-disk trace store instead of a machine
     /// run (always 0 without [`Executor::with_trace_store`]).
     pub store_hits: u64,
-    /// Reports restored from a checkpoint journal instead of computed
-    /// (always 0 without [`Executor::with_checkpoint`]).
+    /// Reports restored from the result store instead of computed
+    /// (always 0 without [`Executor::with_resume`]).
     pub resumed: u64,
 }
 
@@ -222,7 +222,7 @@ pub struct Executor {
     window_us: Option<u64>,
     trace_store: Option<TraceStore>,
     profiling: bool,
-    checkpoint: Option<RunJournal>,
+    resume: Option<ResumeStore>,
     soft_deadline: Option<Duration>,
     hard_deadline: Option<Duration>,
     profile: Mutex<SpanProfiler>,
@@ -249,7 +249,7 @@ impl Executor {
             window_us: None,
             trace_store: None,
             profiling: false,
-            checkpoint: None,
+            resume: None,
             soft_deadline: None,
             hard_deadline: None,
             profile: Mutex::new(SpanProfiler::new()),
@@ -354,11 +354,13 @@ impl Executor {
         self
     }
 
-    /// Resumes from (and journals into) the `ccnuma-checkpoint/1`
-    /// directory `dir`. Every run already journaled there is preloaded
-    /// into the memo cache — bit-exact, so renderers re-render identical
-    /// stdout with zero recomputation — and every run computed from here
-    /// on is appended durably (fsync before the result is served).
+    /// Resumes from (and stores into) the result store at `dir` (see
+    /// [`ResumeStore`]). On a memo miss, [`Executor::try_run`] restores
+    /// the run's stored report — bit-exact, so renderers re-render
+    /// identical stdout with zero recomputation — and every run computed
+    /// from here on is stored before its result is served. A damaged
+    /// entry is a warning plus a recomputation, never a restored wrong
+    /// report.
     ///
     /// Resume never prints to stdout; restored-run counts surface only
     /// through [`Executor::stats`] and `run-metadata.json`, keeping
@@ -366,30 +368,9 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created/read or carries a
-    /// different schema. A torn journal tail (a crash mid-append) is
-    /// not an error: the torn record is skipped and recomputed.
-    pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>) -> io::Result<Executor> {
-        let journal = RunJournal::open(dir)?;
-        let state = journal.load()?;
-        if state.skipped > 0 {
-            self.warn(format!(
-                "checkpoint: {} unrestorable journal record(s) will be recomputed",
-                state.skipped
-            ));
-        }
-        {
-            let mut cache = lock(&self.cache);
-            for run in state.runs {
-                if cache
-                    .insert(run.cache_key, Ok(Arc::new(run.report)))
-                    .is_none()
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.checkpoint = Some(journal);
+    /// Fails if the directory cannot be created.
+    pub fn with_resume(mut self, dir: &Path) -> Result<Executor, StoreError> {
+        self.resume = Some(ResumeStore::open(dir)?);
         Ok(self)
     }
 
@@ -492,6 +473,21 @@ impl Executor {
         }
         let label = spec.describe();
         let slug = artifact_slug(&label, &key);
+        if let Some(store) = &self.resume {
+            match store.load(&slug, &key) {
+                Ok(Some(report)) => {
+                    self.resumed.fetch_add(1, Ordering::Relaxed);
+                    return lock(&self.cache)
+                        .entry(key)
+                        .or_insert(Ok(Arc::new(report)))
+                        .clone();
+                }
+                Ok(None) => {}
+                Err(e) => self.warn(format!(
+                    "resume: stored run {slug} unusable ({e}); recomputing"
+                )),
+            }
+        }
         if self.verbosity.verbose() {
             eprintln!("run   {label}");
         }
@@ -578,11 +574,17 @@ impl Executor {
                 ));
             }
         }
-        if let (Some(journal), Ok(report)) = (&self.checkpoint, &outcome) {
-            // Journal before serving the result: once a caller sees
-            // this report, a crash-and-resume must not recompute it.
-            if let Err(e) = journal.record(&slug, &key, report.as_ref()) {
-                self.warn(format!("checkpoint: journaling {label}: {e}"));
+        if let (Some(store), Ok(report)) = (&self.resume, &outcome) {
+            // Store before serving the result: once a caller sees this
+            // report, a crash-and-resume must not recompute it.
+            let meta = || TraceMeta {
+                label: label.clone(),
+                records: report.trace.as_ref().map_or(0, |t| t.len() as u64),
+                nodes: spec.build_workload().config.nodes,
+                other_time_ns: crate::helpers::other_time_of(report).0,
+            };
+            if let Err(e) = store.save(&slug, &key, report, meta) {
+                self.warn(format!("resume: storing {label}: {e}"));
             }
         }
         match &outcome {
@@ -1135,19 +1137,19 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_serves_identical_reports_with_zero_recomputation() {
+    fn resume_serves_identical_reports_with_zero_recomputation() {
         let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-exec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = ft(WorkloadKind::Raytrace);
-        let first = Executor::serial().with_checkpoint(&dir).unwrap();
-        assert_eq!(first.stats().resumed, 0, "nothing journaled yet");
+        let first = Executor::serial().with_resume(&dir).unwrap();
         let a = first.run(&spec);
         assert_eq!(first.stats().computed, 1);
+        assert_eq!(first.stats().resumed, 0, "nothing stored yet");
         // A second executor resuming from the same directory serves the
-        // journaled report without running the machine.
-        let second = Executor::serial().with_checkpoint(&dir).unwrap();
-        assert_eq!(second.stats().resumed, 1);
+        // stored report without running the machine.
+        let second = Executor::serial().with_resume(&dir).unwrap();
         let b = second.run(&spec);
+        assert_eq!(second.stats().resumed, 1);
         assert_eq!(
             second.stats().computed,
             0,
@@ -1164,21 +1166,62 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_restores_traced_runs() {
+    fn resume_restores_traced_runs() {
         let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = crate::traced_ft_spec(WorkloadKind::Database, Scale::quick());
-        let first = Executor::serial().with_checkpoint(&dir).unwrap();
+        let first = Executor::serial().with_resume(&dir).unwrap();
         let a = first.run(&spec);
         assert!(a.trace.is_some());
-        let second = Executor::serial().with_checkpoint(&dir).unwrap();
+        let second = Executor::serial().with_resume(&dir).unwrap();
         let b = second.run(&spec);
         assert_eq!(second.stats().computed, 0);
         assert_eq!(
             a.trace.as_ref().unwrap().as_slice(),
             b.trace.as_ref().unwrap().as_slice(),
-            "trace sidecar restores the capture exactly"
+            "the v2 trace entry restores the capture exactly"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_changed_digit_in_a_stored_run_is_recomputed_not_served() {
+        let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-digit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = ft(WorkloadKind::Raytrace);
+        let fresh = Executor::serial().with_resume(&dir).unwrap().run(&spec);
+        // Bump the first digit of the stored `sim_time`.
+        let entry = std::fs::read_dir(dir.join(ccnuma_tracestore::RESULTS_DIR))
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let text = std::fs::read_to_string(&entry).unwrap();
+        let at = text.find("\"sim_time\":").unwrap() + "\"sim_time\":".len();
+        let mut bytes = text.into_bytes();
+        bytes[at] = if bytes[at] == b'9' {
+            b'1'
+        } else {
+            bytes[at] + 1
+        };
+        std::fs::write(&entry, bytes).unwrap();
+
+        let resumed = Executor::serial()
+            .with_verbosity(Verbosity::Quiet)
+            .with_resume(&dir)
+            .unwrap();
+        let again = resumed.run(&spec);
+        assert_eq!(resumed.stats().resumed, 0, "a damaged entry is not served");
+        assert_eq!(resumed.stats().computed, 1);
+        assert_eq!(format!("{:?}", *fresh), format!("{:?}", *again));
+        let warnings = resumed.warnings();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("checksum"), "{}", warnings[0]);
+        // The recomputation rewrote the entry: the next resume is clean.
+        let third = Executor::serial().with_resume(&dir).unwrap();
+        third.run(&spec);
+        assert_eq!(third.stats().resumed, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1216,19 +1259,19 @@ mod tests {
     }
 
     #[test]
-    fn hard_deadline_overruns_are_not_journaled() {
+    fn hard_deadline_overruns_are_not_stored() {
         let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-hard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = ft(WorkloadKind::Database);
         let hard = Executor::serial()
             .with_verbosity(Verbosity::Quiet)
-            .with_checkpoint(&dir)
+            .with_resume(&dir)
             .unwrap()
             .with_deadlines(None, Some(Duration::ZERO));
         assert!(hard.try_run(&spec).is_err());
-        // A resuming executor finds nothing: the overrun was discarded.
-        let resumed = Executor::serial().with_checkpoint(&dir).unwrap();
-        assert_eq!(resumed.stats().resumed, 0);
+        // The store holds nothing: the overrun was discarded.
+        let stored = std::fs::read_dir(dir.join(ccnuma_tracestore::RESULTS_DIR)).unwrap();
+        assert_eq!(stored.count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

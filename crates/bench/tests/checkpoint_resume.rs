@@ -1,7 +1,8 @@
 //! Crash-tolerance integration tests for the `repro` binary: a SIGKILL
-//! mid-plan loses nothing that was journaled, the resumed invocation's
-//! stdout is byte-identical to the committed golden capture, and a
-//! fully-journaled plan replays with zero recomputation.
+//! mid-plan loses nothing that was stored, the resumed invocation's
+//! stdout is byte-identical to the committed golden capture, a fully
+//! stored plan replays with zero recomputation, and a damaged stored
+//! trace is recomputed with a warning instead of rendered.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -17,10 +18,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Count complete (newline-terminated) journal lines.
-fn journaled(ckpt: &Path) -> usize {
-    std::fs::read(ckpt.join("journal.jsonl"))
-        .map(|b| b.iter().filter(|&&c| c == b'\n').count())
+/// Count stored result entries (`*.json` under `results/`; an
+/// in-flight atomic write is still a `*.tmp`).
+fn stored(ckpt: &Path) -> usize {
+    std::fs::read_dir(ckpt.join("results"))
+        .map(|dir| {
+            dir.flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
+                .count()
+        })
         .unwrap_or(0)
 }
 
@@ -48,9 +54,9 @@ fn computed_count(stderr: &str) -> u64 {
 fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
     let ckpt = scratch("kill");
 
-    // Start the full quick plan against a fresh checkpoint, serial so
-    // the journal fills gradually, and SIGKILL it as soon as at least
-    // one run record is durable.
+    // Start the full quick plan against a fresh store, serial so it
+    // fills gradually, and SIGKILL it as soon as at least one result
+    // entry is durable.
     let mut child = repro()
         .args(["all", "--scale", "quick", "--jobs", "1"])
         .arg("--resume")
@@ -61,7 +67,7 @@ fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
         .expect("repro spawns");
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        if journaled(&ckpt) >= 1 {
+        if stored(&ckpt) >= 1 {
             break;
         }
         if let Some(status) = child.try_wait().expect("try_wait") {
@@ -70,16 +76,16 @@ fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
             assert!(status.success(), "un-killed run must succeed");
             break;
         }
-        assert!(Instant::now() < deadline, "no journal record within 300s");
+        assert!(Instant::now() < deadline, "no result entry within 300s");
         std::thread::sleep(Duration::from_millis(20));
     }
     let _ = child.kill();
     let _ = child.wait();
-    let survived = journaled(&ckpt);
-    assert!(survived >= 1, "at least one record survived the kill");
+    let survived = stored(&ckpt);
+    assert!(survived >= 1, "at least one entry survived the kill");
 
     // Resume: completes the plan, prints the golden bytes, restores
-    // every journaled run instead of recomputing it.
+    // every stored run instead of recomputing it.
     let out = repro()
         .args(["all", "--scale", "quick", "--jobs", "1"])
         .arg("--resume")
@@ -96,10 +102,10 @@ fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
     );
     assert!(
         resumed_count(&stderr) >= survived as u64,
-        "every surviving record must be restored, not recomputed: {stderr}"
+        "every surviving entry must be restored, not recomputed: {stderr}"
     );
 
-    // A third invocation finds the plan fully journaled: zero
+    // A third invocation finds the plan fully stored: zero
     // recomputation, same bytes again.
     let out = repro()
         .args(["all", "--scale", "quick", "--jobs", "4"])
@@ -112,7 +118,7 @@ fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
     assert_eq!(
         computed_count(&stderr),
         0,
-        "fully-journaled plan must recompute nothing: {stderr}"
+        "fully stored plan must recompute nothing: {stderr}"
     );
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
     assert_eq!(stdout, include_str!("golden_repro_all_quick.stdout"));
@@ -162,9 +168,64 @@ fn sweep_resume_renders_identical_artifacts_without_replays() {
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert!(
         stderr.contains("12 resumed from checkpoint"),
-        "all 12 distinct cells must come from the journal: {stderr}"
+        "all 12 distinct cells must come from the store: {stderr}"
     );
 
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&traces);
+}
+
+#[test]
+fn a_flipped_byte_in_a_stored_trace_is_recomputed_with_a_warning() {
+    let ckpt = scratch("flip");
+    let obs = scratch("flip-obs");
+    let run = |extra: &[&std::ffi::OsStr]| {
+        repro()
+            .args(["all", "--scale", "quick", "--jobs", "2"])
+            .arg("--resume")
+            .arg(&ckpt)
+            .args(extra)
+            .output()
+            .expect("repro runs")
+    };
+    let first = run(&[]);
+    assert!(first.status.success());
+
+    // Flip one byte inside the first chunk body of the stored Raytrace
+    // trace: past the 8-byte header and the 13-byte chunk frame.
+    let trace = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("raytrace-") && name.ends_with(".trace")
+        })
+        .expect("a stored raytrace trace");
+    let slug = trace.file_stem().unwrap().to_string_lossy().into_owned();
+    let mut bytes = std::fs::read(&trace).unwrap();
+    bytes[8 + 13 + 100] ^= 0x01;
+    std::fs::write(&trace, bytes).unwrap();
+
+    let out = run(&[std::ffi::OsStr::new("--obs-dir"), obs.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        include_str!("golden_repro_all_quick.stdout"),
+        "a damaged trace must never reach a renderer"
+    );
+    assert_eq!(computed_count(&stderr), 1, "only the damaged run: {stderr}");
+    let metadata = std::fs::read_to_string(obs.join("run-metadata.json")).unwrap();
+    let warnings = ccnuma_obs::JsonValue::parse(&metadata).unwrap();
+    let warnings = warnings.get("warnings").unwrap().as_array().unwrap();
+    assert!(
+        warnings.iter().any(|w| w
+            .as_str()
+            .is_some_and(|w| w.contains(&slug) && w.contains("checksum"))),
+        "run-metadata.json must name the damaged slug: {metadata}"
+    );
+
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&obs);
 }

@@ -3,7 +3,7 @@
 //! PR 3 made the *simulated* kernel degrade gracefully under injected
 //! faults; this module does the same for the *host* pipeline. Every
 //! artifact writer in the workspace — the trace store, the obs
-//! exporters, the checkpoint journal, the sweep service's result cache —
+//! exporters, the result store behind `--resume` and the sweep service —
 //! performs its filesystem traffic through a [`Storage`]
 //! implementation:
 //!
@@ -19,7 +19,7 @@
 //! [`FaultPlan`](crate::FaultPlan). Consumers pair the trait with
 //! [`retry_io`] for bounded retry-with-backoff on transient failures.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,22 +43,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     DiskStorage.write_atomic(path, bytes)
 }
 
-/// A streaming file handle issued by a [`Storage`] implementation.
-pub trait StorageFile: Write + Send {
-    /// Flushes application and OS buffers to stable storage (fsync).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem (or injected) error.
-    fn sync(&mut self) -> io::Result<()>;
-}
-
-impl StorageFile for File {
-    fn sync(&mut self) -> io::Result<()> {
-        self.sync_all()
-    }
-}
-
 /// The filesystem surface the host-side artifact writers go through.
 ///
 /// Implementations must be cheap to clone; clones share fault state so
@@ -66,7 +50,7 @@ impl StorageFile for File {
 pub trait Storage: Clone + Send + Sync + 'static {
     /// Streaming write handle (what chunked writers wrap in a
     /// `BufWriter`).
-    type File: StorageFile;
+    type File: Write + Send;
     /// Streaming read handle.
     type ReadFile: Read + Send;
 
@@ -80,13 +64,6 @@ pub trait Storage: Clone + Send + Sync + 'static {
     ///
     /// Propagates the underlying filesystem (or injected) error.
     fn create(&self, path: &Path) -> io::Result<Self::File>;
-
-    /// Opens `path` for appending, creating it if absent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem (or injected) error.
-    fn open_append(&self, path: &Path) -> io::Result<Self::File>;
 
     /// Opens `path` for reading.
     ///
@@ -130,52 +107,67 @@ pub trait Storage: Clone + Send + Sync + 'static {
     /// Propagates the underlying filesystem (or injected) error.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
 
+    /// Flushes `path` — a file or a directory — to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying filesystem (or injected) error.
+    fn sync(&self, path: &Path) -> io::Result<()>;
+
     /// Writes `bytes` to `path` atomically: a `*.tmp` sibling is
     /// written in full, then renamed over the final path.
     ///
     /// # Errors
     ///
     /// Propagates the underlying error; the temporary file is removed
-    /// on failure.
+    /// if the rename fails.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = Path::new(&tmp);
-        self.write(tmp, bytes).and_then(|()| {
-            self.rename(tmp, path).inspect_err(|_| {
-                let _ = fs::remove_file(tmp);
-            })
-        })
+        replace_via_tmp(self, path, bytes, false)
     }
 
-    /// Appends `line` plus a trailing newline to `path` as a single
-    /// `write(2)` on an `O_APPEND` descriptor, holding an exclusive
-    /// file lock so concurrent appenders cannot interleave records.
+    /// [`write_atomic`](Storage::write_atomic) that also survives a
+    /// power cut: the temporary is synced before the rename and the
+    /// directory after it, so the new bytes are on stable storage when
+    /// this returns.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying filesystem (or injected) error.
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()>;
+    /// As [`write_atomic`](Storage::write_atomic).
+    fn write_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        replace_via_tmp(self, path, bytes, true)
+    }
+}
+
+/// The one tmp + rename implementation behind [`Storage::write_atomic`]
+/// and [`Storage::write_durable`].
+fn replace_via_tmp<S: Storage>(
+    storage: &S,
+    path: &Path,
+    bytes: &[u8],
+    durable: bool,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    storage.write(tmp, bytes)?;
+    if durable {
+        storage.sync(tmp)?;
+    }
+    storage.rename(tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(tmp);
+    })?;
+    match path
+        .parent()
+        .filter(|d| durable && !d.as_os_str().is_empty())
+    {
+        Some(dir) => storage.sync(dir),
+        None => Ok(()),
+    }
 }
 
 /// The null storage layer: plain `std::fs`, no fault hooks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStorage;
-
-fn locked_append(file: &File, line: &str) -> io::Result<()> {
-    // One buffer, one write_all on an O_APPEND descriptor: the kernel
-    // appends the record in a single atomic write(2). The exclusive
-    // lock is belt-and-braces for writers on filesystems where
-    // O_APPEND atomicity is weaker (e.g. some network mounts).
-    file.lock()?;
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
-    let mut sink = file;
-    let res = sink.write_all(&buf);
-    let _ = file.unlock();
-    res
-}
 
 impl Storage for DiskStorage {
     type File = File;
@@ -185,10 +177,6 @@ impl Storage for DiskStorage {
 
     fn create(&self, path: &Path) -> io::Result<File> {
         File::create(path)
-    }
-
-    fn open_append(&self, path: &Path) -> io::Result<File> {
-        OpenOptions::new().create(true).append(true).open(path)
     }
 
     fn open(&self, path: &Path) -> io::Result<File> {
@@ -215,9 +203,8 @@ impl Storage for DiskStorage {
         fs::remove_file(path)
     }
 
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
-        let file = self.open_append(path)?;
-        locked_append(&file, line)
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        File::open(path)?.sync_all()
     }
 }
 
@@ -627,13 +614,6 @@ impl Write for FaultyFile {
     }
 }
 
-impl StorageFile for FaultyFile {
-    fn sync(&mut self) -> io::Result<()> {
-        self.faults.on_meta()?;
-        self.inner.sync_all()
-    }
-}
-
 /// A read handle that injects delays and silent bit flips on reads.
 #[derive(Debug)]
 pub struct FaultyReadFile {
@@ -688,15 +668,6 @@ impl Storage for FaultyStorage {
         })
     }
 
-    fn open_append(&self, path: &Path) -> io::Result<FaultyFile> {
-        self.faults.on_meta()?;
-        let inner = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(FaultyFile {
-            inner,
-            faults: self.faults.clone(),
-        })
-    }
-
     fn open(&self, path: &Path) -> io::Result<FaultyReadFile> {
         self.faults.on_meta()?;
         Ok(FaultyReadFile {
@@ -732,19 +703,9 @@ impl Storage for FaultyStorage {
         fs::remove_file(path)
     }
 
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
-        // Decide first so the locked fast path stays identical to the
-        // null layer; a torn decision appends a prefix record, which is
-        // exactly the corruption the journal reader must tolerate.
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        file.lock()?;
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        let mut sink = &file;
-        let res = self.faults.faulty_write(&mut sink, &buf).map(|_| ());
-        let _ = file.unlock();
-        res
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        self.faults.on_meta()?;
+        File::open(path)?.sync_all()
     }
 }
 
@@ -770,12 +731,16 @@ mod tests {
     }
 
     #[test]
-    fn append_line_is_single_record() {
-        let d = tmpdir("append");
-        let p = d.join("h.jsonl");
-        DiskStorage.append_line(&p, "one").unwrap();
-        DiskStorage.append_line(&p, "two").unwrap();
-        assert_eq!(fs::read_to_string(&p).unwrap(), "one\ntwo\n");
+    fn durable_atomic_write_round_trips() {
+        let d = tmpdir("durable");
+        let p = d.join("a.json");
+        DiskStorage.write_durable(&p, b"one").unwrap();
+        DiskStorage.write_durable(&p, b"two").unwrap();
+        assert_eq!(fs::read(&p).unwrap(), b"two");
+        assert!(!d.join("a.json.tmp").exists());
+        assert!(DiskStorage
+            .write_durable(&d.join("missing").join("b"), b"x")
+            .is_err());
         let _ = fs::remove_dir_all(&d);
     }
 

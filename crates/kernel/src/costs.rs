@@ -339,8 +339,8 @@ impl CostBook {
     /// 4 op counts.
     pub const RAW_LEN: usize = 44;
 
-    /// Flattens the book into a fixed-order `u64` array, the checkpoint
-    /// journal's exact serialization surface.
+    /// Flattens the book into a fixed-order `u64` array, the result
+    /// store's exact run serialization surface.
     pub fn to_raw_parts(&self) -> [u64; CostBook::RAW_LEN] {
         let mut out = [0u64; CostBook::RAW_LEN];
         let mut i = 0;

@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 mod audit;
-pub mod checkpoint;
 pub mod export;
 mod hist;
 pub mod json;
@@ -71,7 +70,6 @@ mod sample;
 mod verbosity;
 
 pub use audit::{AuditAction, AuditEvent, AuditLog, AuditTotals, Decision};
-pub use checkpoint::{CheckpointJournal, CheckpointRecord, JournalContents, CHECKPOINT_SCHEMA};
 pub use export::{artifact_slug, fnv1a64, fnv1a64_update, write_run_artifacts, FNV1A64_OFFSET};
 pub use hist::{bucket_bounds, bucket_of, Histogram, BUCKETS};
 pub use json::JsonValue;

@@ -117,7 +117,7 @@ impl ServerHandle {
 
     /// Requests graceful shutdown and joins every thread: stop
     /// accepting, drain the queue, finish in-flight requests, and wait
-    /// for sweep threads to journal their last cell.
+    /// for sweep threads to store their last cell.
     pub fn shutdown(mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept.take() {
@@ -221,7 +221,7 @@ pub fn run(cfg: ServeConfig) -> io::Result<()> {
     while !signal::shutdown_requested() && !handle.state().shutting_down() {
         std::thread::sleep(Duration::from_millis(50));
     }
-    eprintln!("serve: shutting down (in-flight sweep cells are journaled in the result cache)");
+    eprintln!("serve: shutting down (in-flight sweep cells are stored in the result cache)");
     handle.shutdown();
     Ok(())
 }
@@ -515,15 +515,8 @@ fn cell_result(
             return Ok((Arc::clone(p), true));
         }
     }
-    if let Some(text) = state.results.load(&key) {
-        // Only trust payloads that round-trip: a damaged cache entry
-        // degrades to a replay, never to a bad response.
-        let valid = JsonValue::parse(&text)
-            .ok()
-            .as_ref()
-            .and_then(cell_from_payload)
-            .is_some();
-        if valid {
+    match state.results.load(&key) {
+        Ok(Some(text)) => {
             let payload = Arc::new(text);
             state
                 .memo
@@ -531,6 +524,13 @@ fn cell_result(
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(key, Arc::clone(&payload));
             return Ok((payload, true));
+        }
+        Ok(None) => {}
+        // A damaged entry (wrong key, failed checksum) degrades to a
+        // replay that overwrites it, never to a bad response.
+        Err(e) => {
+            state.count("results_damaged", 1);
+            eprintln!("serve: result-cache entry for {key} unusable ({e}); replaying");
         }
     }
     let resident = state.resident(slug)?;
@@ -909,7 +909,7 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
 }
 
 /// Executes one sweep: every distinct cell through the shared
-/// memo/result-cache path (so completed cells are journaled on disk as
+/// memo/result-cache path (so completed cells are stored on disk as
 /// they finish), then the final `ccnuma-sweep/2` document.
 fn run_sweep_job(
     state: &Arc<ServeState>,
@@ -939,7 +939,7 @@ fn run_sweep_job(
     for (key, cell, multiplicity) in order {
         if state.shutting_down() {
             job.finish(JobState::Failed(
-                "shutdown: sweep interrupted; completed cells are journaled in the result cache"
+                "shutdown: sweep interrupted; completed cells are stored in the result cache"
                     .to_string(),
             ));
             state.running_sweeps.fetch_sub(1, Ordering::SeqCst);

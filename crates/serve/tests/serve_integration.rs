@@ -5,10 +5,11 @@
 //! document, the sweep POST/stream lifecycle, and `run_loadgen`
 //! against as many connections as workers.
 
+use ccnuma_polsim::TraceFilter;
 use ccnuma_serve::{run_loadgen, start, HttpClient, LoadgenOptions, ServeConfig};
 use ccnuma_trace::{MissRecord, Trace};
-use ccnuma_tracestore::{TraceMeta, TraceStore};
-use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
+use ccnuma_tracestore::{cell_payload, eval_cell, CellParams, SweepPolicy, TraceMeta, TraceStore};
+use ccnuma_types::{Ns, Pid, ProcId, TopologyPreset, VirtPage};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -93,6 +94,74 @@ fn eval_cold_warm_and_restart_are_byte_identical() {
     assert_eq!(after.status, 200);
     assert_eq!(after.header("x-cache"), Some("hit"));
     assert_eq!(after.body, cold.body);
+    drop(c);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_changed_digit_in_a_stored_result_is_replayed_after_restart() {
+    let dir = test_dir("digit");
+    let _ = std::fs::remove_dir_all(&dir);
+    let slug = seed_store(&dir);
+    let handle = start(cfg(&dir)).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let cold = c
+        .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+        .unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.text());
+    drop(c);
+    handle.shutdown();
+
+    // Bump the first digit of the stored `local_misses`: the payload
+    // still parses, only its checksum can tell.
+    let entry = std::fs::read_dir(dir.join("results"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let text = std::fs::read_to_string(&entry).unwrap();
+    let at = text.find("\"local_misses\":").unwrap() + "\"local_misses\":".len();
+    let mut bytes = text.into_bytes();
+    bytes[at] = if bytes[at] == b'9' {
+        b'1'
+    } else {
+        bytes[at] + 1
+    };
+    std::fs::write(&entry, bytes).unwrap();
+
+    let handle = start(cfg(&dir)).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let after = c
+        .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+        .unwrap();
+    assert_eq!(after.status, 200);
+    assert_eq!(after.header("x-cache"), Some("miss"), "damage is a replay");
+    let cell = CellParams {
+        policy: SweepPolicy::FirstTouch,
+        trigger: 64,
+        sample: 1,
+        remote_ns: 1200,
+        move_us: 350,
+        topology: TopologyPreset::Flat,
+    };
+    let (report, records) = eval_cell(
+        &cell,
+        8,
+        Ns(50_000),
+        TraceFilter::UserOnly,
+        trace(200).as_slice(),
+    );
+    let want = format!("\"result\":{}}}", cell_payload(&report, records));
+    assert!(after.text().ends_with(&want), "{}", after.text());
+    assert_eq!(after.body, cold.body);
+    let metrics = c.request("GET", "/v1/metrics", None).unwrap();
+    assert!(
+        metrics.text().contains("\"results_damaged\":1"),
+        "{}",
+        metrics.text()
+    );
     drop(c);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -298,7 +298,7 @@ impl RunBreakdown {
     pub const RAW_LEN: usize = 24;
 
     /// Flattens every accumulator into a fixed-order `u64` array, the
-    /// checkpoint journal's exact serialization surface. Layout: the
+    /// result store's exact run serialization surface. Layout: the
     /// stall cube in `[mode][class][tier]` order (12), hit stall in
     /// `[mode][class]` order (4), busy per mode (2), idle, migration
     /// overhead, replication overhead, then local/remote/far miss

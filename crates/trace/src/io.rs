@@ -1,53 +1,32 @@
-//! Compact binary persistence for traces (format v1).
+//! The record codec shared by every trace encoding.
 //!
-//! Each record is 24 bytes: time (u64 LE), page (u64 LE), pid (u32 LE),
-//! proc (u16 LE), flags (u8), pad (u8). The stream is prefixed with a magic
-//! string, a format version, and a record count so truncation is detected.
-//!
-//! Reading is streaming: [`TraceStream`] yields records one at a time with
-//! bounded memory, and [`read_trace`] is a convenience that collects a
-//! whole stream into a [`Trace`]. The chunked, delta-compressed format v2
-//! lives in the `ccnuma-tracestore` crate, which builds on the
-//! [`encode_flags`]/[`record_from_parts`] codec exported here and falls
-//! back to [`TraceStream`] for version-1 files.
+//! A record's four booleans pack into one flag byte ([`encode_flags`]),
+//! and [`record_from_parts`] rebuilds a record from its serialized
+//! fields, rejecting reserved flag bits. The chunked, checksummed
+//! on-disk format (v2) lives in the `ccnuma-tracestore` crate, which
+//! builds on this codec and on the shared [`MAGIC`].
 //!
 //! # Examples
 //!
 //! ```
-//! use ccnuma_trace::{io::{read_trace, write_trace}, MissRecord, Trace};
+//! use ccnuma_trace::io::{encode_flags, record_from_parts};
+//! use ccnuma_trace::MissRecord;
 //! use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let trace: Trace = (0..4)
-//!     .map(|i| MissRecord::user_data_read(Ns(i), ProcId(0), Pid(0), VirtPage(i)))
-//!     .collect();
-//! let mut buf = Vec::new();
-//! write_trace(&mut buf, &trace)?;
-//! let back = read_trace(&mut buf.as_slice())?;
-//! assert_eq!(back, trace);
-//! # Ok(())
-//! # }
+//! let r = MissRecord::user_data_read(Ns(7), ProcId(1), Pid(2), VirtPage(3));
+//! let back = record_from_parts(7, 3, 2, 1, encode_flags(&r)).unwrap();
+//! assert_eq!(back, r);
 //! ```
 
-use crate::{MissRecord, MissSource, Trace, TraceBuilder};
+use crate::{MissRecord, MissSource};
 use ccnuma_types::{AccessKind, Mode, Ns, Pid, ProcId, RefClass, VirtPage};
-use std::io::{self, Read, Write};
 
-/// The four magic bytes every trace stream starts with, shared by format
-/// v1 (this module) and the chunked format v2 (`ccnuma-tracestore`).
+/// The four magic bytes every stored trace starts with.
 pub const MAGIC: &[u8; 4] = b"CCNT";
-/// The format version this module writes.
-pub const VERSION: u32 = 1;
 
-/// Errors produced when decoding a trace stream.
+/// Errors produced when decoding a record.
 #[derive(Debug)]
 pub enum ReadTraceError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The stream does not start with the trace magic.
-    BadMagic,
-    /// The stream has an unsupported format version.
-    BadVersion(u32),
     /// A record's flag byte contains bits outside the defined set.
     BadFlags(u8),
 }
@@ -55,28 +34,12 @@ pub enum ReadTraceError {
 impl std::fmt::Display for ReadTraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReadTraceError::Io(e) => write!(f, "i/o error reading trace: {e}"),
-            ReadTraceError::BadMagic => f.write_str("not a trace stream (bad magic)"),
-            ReadTraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             ReadTraceError::BadFlags(b) => write!(f, "invalid record flags {b:#04x}"),
         }
     }
 }
 
-impl std::error::Error for ReadTraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ReadTraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for ReadTraceError {
-    fn from(e: io::Error) -> Self {
-        ReadTraceError::Io(e)
-    }
-}
+impl std::error::Error for ReadTraceError {}
 
 /// Packs a record's four booleans into the shared flag byte: bit 0 write,
 /// bit 1 kernel, bit 2 instruction fetch, bit 3 TLB miss.
@@ -142,142 +105,10 @@ pub fn record_from_parts(
     })
 }
 
-/// Writes `trace` to `w` in the binary format. The writer can be passed by
-/// `&mut` reference thanks to the blanket `Write` impl.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the underlying writer.
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for r in trace.iter() {
-        w.write_all(&r.time.0.to_le_bytes())?;
-        w.write_all(&r.page.0.to_le_bytes())?;
-        w.write_all(&r.pid.0.to_le_bytes())?;
-        w.write_all(&r.proc.0.to_le_bytes())?;
-        w.write_all(&[encode_flags(r), 0])?;
-    }
-    Ok(())
-}
-
-/// A streaming reader over a v1 trace stream: parses the header eagerly,
-/// then yields one record per [`Iterator::next`] call with bounded memory
-/// (a single 24-byte buffer), however long the trace is.
-///
-/// # Examples
-///
-/// ```
-/// use ccnuma_trace::{io::{write_trace, TraceStream}, MissRecord, Trace};
-/// use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let trace: Trace = (0..3)
-///     .map(|i| MissRecord::user_data_read(Ns(i), ProcId(0), Pid(0), VirtPage(i)))
-///     .collect();
-/// let mut buf = Vec::new();
-/// write_trace(&mut buf, &trace)?;
-/// let mut stream = TraceStream::new(buf.as_slice())?;
-/// assert_eq!(stream.remaining(), 3);
-/// assert_eq!(stream.next().transpose()?, Some(trace.as_slice()[0]));
-/// assert_eq!(stream.remaining(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TraceStream<R: Read> {
-    reader: R,
-    remaining: u64,
-}
-
-impl<R: Read> TraceStream<R> {
-    /// Parses the magic, version and record count, leaving the reader
-    /// positioned at the first record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadTraceError`] on I/O failure, bad magic, or a version
-    /// other than 1.
-    pub fn new(mut reader: R) -> Result<TraceStream<R>, ReadTraceError> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(ReadTraceError::BadMagic);
-        }
-        let mut four = [0u8; 4];
-        reader.read_exact(&mut four)?;
-        let version = u32::from_le_bytes(four);
-        if version != VERSION {
-            return Err(ReadTraceError::BadVersion(version));
-        }
-        let mut eight = [0u8; 8];
-        reader.read_exact(&mut eight)?;
-        Ok(TraceStream {
-            reader,
-            remaining: u64::from_le_bytes(eight),
-        })
-    }
-
-    /// Records the header promised that have not been yielded yet.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-}
-
-impl<R: Read> Iterator for TraceStream<R> {
-    type Item = Result<MissRecord, ReadTraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let mut buf = [0u8; 24];
-        if let Err(e) = self.reader.read_exact(&mut buf) {
-            // Poison the stream: a short read is terminal.
-            self.remaining = 0;
-            return Some(Err(ReadTraceError::Io(e)));
-        }
-        self.remaining -= 1;
-        let time = u64::from_le_bytes(buf[0..8].try_into().expect("slice len"));
-        let page = u64::from_le_bytes(buf[8..16].try_into().expect("slice len"));
-        let pid = u32::from_le_bytes(buf[16..20].try_into().expect("slice len"));
-        let proc = u16::from_le_bytes(buf[20..22].try_into().expect("slice len"));
-        let rec = record_from_parts(time, page, pid, proc, buf[22]);
-        if rec.is_err() {
-            self.remaining = 0;
-        }
-        Some(rec)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
-        (n, Some(n))
-    }
-}
-
-/// Reads a trace previously written by [`write_trace`]. The reader can be
-/// passed by `&mut` reference thanks to the blanket `Read` impl.
-///
-/// Implemented over the streaming [`TraceStream`]; the only whole-trace
-/// allocation is the returned [`Trace`] itself.
-///
-/// # Errors
-///
-/// Returns [`ReadTraceError`] on I/O failure, bad magic, unsupported
-/// version, or corrupt record flags.
-pub fn read_trace<R: Read>(r: R) -> Result<Trace, ReadTraceError> {
-    let stream = TraceStream::new(r)?;
-    let mut b = TraceBuilder::with_capacity(stream.remaining().min(1 << 24) as usize);
-    for rec in stream {
-        b.push(rec?);
-    }
-    Ok(b.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Trace, TraceBuilder};
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -301,78 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &Trace::new()).unwrap();
-        assert_eq!(read_trace(buf.as_slice()).unwrap(), Trace::new());
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let err = read_trace(&b"XXXX\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadMagic));
-        assert!(err.to_string().contains("magic"));
-    }
-
-    #[test]
-    fn bad_version_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadVersion(99)));
-    }
-
-    #[test]
-    fn truncated_stream_is_an_io_error() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        buf.truncate(buf.len() - 3);
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::Io(_)));
-    }
-
-    #[test]
-    fn stream_yields_records_lazily_and_counts_down() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let mut stream = TraceStream::new(buf.as_slice()).unwrap();
-        assert_eq!(stream.remaining(), 4);
-        assert_eq!(stream.size_hint(), (4, Some(4)));
-        let first = stream.next().unwrap().unwrap();
-        assert_eq!(first, t.as_slice()[0]);
-        assert_eq!(stream.remaining(), 3);
-        let rest: Result<Vec<_>, _> = stream.collect();
-        assert_eq!(rest.unwrap(), t.as_slice()[1..]);
-    }
-
-    #[test]
-    fn stream_poisons_after_short_read() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        buf.truncate(buf.len() - 30); // kill the last record and change
-        let mut stream = TraceStream::new(buf.as_slice()).unwrap();
-        assert!(stream.next().unwrap().is_ok());
-        assert!(stream.next().unwrap().is_ok());
-        assert!(matches!(stream.next().unwrap(), Err(ReadTraceError::Io(_))));
-        assert!(stream.next().is_none(), "stream terminates after an error");
-        assert_eq!(stream.remaining(), 0);
-    }
-
-    #[test]
     fn flags_roundtrip_through_the_codec() {
         for r in sample_trace().iter() {
             let f = encode_flags(r);
@@ -384,23 +143,5 @@ mod tests {
             record_from_parts(0, 0, 0, 0, 0x10),
             Err(ReadTraceError::BadFlags(0x10))
         ));
-    }
-
-    #[test]
-    fn corrupt_flags_are_rejected() {
-        let t: Trace = [MissRecord::user_data_read(
-            Ns(1),
-            ProcId(0),
-            Pid(0),
-            VirtPage(0),
-        )]
-        .into_iter()
-        .collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let flags_at = buf.len() - 2;
-        buf[flags_at] = 0xff;
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadFlags(0xff)));
     }
 }

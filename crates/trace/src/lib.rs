@@ -11,7 +11,7 @@
 //! * [`Sampler`] and [`Trace::sampled`] — the deterministic 1-in-N
 //!   sampling the paper uses to cut information-gathering cost (§8.3);
 //! * [`read_chains`] — the read-chain analysis behind Figure 4;
-//! * [`io`] — a compact binary format for persisting traces;
+//! * [`io`] — the record codec the stored trace format builds on;
 //! * [`export`] — CSV output for external plotting;
 //! * [`TraceStats`] — miss-composition and page-concentration summaries
 //!   (the §7.1.1 "90 % of misses in 5 % of pages" analysis).

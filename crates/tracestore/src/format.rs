@@ -1,8 +1,9 @@
 //! The chunked on-disk trace format, version 2.
 //!
-//! A v2 stream shares the v1 header shape — the `CCNT` magic followed by
-//! a little-endian `u32` version — so one reader sniffs both. After the
-//! header come self-contained chunks and a chunk-index footer:
+//! A stream opens with the `CCNT` magic followed by a little-endian
+//! `u32` version; any version but 2 is refused with
+//! [`StoreError::BadVersion`]. After the header come self-contained
+//! chunks and a chunk-index footer:
 //!
 //! ```text
 //! header := "CCNT" u32(version = 2)
@@ -15,9 +16,9 @@
 //! records; the delta baseline resets to zero at every chunk boundary,
 //! so any chunk decodes on its own — that is what makes parallel decode
 //! and tail salvage possible. Each record is four zigzag varints (time,
-//! page, pid and processor deltas) plus the one-byte v1 flags, which for
-//! the simulator's sorted, page-local traces comes to ~3–8 bytes
-//! instead of v1's fixed 24.
+//! page, pid and processor deltas) plus the one-byte record flags, which
+//! for the simulator's sorted, page-local traces comes to ~3–8 bytes
+//! instead of the 24 a fixed-width record needs.
 //!
 //! The footer body is `varint(chunk_count)`, then per chunk
 //! `varint(file_offset) varint(record_count)`, then
@@ -27,10 +28,10 @@
 
 use crate::varint;
 use ccnuma_obs::{fnv1a64, fnv1a64_update, Phase, Profiler, SpanProfiler, FNV1A64_OFFSET};
-use ccnuma_trace::io::{encode_flags, record_from_parts, ReadTraceError, TraceStream, MAGIC};
+use ccnuma_trace::io::{encode_flags, record_from_parts, ReadTraceError, MAGIC};
 use ccnuma_trace::MissRecord;
 use std::fmt;
-use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Format version written by [`TraceWriter`].
 pub const VERSION_V2: u32 = 2;
@@ -69,6 +70,12 @@ pub enum StoreError {
     BadFlags(u8),
     /// The file ended before a complete footer.
     MissingFooter,
+    /// A result-store entry failed verification (see
+    /// [`ResultCache::load`](crate::ResultCache::load)).
+    DamagedResult {
+        /// Which check failed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -85,6 +92,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::BadFlags(b) => write!(f, "record with reserved flag bits {b:#04x}"),
             StoreError::MissingFooter => write!(f, "trace file truncated before its footer"),
+            StoreError::DamagedResult { what } => write!(f, "damaged result entry: {what}"),
         }
     }
 }
@@ -107,9 +115,6 @@ impl From<io::Error> for StoreError {
 impl From<ReadTraceError> for StoreError {
     fn from(e: ReadTraceError) -> StoreError {
         match e {
-            ReadTraceError::Io(e) => StoreError::Io(e),
-            ReadTraceError::BadMagic => StoreError::BadMagic(*MAGIC),
-            ReadTraceError::BadVersion(v) => StoreError::BadVersion(v),
             ReadTraceError::BadFlags(b) => StoreError::BadFlags(b),
         }
     }
@@ -580,15 +585,27 @@ pub enum SalvageReason {
     MissingFooter,
 }
 
-enum ReaderKind<R: Read> {
-    V1 {
-        stream: TraceStream<io::Chain<Cursor<[u8; 8]>, R>>,
-        done: u64,
-    },
-    V2(V2State<R>),
-}
-
-struct V2State<R: Read> {
+/// Streaming reader for stored traces: decodes chunk by chunk with
+/// bounded memory.
+///
+/// Iterate it (`Iterator<Item = Result<MissRecord, StoreError>>`); after
+/// a salvaging read finishes, [`salvaged`](TraceReader::salvaged)
+/// reports what was dropped.
+///
+/// # Examples
+///
+/// A stream of any other version is a typed error:
+///
+/// ```
+/// use ccnuma_tracestore::{StoreError, TraceReader};
+///
+/// let v1_header = b"CCNT\x01\0\0\0";
+/// assert!(matches!(
+///     TraceReader::new(&v1_header[..]),
+///     Err(StoreError::BadVersion(1))
+/// ));
+/// ```
+pub struct TraceReader<R: Read> {
     reader: R,
     /// The current chunk's bytes and decoded records. Both buffers are
     /// reused for every chunk, so a steady-state read allocates nothing.
@@ -608,39 +625,8 @@ struct V2State<R: Read> {
     prof: Option<Box<SpanProfiler>>,
 }
 
-/// Streaming reader for stored traces: decodes v2 chunk by chunk with
-/// bounded memory, and falls back to the flat v1 stream for old files.
-///
-/// Iterate it (`Iterator<Item = Result<MissRecord, StoreError>>`); after
-/// a salvaging read finishes, [`salvaged`](TraceReader::salvaged)
-/// reports what was dropped.
-///
-/// # Examples
-///
-/// Reading a v1 stream transparently:
-///
-/// ```
-/// use ccnuma_trace::{io::write_trace, MissRecord, Trace};
-/// use ccnuma_tracestore::TraceReader;
-/// use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let trace: Trace = [MissRecord::user_data_read(Ns(1), ProcId(0), Pid(0), VirtPage(2))]
-///     .into_iter()
-///     .collect();
-/// let mut v1 = Vec::new();
-/// write_trace(&mut v1, &trace)?;
-/// let records: Result<Vec<_>, _> = TraceReader::new(v1.as_slice())?.collect();
-/// assert_eq!(records?, trace.as_slice());
-/// # Ok(())
-/// # }
-/// ```
-pub struct TraceReader<R: Read> {
-    kind: ReaderKind<R>,
-}
-
 impl<R: Read> TraceReader<R> {
-    /// Opens a stored trace, sniffing the version from the header.
+    /// Opens a stored trace, checking the header's magic and version.
     ///
     /// # Errors
     ///
@@ -670,42 +656,30 @@ impl<R: Read> TraceReader<R> {
             return Err(StoreError::BadMagic(magic));
         }
         let version = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        let kind = match version {
-            1 => {
-                // Hand the already-consumed header back to the v1 parser.
-                let chained = Cursor::new(header).chain(reader);
-                ReaderKind::V1 {
-                    stream: TraceStream::new(chained)?,
-                    done: 0,
-                }
-            }
-            VERSION_V2 => ReaderKind::V2(V2State {
-                reader,
-                body: Vec::new(),
-                records: Vec::new(),
-                next: 0,
-                chunks_done: 0,
-                records_done: 0,
-                footer_seen: false,
-                salvage,
-                salvaged: None,
-                finished: false,
-                prof: None,
-            }),
-            v => return Err(StoreError::BadVersion(v)),
-        };
-        Ok(TraceReader { kind })
+        if version != VERSION_V2 {
+            return Err(StoreError::BadVersion(version));
+        }
+        Ok(TraceReader {
+            reader,
+            body: Vec::new(),
+            records: Vec::new(),
+            next: 0,
+            chunks_done: 0,
+            records_done: 0,
+            footer_seen: false,
+            salvage,
+            salvaged: None,
+            finished: false,
+            prof: None,
+        })
     }
 
-    /// Attaches a host-time profiler: every v2 chunk decode (read,
+    /// Attaches a host-time profiler: every chunk decode (read,
     /// checksum, delta decoding) becomes one [`Phase::TraceDecode`]
-    /// span, recovered via [`TraceReader::take_profile`]. A v1 stream
-    /// has no chunk structure, so profiling is a no-op there.
+    /// span, recovered via [`TraceReader::take_profile`].
     #[must_use]
     pub fn with_profiling(mut self) -> TraceReader<R> {
-        if let ReaderKind::V2(s) = &mut self.kind {
-            s.prof = Some(Box::new(SpanProfiler::new()));
-        }
+        self.prof = Some(Box::new(SpanProfiler::new()));
         self
     }
 
@@ -713,32 +687,19 @@ impl<R: Read> TraceReader<R> {
     /// [`TraceReader::with_profiling`], if any (typically after
     /// iteration ends).
     pub fn take_profile(&mut self) -> Option<SpanProfiler> {
-        match &mut self.kind {
-            ReaderKind::V1 { .. } => None,
-            ReaderKind::V2(s) => s.prof.take().map(|p| *p),
-        }
+        self.prof.take().map(|p| *p)
     }
 
     /// After iteration: what a salvaging read had to drop, if anything.
-    /// Always `None` for v1 streams — they carry no chunk structure to
-    /// salvage.
     pub fn salvaged(&self) -> Option<SalvageInfo> {
-        match &self.kind {
-            ReaderKind::V1 { .. } => None,
-            ReaderKind::V2(s) => s.salvaged,
-        }
+        self.salvaged
     }
 
     /// Records yielded so far.
     pub fn records_read(&self) -> u64 {
-        match &self.kind {
-            ReaderKind::V1 { done, .. } => *done,
-            ReaderKind::V2(s) => s.records_done,
-        }
+        self.records_done
     }
-}
 
-impl<R: Read> V2State<R> {
     /// Loads the next non-empty chunk into `records`. Returns `Ok(false)`
     /// at a clean end of stream (footer validated, or salvage stop). A
     /// chunk's records become visible only after its checksum and its
@@ -848,34 +809,23 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<MissRecord, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.kind {
-            ReaderKind::V1 { stream, done } => {
-                let item = stream.next()?;
-                if item.is_ok() {
-                    *done += 1;
-                }
-                Some(item.map_err(StoreError::from))
+        if self.next == self.records.len() {
+            if self.finished || self.footer_seen {
+                return None;
             }
-            ReaderKind::V2(s) => {
-                if s.next == s.records.len() {
-                    if s.finished || s.footer_seen {
-                        return None;
-                    }
-                    match s.refill() {
-                        Ok(true) => {}
-                        Ok(false) => return None,
-                        Err(e) => {
-                            s.finished = true;
-                            return Some(Err(e));
-                        }
-                    }
+            match self.refill() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => {
+                    self.finished = true;
+                    return Some(Err(e));
                 }
-                let rec = s.records[s.next];
-                s.next += 1;
-                s.records_done += 1;
-                Some(Ok(rec))
             }
         }
+        let rec = self.records[self.next];
+        self.next += 1;
+        self.records_done += 1;
+        Some(Ok(rec))
     }
 }
 
@@ -917,6 +867,7 @@ mod tests {
     use super::*;
     use ccnuma_trace::{Trace, TraceBuilder};
     use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
+    use std::io::Cursor;
 
     fn sample(n: u64) -> Trace {
         let mut b = TraceBuilder::new();
@@ -950,16 +901,14 @@ mod tests {
     }
 
     #[test]
-    fn v2_is_much_smaller_than_v1() {
+    fn v2_is_under_half_of_fixed_24_byte_records() {
         let t = sample(4000);
-        let mut v1 = Vec::new();
-        ccnuma_trace::io::write_trace(&mut v1, &t).unwrap();
         let v2 = encode(&t, DEFAULT_CHUNK_RECORDS);
+        let fixed = 24 * t.len();
         assert!(
-            v2.len() * 2 <= v1.len(),
-            "v2 {} bytes vs v1 {} bytes",
-            v2.len(),
-            v1.len()
+            v2.len() * 2 <= fixed,
+            "v2 {} bytes vs {fixed} bytes at 24 per record",
+            v2.len()
         );
     }
 
@@ -1083,15 +1032,6 @@ mod tests {
         assert!(r.take_profile().is_none());
     }
 
-    #[test]
-    fn v1_streams_read_transparently() {
-        let t = sample(120);
-        let mut v1 = Vec::new();
-        ccnuma_trace::io::write_trace(&mut v1, &t).unwrap();
-        let back: Result<Vec<_>, _> = TraceReader::new(v1.as_slice()).unwrap().collect();
-        assert_eq!(back.unwrap(), t.as_slice());
-    }
-
     /// Assembles a v2 file from explicit chunk bodies. Unlike the writer
     /// it can emit empty, uneven or forged chunks; every frame still
     /// carries a valid checksum and the footer indexes every chunk.
@@ -1150,10 +1090,7 @@ mod tests {
 
     /// Capacity of the reader's reused body buffer.
     fn body_capacity(r: &TraceReader<&[u8]>) -> usize {
-        match &r.kind {
-            ReaderKind::V2(s) => s.body.capacity(),
-            ReaderKind::V1 { .. } => 0,
-        }
+        r.body.capacity()
     }
 
     fn is_eof(e: &StoreError) -> bool {

@@ -1,24 +1,28 @@
 //! Store-wide verification (`fsck`), quarantine/salvage repair, and
-//! byte-budget garbage collection for a [`TraceStore`].
+//! byte-budget garbage collection for a [`TraceStore`] and the result
+//! entries under its `results/` directory.
 //!
 //! A trace store accretes entries across many invocations, and the
 //! paper pipeline trusts it blindly on the capture-once fast path — a
 //! flipped bit or a truncated tail would otherwise surface as a wrong
-//! replay deep inside an experiment. [`fsck`] walks every entry with
-//! the strict reader, classifies the damage, and (with repair enabled)
+//! replay deep inside an experiment. [`fsck`] walks every trace with
+//! the strict reader and every result entry through its key and
+//! checksum check, classifies the damage, and (with repair enabled)
 //! moves damaged files into a `quarantine/` subdirectory, salvaging
-//! every complete chunk through the format's existing
+//! every complete trace chunk through the format's existing
 //! truncation-salvage path first. [`gc`] evicts least-recently-used
-//! entries until the store fits a byte budget; [`TraceStore::load`]
-//! freshens mtimes, so "recently used" means used, not just captured.
+//! entries, traces and results alike, until the store fits a byte
+//! budget; [`TraceStore::load`] freshens trace mtimes, so "recently
+//! used" means used, not just captured.
 
 use crate::format::{SalvageReason, StoreError, TraceReader};
+use crate::results::{ResultCache, RESULTS_DIR};
 use crate::store::{TraceMeta, TraceStore};
 use ccnuma_faults::io::Storage;
 use ccnuma_trace::MissRecord;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Subdirectory of the store that repair moves damaged files into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -60,19 +64,26 @@ pub enum EntryStatus {
         /// Records the sidecar claims.
         records_expected: u64,
     },
+    /// A result entry that passed its key and checksum checks.
+    ResultOk,
+    /// A result entry that failed its key or checksum check.
+    DamagedResult {
+        /// The verification error rendering.
+        detail: String,
+    },
 }
 
 impl EntryStatus {
-    /// True for the one status that needs no attention.
+    /// True for the statuses that need no attention.
     pub fn is_clean(&self) -> bool {
-        matches!(self, EntryStatus::Clean { .. })
+        matches!(self, EntryStatus::Clean { .. } | EntryStatus::ResultOk)
     }
 }
 
 /// One entry's fsck result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsckEntry {
-    /// The entry's slug.
+    /// The entry's slug; a result entry is named `results/<file stem>`.
     pub slug: String,
     /// What the verifier found.
     pub status: EntryStatus,
@@ -81,7 +92,8 @@ pub struct FsckEntry {
 /// What one repair action did to an entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepairAction {
-    /// Both files moved to `quarantine/`; nothing was recoverable.
+    /// The entry's files moved to `quarantine/`; nothing was
+    /// recoverable.
     Quarantined,
     /// Damaged original quarantined and the salvageable records
     /// rewritten as a fresh entry (sidecar updated to the kept count).
@@ -96,11 +108,12 @@ pub enum RepairAction {
 /// The result of an [`fsck`] walk.
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
-    /// Every entry examined, sorted by slug.
+    /// Every entry examined: traces sorted by slug, then result
+    /// entries sorted by name.
     pub entries: Vec<FsckEntry>,
     /// Files that are not part of a complete entry: traces without a
-    /// sidecar, sidecars without a trace, stale `*.tmp` leftovers.
-    /// Sorted.
+    /// sidecar, sidecars without a trace, stale `*.tmp` leftovers
+    /// (under `results/` too). Sorted.
     pub orphans: Vec<String>,
     /// Repairs performed (empty unless repair was requested), in slug
     /// order.
@@ -153,6 +166,12 @@ impl FsckReport {
                         "mismatch  {} (trace has {records}, sidecar claims {records_expected})",
                         e.slug
                     );
+                }
+                EntryStatus::ResultOk => {
+                    let _ = writeln!(out, "ok        {} (result)", e.slug);
+                }
+                EntryStatus::DamagedResult { detail } => {
+                    let _ = writeln!(out, "damaged   {} ({detail})", e.slug);
                 }
             }
         }
@@ -321,11 +340,40 @@ pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckRepor
             status,
         });
     }
+    let results_dir = store.dir().join(RESULTS_DIR);
+    if results_dir.is_dir() {
+        let cache = ResultCache::new(&results_dir)?;
+        for (name, path) in sorted_files(&results_dir)? {
+            let slug = format!("{RESULTS_DIR}/{name}");
+            if name.ends_with(".tmp") {
+                report.orphans.push(slug);
+            } else if let Some(stem) = slug.strip_suffix(".json") {
+                let status = match cache.verify(&path) {
+                    Ok(()) => EntryStatus::ResultOk,
+                    Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
+                    Err(e) => EntryStatus::DamagedResult {
+                        detail: e.to_string(),
+                    },
+                };
+                report.entries.push(FsckEntry {
+                    slug: stem.to_string(),
+                    status,
+                });
+            }
+        }
+        report.orphans.sort();
+    }
 
     if repair {
         for entry in &report.entries {
             match &entry.status {
-                EntryStatus::Clean { .. } => {}
+                EntryStatus::Clean { .. } | EntryStatus::ResultOk => {}
+                EntryStatus::DamagedResult { .. } => {
+                    quarantine(store, &store.dir().join(format!("{}.json", entry.slug)))?;
+                    report
+                        .repaired
+                        .push((entry.slug.clone(), RepairAction::Quarantined));
+                }
                 EntryStatus::Salvageable { .. } => {
                     let records = salvage_records(store, &entry.slug)?;
                     let meta = store.meta(&entry.slug)?;
@@ -382,7 +430,7 @@ pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckRepor
 /// One evicted entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evicted {
-    /// The entry's slug.
+    /// The entry's slug (`results/<file stem>` for a result entry).
     pub slug: String,
     /// Bytes freed (trace + sidecar).
     pub bytes: u64,
@@ -391,7 +439,8 @@ pub struct Evicted {
 /// The result of a [`gc`] pass.
 #[derive(Debug, Clone, Default)]
 pub struct GcReport {
-    /// Store size (complete entries, trace + sidecar) before eviction.
+    /// Store size (complete trace entries, trace + sidecar, plus result
+    /// entries) before eviction.
     pub bytes_before: u64,
     /// Store size after eviction.
     pub bytes_after: u64,
@@ -420,10 +469,11 @@ impl GcReport {
     }
 }
 
-/// Evicts least-recently-used entries until the store's complete
-/// entries total at most `max_bytes`. Use order is file mtime —
-/// [`TraceStore::load`] freshens it on every successful load. Ties
-/// break by slug so the eviction order is deterministic.
+/// Evicts least-recently-used entries until the store's complete trace
+/// entries and its result entries together total at most `max_bytes`.
+/// Use order is file mtime — [`TraceStore::load`] freshens a trace's on
+/// every successful load, a result's is its write time. Ties break by
+/// name so the eviction order is deterministic.
 ///
 /// Concurrency-safe against loaders and other collectors: each victim
 /// is re-stat'ed immediately before unlinking, so an entry a load
@@ -448,41 +498,59 @@ fn gc_with_hook<S: Storage>(
     max_bytes: u64,
     mut before_unlink: impl FnMut(&str),
 ) -> Result<GcReport, StoreError> {
-    let mut entries = Vec::new();
-    for slug in store.list()? {
-        let trace_path = store.trace_path(&slug);
-        let meta_path = store.meta_path(&slug);
-        // An entry may vanish between list() and here (a racing
+    // Each entry's first file is the one whose mtime marks its use: the
+    // trace (its sidecar rides along), or a result entry's only file.
+    let mut entries: Vec<(std::time::SystemTime, String, Vec<PathBuf>, u64)> = Vec::new();
+    let mut candidates: Vec<(String, Vec<PathBuf>)> = store
+        .list()?
+        .into_iter()
+        .map(|slug| {
+            let files = vec![store.trace_path(&slug), store.meta_path(&slug)];
+            (slug, files)
+        })
+        .collect();
+    let results_dir = store.dir().join(RESULTS_DIR);
+    if results_dir.is_dir() {
+        for (name, path) in sorted_files(&results_dir)? {
+            if let Some(stem) = name.strip_suffix(".json") {
+                candidates.push((format!("{RESULTS_DIR}/{stem}"), vec![path]));
+            }
+        }
+    }
+    for (name, files) in candidates {
+        // An entry may vanish between the listing and here (a racing
         // collector): it holds no bytes, so it is simply not a victim.
-        let trace_md = match fs::metadata(&trace_path) {
+        let head = match fs::metadata(&files[0]) {
             Ok(md) => md,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e.into()),
         };
-        let bytes = trace_md.len() + fs::metadata(&meta_path).map_or(0, |m| m.len());
-        let used = trace_md
-            .modified()
-            .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        entries.push((used, slug, bytes));
+        let bytes = head.len()
+            + files[1..]
+                .iter()
+                .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
+                .sum::<u64>();
+        let used = head.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+        entries.push((used, name, files, bytes));
     }
     let mut report = GcReport {
-        bytes_before: entries.iter().map(|(_, _, b)| b).sum(),
+        bytes_before: entries.iter().map(|e| e.3).sum(),
         ..GcReport::default()
     };
     report.bytes_after = report.bytes_before;
-    // Oldest first; equal timestamps fall back to slug order.
+    // Oldest first; equal timestamps fall back to name order.
     entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     let mut vanished = 0usize;
     let mut next = 0;
     while report.bytes_after > max_bytes && next < entries.len() {
-        let (seen, slug, bytes) = &entries[next];
+        let (seen, name, files, bytes) = &entries[next];
         next += 1;
-        before_unlink(slug);
+        before_unlink(name);
         // Re-stat before unlinking. A fresher mtime means a load used
         // the entry after our scan — it is hot now, so evicting it
         // would throw away exactly the bytes most worth keeping; skip
         // to the next-oldest victim instead.
-        match fs::metadata(store.trace_path(slug)) {
+        match fs::metadata(&files[0]) {
             Ok(md) => {
                 let now = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
                 if now > *seen {
@@ -493,21 +561,41 @@ fn gc_with_hook<S: Storage>(
                 // A racing collector won: the bytes are already gone.
                 report.bytes_after -= bytes;
                 vanished += 1;
-                let _ = remove_if_present(store, &store.meta_path(slug));
+                for f in &files[1..] {
+                    let _ = remove_if_present(store, f);
+                }
                 continue;
             }
             Err(e) => return Err(e.into()),
         }
-        remove_if_present(store, &store.trace_path(slug))?;
-        remove_if_present(store, &store.meta_path(slug))?;
+        for f in files {
+            remove_if_present(store, f)?;
+        }
         report.bytes_after -= bytes;
         report.evicted.push(Evicted {
-            slug: slug.clone(),
+            slug: name.clone(),
             bytes: *bytes,
         });
     }
     report.kept = entries.len() - report.evicted.len() - vanished;
     Ok(report)
+}
+
+/// The regular files directly inside `dir`, as `(name, path)` sorted by
+/// name.
+fn sorted_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, StoreError> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if entry.file_type()?.is_file() {
+            files.push((
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.path(),
+            ));
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// Unlinks `path`, treating an already-missing file (a racing collector
@@ -659,6 +747,61 @@ mod tests {
         fsck(&store, true).unwrap();
         assert!(!dir.join("b.trace.tmp").is_file(), "repair removes tmps");
         assert!(dir.join("lonely.trace").is_file(), "orphans are kept");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_result_entries_are_reported_and_quarantined() {
+        let (store, dir) = store_with("results", &[("a", 10)]);
+        let cache = ResultCache::new(dir.join(RESULTS_DIR)).unwrap();
+        let (good, bad) = (ResultCache::run_key("good"), ResultCache::run_key("bad"));
+        cache.store(&good, "{\"n\":1}").unwrap();
+        cache.store(&bad, "{\"n\":2}").unwrap();
+        fs::write(dir.join(RESULTS_DIR).join("x.json.tmp"), b"partial").unwrap();
+        let report = fsck(&store, false).unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(report.entries.len(), 3);
+        assert_eq!(report.orphans, vec!["results/x.json.tmp"]);
+
+        let bad_path = cache.path(&bad);
+        let text = fs::read_to_string(&bad_path).unwrap();
+        fs::write(&bad_path, text.replace("\"n\":2", "\"n\":3")).unwrap();
+        let report = fsck(&store, false).unwrap();
+        let damaged: Vec<_> = report.damaged().collect();
+        assert_eq!(damaged.len(), 1, "{}", report.render());
+        assert!(matches!(
+            damaged[0].status,
+            EntryStatus::DamagedResult { .. }
+        ));
+        assert!(report.render().contains("checksum"));
+
+        let repaired = fsck(&store, true).unwrap();
+        assert_eq!(repaired.repaired.len(), 1);
+        assert!(!bad_path.exists());
+        let name = bad_path.file_name().unwrap();
+        assert!(dir.join(QUARANTINE_DIR).join(name).is_file());
+        let after = fsck(&store, false).unwrap();
+        assert!(after.is_clean(), "{}", after.render());
+        assert_eq!(cache.load(&good).unwrap().as_deref(), Some("{\"n\":1}"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gc_counts_and_evicts_result_entries() {
+        let (store, dir) = store_with("gc-results", &[("a", 100)]);
+        let cache = ResultCache::new(dir.join(RESULTS_DIR)).unwrap();
+        let key = ResultCache::run_key("k");
+        cache.store(&key, "{\"n\":1}").unwrap();
+        let result_bytes = fs::metadata(cache.path(&key)).unwrap().len();
+        let trace_bytes = fs::metadata(store.trace_path("a")).unwrap().len()
+            + fs::metadata(store.meta_path("a")).unwrap().len();
+        let report = gc(&store, u64::MAX).unwrap();
+        assert_eq!(report.bytes_before, trace_bytes + result_bytes);
+        assert_eq!(report.kept, 2);
+        let report = gc(&store, 0).unwrap();
+        assert_eq!(report.evicted.len(), 2);
+        assert_eq!(report.bytes_after, 0);
+        assert_eq!(cache.load(&key).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,18 +5,23 @@
 //! simulator many times. This crate makes that literal on disk:
 //!
 //! * [`format`] — the chunked trace format v2: varint + delta encoding
-//!   (~3–8 bytes per record instead of v1's 24), an FNV checksum per
-//!   chunk, a chunk-index footer for seeks and parallel decode, a
-//!   bounded-memory streaming [`TraceWriter`]/[`TraceReader`] pair,
-//!   salvage of complete chunks from a truncated tail, and transparent
-//!   reading of v1 streams.
+//!   (~3–8 bytes per record instead of a fixed-width 24), an FNV
+//!   checksum per chunk, a chunk-index footer for seeks and parallel
+//!   decode, a bounded-memory streaming [`TraceWriter`]/[`TraceReader`]
+//!   pair, and salvage of complete chunks from a truncated tail.
 //! * [`store`] — a content-addressed [`TraceStore`] directory keyed by
 //!   run-spec slug, with a JSON sidecar per trace so experiments render
 //!   from storage without re-running the machine simulator.
 //! * [`sweep`] — a declarative [`SweepSpec`] grid (policies × triggers ×
 //!   sampling × latencies × move costs) replayed in parallel over a
 //!   stored trace with memoized cells, emitting deterministic
-//!   `ccnuma-sweep/1` JSON/CSV artifacts.
+//!   `ccnuma-sweep/2` JSON/CSV artifacts.
+//! * [`results`] — the content-addressed [`ResultCache`] of finished
+//!   sweep cells and executor runs, one checksummed entry per result;
+//!   with the trace store it is the only thing `--resume` and the serve
+//!   daemon persist.
+//! * [`fsck`] — store-wide verification, repair and byte-budget garbage
+//!   collection over traces and results alike.
 //!
 //! # Examples
 //!
@@ -34,7 +39,7 @@
 //!     w.push(&MissRecord::user_data_read(Ns(i * 300), ProcId(0), Pid(0), VirtPage(i / 8)))?;
 //! }
 //! let summary = w.finish()?;
-//! assert!(summary.bytes < 1000 * 12, "far below v1's 24 bytes/record");
+//! assert!(summary.bytes < 1000 * 12, "far below 24 bytes/record");
 //! let records: Result<Vec<_>, _> = TraceReader::new(buf.as_slice())?.collect();
 //! assert_eq!(records?.len(), 1000);
 //! # Ok(())
@@ -60,9 +65,9 @@ pub use fsck::{
     fsck, gc, EntryStatus, FsckEntry, FsckReport, GcReport, RepairAction, QUARANTINE_DIR,
 };
 pub use listing::{ListingEntry, StoreListing, LISTING_SCHEMA};
-pub use results::{ResultCache, RESULT_SALT};
+pub use results::{ResultCache, RESULTS_DIR, RESULT_SALT, RUN_RESULT_SALT};
 pub use store::{OpenedEntry, TraceMeta, TraceStore, META_SCHEMA};
 pub use sweep::{
-    cell_from_payload, cell_payload, eval_cell, run_sweep, run_sweep_profiled, run_sweep_resumable,
-    CellParams, SweepCell, SweepPolicy, SweepReport, SweepSpec, CELL_KIND, SWEEP_SCHEMA,
+    cell_from_payload, cell_payload, eval_cell, run_sweep, run_sweep_cached, run_sweep_profiled,
+    CellParams, SweepCell, SweepPolicy, SweepReport, SweepSpec, SweepStore, SWEEP_SCHEMA,
 };

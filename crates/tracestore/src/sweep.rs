@@ -12,9 +12,8 @@
 //! bytes do not depend on the worker count.
 
 use crate::format::StoreError;
+use crate::results::ResultCache;
 use ccnuma_core::{MissMetric, PolicyParams, PolicyStats};
-use ccnuma_faults::io::Storage;
-use ccnuma_obs::checkpoint::CheckpointJournal;
 use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_obs::{Phase, Profiler, SpanProfiler};
 use ccnuma_polsim::{PolsimConfig, PolsimReport, Replay, SimPolicy, TraceFilter};
@@ -386,13 +385,10 @@ impl SweepReport {
     }
 }
 
-/// The journal record kind sweep cells are checkpointed under.
-pub const CELL_KIND: &str = "cell";
-
-/// Serializes one finished cell into a checkpoint-journal payload.
-/// Every field is a `u64` (times are `Ns` counts), so the round trip
-/// is exact by construction. The serve result cache stores these same
-/// bytes, so a cached cell is byte-identical to a fresh replay.
+/// Serializes one finished cell into its result-store payload. Every
+/// field is a `u64` (times are `Ns` counts), so the round trip is exact
+/// by construction, and a stored cell is byte-identical to a fresh
+/// replay.
 pub fn cell_payload(report: &PolsimReport, records: u64) -> String {
     let mut j = JsonWriter::new();
     let u = |j: &mut JsonWriter, k: &str, v: u64| {
@@ -438,7 +434,7 @@ pub fn cell_payload(report: &PolsimReport, records: u64) -> String {
     j.finish()
 }
 
-/// Rebuilds a cell result from a journal payload. `None` if the
+/// Rebuilds a cell result from its stored payload. `None` if the
 /// payload is malformed — the caller replays that cell.
 pub fn cell_from_payload(v: &JsonValue) -> Option<(PolsimReport, u64)> {
     fn u(v: &JsonValue, k: &str) -> Option<u64> {
@@ -481,18 +477,47 @@ pub fn cell_from_payload(v: &JsonValue) -> Option<(PolsimReport, u64)> {
     ))
 }
 
-/// Resume/journal hooks for a checkpointed sweep, threaded through
-/// [`run_sweep_inner`].
-struct SweepCkpt<'a> {
-    /// Restored results keyed by memo key; jobs found here are never
-    /// replayed.
-    resume: HashMap<String, (PolsimReport, u64)>,
-    /// Called (from worker threads) after each fresh replay completes.
-    on_complete: &'a (dyn Fn(&str, &PolsimReport, u64) + Sync),
+/// Where [`run_sweep_cached`] restores finished cells from and stores
+/// new ones.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepStore<'a> {
+    /// The result store.
+    pub results: &'a ResultCache,
+    /// The swept trace's slug: part of every cell's result key, so two
+    /// traces never share a cell.
+    pub trace_slug: &'a str,
     /// Per-cell soft deadline: a replay exceeding it gets a stderr
     /// warning. Warnings never touch the artifacts, so resumed and
     /// fresh sweeps stay byte-identical.
-    soft_deadline: Option<Duration>,
+    pub soft_deadline: Option<Duration>,
+}
+
+impl SweepStore<'_> {
+    fn key(&self, nodes: u16, other_time: Ns, filter: TraceFilter, cell: &CellParams) -> String {
+        ResultCache::key(
+            self.trace_slug,
+            nodes,
+            other_time.0,
+            filter,
+            &cell.memo_key(),
+        )
+    }
+
+    /// One stored cell result; `Ok(None)` when the cell was never
+    /// stored.
+    fn load(&self, key: &str) -> Result<Option<(PolsimReport, u64)>, StoreError> {
+        let Some(text) = self.results.load(key)? else {
+            return Ok(None);
+        };
+        JsonValue::parse(&text)
+            .ok()
+            .as_ref()
+            .and_then(cell_from_payload)
+            .map(Some)
+            .ok_or(StoreError::DamagedResult {
+                what: "cell payload is incomplete",
+            })
+    }
 }
 
 /// Replays one cell, reopening the trace stream for the second pass a
@@ -571,69 +596,43 @@ where
 }
 
 /// [`run_sweep`] with crash tolerance: every finished distinct cell is
-/// journaled to `journal` (kind [`CELL_KIND`], keyed by
-/// [`CellParams::memo_key`]), and cells already journaled are restored
-/// instead of replayed. Returns the report plus the number of distinct
-/// replays restored from the journal.
+/// stored in `store.results` under
+/// [`ResultCache::key`]`(trace_slug, nodes, other_time, filter, memo_key)`
+/// — the key the serve daemon uses — and cells already stored there are
+/// restored instead of replayed. Returns the report plus the number of
+/// distinct replays restored.
 ///
 /// The rendered artifacts are byte-identical whether the sweep ran
 /// fresh, resumed partially, or resumed completely — restored payloads
 /// round-trip every report field exactly, and `unique_replays` keeps
-/// counting distinct cells, not work done this invocation. Journaling
-/// failures cost durability, not the sweep: they are reported on
-/// stderr and the sweep continues. A replay exceeding `soft_deadline`
-/// warns on stderr (artifacts untouched); sweeps have no hard
-/// deadline — a cell is pure replay arithmetic, so unlike a bench run
-/// it cannot wedge on host state, and killing it would forfeit a
+/// counting distinct cells, not work done this invocation. A damaged
+/// entry and a failed store are stderr warnings: the cell is replayed
+/// (or stays unstored) and the sweep continues. A replay exceeding
+/// `soft_deadline` warns on stderr (artifacts untouched); sweeps have no
+/// hard deadline — a cell is pure replay arithmetic, so unlike a bench
+/// run it cannot wedge on host state, and killing it would forfeit a
 /// resumable result.
 ///
 /// # Errors
 ///
-/// As [`run_sweep`], plus journal-load I/O errors (wrapped as
-/// [`StoreError::Io`]).
+/// As [`run_sweep`].
 ///
 /// # Panics
 ///
 /// Panics if `jobs` is zero.
-pub fn run_sweep_resumable<I, F, S>(
+pub fn run_sweep_cached<I, F>(
     spec: &SweepSpec,
     nodes: u16,
     other_time: Ns,
     jobs: usize,
     open: F,
-    journal: &CheckpointJournal<S>,
-    soft_deadline: Option<Duration>,
+    store: &SweepStore<'_>,
 ) -> Result<(SweepReport, usize), StoreError>
 where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
-    S: Storage,
 {
-    let mut resume = HashMap::new();
-    for rec in journal.load().map_err(StoreError::Io)?.records {
-        if rec.kind != CELL_KIND {
-            continue;
-        }
-        if let Some(restored) = cell_from_payload(&rec.payload) {
-            resume.insert(rec.cache_key, restored);
-        }
-    }
-    let on_complete = |memo_key: &str, report: &PolsimReport, records: u64| {
-        if let Err(e) = journal.append(
-            CELL_KIND,
-            memo_key,
-            memo_key,
-            &cell_payload(report, records),
-        ) {
-            eprintln!("warning: checkpoint: journaling sweep cell {memo_key}: {e}");
-        }
-    };
-    let ckpt = SweepCkpt {
-        resume,
-        on_complete: &on_complete,
-        soft_deadline,
-    };
-    run_sweep_inner(spec, nodes, other_time, jobs, open, false, Some(&ckpt))
+    run_sweep_inner(spec, nodes, other_time, jobs, open, false, Some(store))
         .map(|(report, _, resumed)| (report, resumed))
 }
 
@@ -673,7 +672,7 @@ fn run_sweep_inner<I, F>(
     jobs: usize,
     open: F,
     profile: bool,
-    ckpt: Option<&SweepCkpt<'_>>,
+    store: Option<&SweepStore<'_>>,
 ) -> Result<(SweepReport, Option<SpanProfiler>, usize), StoreError>
 where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
@@ -699,15 +698,21 @@ where
     type JobSlot = Mutex<Option<Result<(PolsimReport, u64), StoreError>>>;
     let results: Vec<JobSlot> = job_cells.iter().map(|_| Mutex::new(None)).collect();
 
-    // Restore journaled cells up front: their slots are filled before
-    // any worker starts, so workers simply skip them.
+    // Restore stored cells up front: their slots are filled before any
+    // worker starts, so workers simply skip them.
     let mut resumed = 0usize;
-    if let Some(c) = ckpt {
+    if let Some(st) = store {
         for (i, cell) in job_cells.iter().enumerate() {
-            if let Some((report, n)) = c.resume.get(&cell.memo_key()) {
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some(Ok((report.clone(), *n)));
-                resumed += 1;
+            match st.load(&st.key(nodes, other_time, spec.filter, cell)) {
+                Ok(Some(done)) => {
+                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(done));
+                    resumed += 1;
+                }
+                Ok(None) => {}
+                Err(e) => eprintln!(
+                    "warning: result store: sweep cell {} unusable ({e}); replaying",
+                    cell.memo_key()
+                ),
             }
         }
     }
@@ -733,7 +738,7 @@ where
                         .unwrap_or_else(|e| e.into_inner())
                         .is_some()
                     {
-                        continue; // restored from the checkpoint journal
+                        continue; // restored from the result store
                     }
                     let span = local_prof.as_mut().and_then(|p| p.enter(Phase::Replay));
                     let started = Instant::now();
@@ -741,8 +746,8 @@ where
                     if let Some(p) = local_prof.as_mut() {
                         p.exit(Phase::Replay, span);
                     }
-                    if let (Some(c), Ok((report, n))) = (ckpt, &outcome) {
-                        if let Some(soft) = c.soft_deadline {
+                    if let (Some(st), Ok((report, n))) = (store, &outcome) {
+                        if let Some(soft) = st.soft_deadline {
                             let wall = started.elapsed();
                             if wall > soft {
                                 eprintln!(
@@ -754,7 +759,13 @@ where
                                 );
                             }
                         }
-                        (c.on_complete)(&cell.memo_key(), report, *n);
+                        let key = st.key(nodes, other_time, spec.filter, cell);
+                        if let Err(e) = st.results.store(&key, &cell_payload(report, *n)) {
+                            eprintln!(
+                                "warning: result store: storing sweep cell {}: {e}",
+                                cell.memo_key()
+                            );
+                        }
                     }
                     *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
                 }
@@ -975,9 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn resumable_sweep_journals_and_resumes_byte_identically() {
+    fn cached_sweep_stores_and_resumes_byte_identically() {
         let dir = std::env::temp_dir().join(format!("ccnuma-sweep-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let results = ResultCache::new(&dir).unwrap();
         let recs = records();
         // Dynamic + static policies so payloads cover both the
         // policy_stats object and the null branch.
@@ -996,19 +1008,21 @@ mod tests {
             Ok(open_mem(&recs))
         };
 
-        let journal = CheckpointJournal::open(&dir).unwrap();
-        let (fresh, resumed) =
-            run_sweep_resumable(&spec, 8, Ns(777), 2, open, &journal, None).unwrap();
+        let store = SweepStore {
+            results: &results,
+            trace_slug: "t",
+            soft_deadline: None,
+        };
+        let (fresh, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 0, "first run restores nothing");
         assert_eq!(fresh.unique_replays, 3, "FT + MigRep x 2 triggers");
         let opened_fresh = opens.load(Ordering::Relaxed);
         assert!(opened_fresh >= 3);
 
-        // A new invocation over the same journal replays nothing and
+        // A new invocation over the same store replays nothing and
         // renders the exact same bytes.
-        let journal = CheckpointJournal::open(&dir).unwrap();
         let (resumed_report, resumed) =
-            run_sweep_resumable(&spec, 8, Ns(777), 2, open, &journal, None).unwrap();
+            run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 3, "every distinct cell restored");
         assert_eq!(
             opens.load(Ordering::Relaxed),
@@ -1019,49 +1033,75 @@ mod tests {
         assert_eq!(resumed_report.to_json("demo"), fresh.to_json("demo"));
         assert_eq!(resumed_report.to_csv(), fresh.to_csv());
 
-        // And it matches a plain, never-checkpointed sweep.
+        // And it matches a plain, never-stored sweep.
         let plain = run_sweep(&spec, 8, Ns(777), 2, || Ok(open_mem(&recs))).unwrap();
         assert_eq!(plain, fresh);
+
+        // A changed digit in one stored payload is caught by its
+        // checksum: that cell is replayed, the rest restored.
+        let victim = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let text = std::fs::read_to_string(&victim).unwrap();
+        let start = text.find("\"payload\":").unwrap();
+        let at = start + text[start..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let mut bytes = text.into_bytes();
+        bytes[at] = if bytes[at] == b'9' {
+            b'8'
+        } else {
+            bytes[at] + 1
+        };
+        std::fs::write(&victim, bytes).unwrap();
+        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        assert_eq!(resumed, 2, "the damaged cell is replayed, not restored");
+        assert_eq!(report, plain);
+
+        // An entry that passes its checksum but carries an incomplete
+        // cell payload is a typed error: that cell is replayed too.
+        let entry = JsonValue::parse(&std::fs::read_to_string(&victim).unwrap()).unwrap();
+        let key = entry.get("key").and_then(JsonValue::as_str).unwrap();
+        results.store(key, "{\"label\":\"FT\"}").unwrap();
+        assert!(matches!(
+            store.load(key),
+            Err(StoreError::DamagedResult {
+                what: "cell payload is incomplete"
+            })
+        ));
+        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        assert_eq!(resumed, 2, "the incomplete cell is replayed, not restored");
+        assert_eq!(report, plain);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn partial_journal_resumes_only_missing_cells() {
+    fn partial_store_resumes_only_missing_cells() {
         let dir = std::env::temp_dir().join(format!("ccnuma-sweep-part-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let results = ResultCache::new(&dir).unwrap();
         let recs = records();
         let spec = SweepSpec::default_grid();
-        // Journal only some cells, as if the first invocation was
-        // killed partway.
-        {
-            let journal = CheckpointJournal::open(&dir).unwrap();
-            let half = SweepSpec {
-                policies: vec![SweepPolicy::MigrationOnly],
-                ..spec.clone()
+        let sweep = |spec: &SweepSpec, slug: &str| {
+            let store = SweepStore {
+                results: &results,
+                trace_slug: slug,
+                soft_deadline: None,
             };
-            run_sweep_resumable(
-                &half,
-                8,
-                Ns::ZERO,
-                2,
-                || Ok(open_mem(&recs)),
-                &journal,
-                None,
-            )
-            .unwrap();
-        }
-        let journal = CheckpointJournal::open(&dir).unwrap();
-        let (report, resumed) = run_sweep_resumable(
-            &spec,
-            8,
-            Ns::ZERO,
-            2,
-            || Ok(open_mem(&recs)),
-            &journal,
-            None,
-        )
-        .unwrap();
-        assert_eq!(resumed, 4, "the four Migr cells came from the journal");
+            run_sweep_cached(spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs)), &store).unwrap()
+        };
+        // Store only some cells, as if the first invocation was killed
+        // partway.
+        let half = SweepSpec {
+            policies: vec![SweepPolicy::MigrationOnly],
+            ..spec.clone()
+        };
+        sweep(&half, "t");
+        // Another trace's cells never stand in for this one's.
+        assert_eq!(sweep(&half, "other").1, 0);
+        let (report, resumed) = sweep(&spec, "t");
+        assert_eq!(resumed, 4, "the four Migr cells came from the store");
         assert_eq!(report.unique_replays, 12);
         let plain = run_sweep(&spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs))).unwrap();
         assert_eq!(report, plain);

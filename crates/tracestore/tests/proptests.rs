@@ -1,9 +1,9 @@
-//! Property tests for the v2 trace format: codec roundtrips, v1/v2
-//! equivalence, and the corruption contract (a damaged stream yields a
+//! Property tests for the v2 trace format: codec roundtrips and the
+//! corruption contract (a damaged stream yields a
 //! typed error or a salvaged prefix — never a panic, never garbage
 //! records).
 
-use ccnuma_trace::io::{record_from_parts, write_trace};
+use ccnuma_trace::io::record_from_parts;
 use ccnuma_trace::{MissRecord, Trace};
 use ccnuma_tracestore::varint::{read_u64, unzigzag, write_u64, zigzag};
 use ccnuma_tracestore::{
@@ -110,25 +110,6 @@ proptest! {
     ) {
         let bytes = encode_v2(&records, chunk);
         prop_assert_eq!(decode_v2(&bytes), records);
-    }
-
-    /// A v1 stream and its v2 re-encode decode to the same records
-    /// through the same reader.
-    #[test]
-    fn v1_and_v2_reads_agree(records in proptest::collection::vec(arb_record(), 0..120)) {
-        // `Trace` time-sorts on collect, so the v1 stream holds the
-        // sorted order — that is the order both readers must agree on.
-        let trace: Trace = records.iter().copied().collect();
-        let sorted: Vec<MissRecord> = trace.iter().copied().collect();
-        let mut v1 = Vec::new();
-        write_trace(&mut v1, &trace).unwrap();
-        let from_v1 = TraceReader::new(v1.as_slice())
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        prop_assert_eq!(&from_v1, &sorted);
-        let v2 = encode_v2(&from_v1, 16);
-        prop_assert_eq!(decode_v2(&v2), sorted);
     }
 
     /// Truncation anywhere: the strict reader yields a correct prefix
