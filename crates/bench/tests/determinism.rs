@@ -26,23 +26,54 @@ fn same_spec_twice_produces_identical_reports() {
 fn recorders_never_perturb_the_report() {
     // The simulator is generic over its recorder; with the NullRecorder
     // (what `run()` uses) the hooks compile away, and even a full
-    // RunRecorder is a pure side-channel. All three paths must agree to
-    // the byte.
-    let spec = RunSpec::catalog(
-        WorkloadKind::Raytrace,
-        Scale::quick(),
-        RunOptions::new(PolicyChoice::base_mig_rep(
-            ccnuma_core::PolicyParams::base().with_trigger(16),
-        )),
-    );
-    let plain = spec.run();
-    let mut null = ccnuma_obs::NullRecorder;
-    let with_null = spec.run_with(&mut null);
-    let mut rec = ccnuma_obs::RunRecorder::default();
-    let with_obs = spec.run_with(&mut rec);
-    assert_eq!(format!("{plain:?}"), format!("{with_null:?}"));
-    assert_eq!(format!("{plain:?}"), format!("{with_obs:?}"));
-    assert!(!rec.series.is_empty(), "instrumented run recorded data");
+    // RunRecorder is a pure side-channel. Trace capture is one too. The
+    // windowed lanes emit TLB-refill events only when something
+    // consumes them (a recorder, a trace, or a TLB-driven metric), so
+    // every combination must agree to the byte for each kind of policy:
+    // cache-driven, TLB-driven (full and sampled), and static.
+    use ccnuma_core::{MissMetric, PolicyParams};
+    let mig_rep = |metric: MissMetric| PolicyChoice::Dynamic {
+        params: PolicyParams::base().with_trigger(16),
+        kind: ccnuma_core::DynamicPolicyKind::MigRep,
+        metric,
+    };
+    for policy in [
+        PolicyChoice::base_mig_rep(PolicyParams::base().with_trigger(16)),
+        mig_rep(MissMetric::full_tlb()),
+        mig_rep(MissMetric::sampled_tlb(10)),
+        PolicyChoice::first_touch(),
+    ] {
+        let label = policy.label();
+        let spec =
+            |opts: RunOptions| RunSpec::catalog(WorkloadKind::Raytrace, Scale::quick(), opts);
+        let untraced = spec(RunOptions::new(policy.clone()));
+        let traced = spec(RunOptions::new(policy).with_trace());
+        let plain = format!("{:?}", untraced.run());
+        for spec in [&untraced, &traced] {
+            let mut null = ccnuma_obs::NullRecorder;
+            let with_null = spec.run_with(&mut null);
+            let mut rec = ccnuma_obs::RunRecorder::default();
+            let with_obs = spec.run_with(&mut rec);
+            assert!(
+                !rec.series.is_empty(),
+                "{label}: instrumented run recorded data"
+            );
+            assert_eq!(
+                with_null.trace.is_some(),
+                spec.opts.capture_trace,
+                "{label}: a trace exactly when captured"
+            );
+            assert_eq!(
+                format!("{:?}", with_null.trace),
+                format!("{:?}", with_obs.trace),
+                "{label}: the trace does not depend on the recorder"
+            );
+            for mut report in [with_null, with_obs] {
+                report.trace = None;
+                assert_eq!(plain, format!("{report:?}"), "{label}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@ pub(super) const TLB_REFILL: Ns = Ns(250);
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     pub(super) fn node_of(&self, cpu: usize) -> NodeId {
-        self.spec.config.node_of_proc(ProcId(cpu as u16))
+        self.proc_nodes[cpu]
     }
 
     /// Simulates one memory reference on `cpu`.

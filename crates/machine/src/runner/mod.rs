@@ -148,6 +148,8 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     clocks: Vec<Ns>,
     cur_pid: Vec<Option<Pid>>,
     cur_quantum: Vec<u64>,
+    /// Each CPU's node, resolved once (see `MachineConfig::proc_nodes`).
+    proc_nodes: Vec<NodeId>,
     l2: Vec<L2Cache>,
     tlb: Vec<Tlb>,
     coherence: CoherenceDir,
@@ -242,6 +244,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             clocks: vec![Ns::ZERO; procs],
             cur_pid: vec![None; procs],
             cur_quantum: vec![u64::MAX; procs],
+            proc_nodes: cfg.proc_nodes(),
             l2: (0..procs).map(|_| L2Cache::new(&cfg)).collect(),
             tlb: (0..procs).map(|_| Tlb::new(&cfg)).collect(),
             coherence: CoherenceDir::with_procs(cfg.procs()),

@@ -10,12 +10,20 @@
 //! L2, clock, reference stream and RNG, reads the pager and topology
 //! immutably, and queues everything else — first touches, coherence
 //! writes and fills, policy-driving miss events — as [`Ev`] values
-//! stamped `(time, cpu, seq)`. The merge sorts the combined event pool
-//! by that key and replays it on the coordinating thread, so the
-//! result depends only on the *window size*, never on how lanes are
-//! grouped onto host threads. `--shards 1` and `--shards 8` are the
-//! same computation with different thread placement; reports are
-//! byte-identical by construction.
+//! stamped `(time, cpu, seq)`. Each lane's events, and the carry pool
+//! of events held back from earlier windows, are already sorted by
+//! that key, so the merge never sorts: it replays a k-way merge of
+//! those runs on the coordinating thread, straight out of the lanes'
+//! buffers. The result depends only on the *window size*, never on how
+//! lanes are grouped onto host threads. `--shards 1` and `--shards 8`
+//! are the same computation with different thread placement; reports
+//! are byte-identical by construction.
+//!
+//! A TLB refill becomes an event only when its replay can do
+//! something: a recorder is on, a trace is being captured, or the
+//! policy counts TLB misses. Otherwise the merge would replay it as a
+//! no-op, so the lane never emits it. Eliding it is exact: `seq` only
+//! breaks ties within one CPU and stays monotone.
 //!
 //! Directory-controller contention (§7.1.2) is charged entirely at the
 //! merge: lanes charge the uncontended miss latency, and the canonical
@@ -46,6 +54,7 @@ use ccnuma_types::{
 };
 use ccnuma_workloads::ProcessStream;
 use rand::rngs::SmallRng;
+use std::convert::Infallible;
 
 /// Default window length in simulated nanoseconds, used when
 /// [`RunOptions::window_us`](super::RunOptions) is `None`. Windows are
@@ -54,6 +63,7 @@ use rand::rngs::SmallRng;
 pub(super) const WINDOW: Ns = Ns(100_000);
 
 /// One deferred cross-CPU interaction, replayed at merge time.
+#[derive(Clone, Copy)]
 pub(super) enum Ev {
     /// A lane first-touched an unmapped page; the merge allocates it
     /// (with the §7.2.3 reclaim-then-retry pressure response).
@@ -66,6 +76,7 @@ pub(super) enum Ev {
         home: NodeId,
     },
     /// A TLB refill: recorded, traced, and fed to the policy engine.
+    /// Emitted only when one of those consumers is on.
     Tlb {
         /// The miss record (timestamped with the lane clock).
         rec: MissRecord,
@@ -102,6 +113,7 @@ pub(super) enum Ev {
 }
 
 /// An [`Ev`] with its canonical merge key.
+#[derive(Clone, Copy)]
 pub(super) struct WinEv {
     /// Lane clock when the event was emitted.
     pub time: Ns,
@@ -114,6 +126,97 @@ pub(super) struct WinEv {
     pub ev: Ev,
 }
 
+/// Exclusive bound on a per-CPU `seq`: it must fit in the low 48 bits
+/// of [`WinEv::key`] and never be all ones, so no key is `u128::MAX`,
+/// the merge's mark for an exhausted run.
+const SEQ_END: u64 = (1 << 48) - 1;
+
+impl WinEv {
+    /// The canonical `(time, cpu, seq)` key packed into one integer, so
+    /// the merge compares one number instead of a tuple.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time.0) << 64) | (u128::from(self.cpu) << 48) | u128::from(self.seq)
+    }
+}
+
+/// Feeds every event of `runs` to `f` in canonical `(time, cpu, seq)`
+/// order, stopping at the first error. Each run must already be sorted
+/// by that key; keys are unique across runs because `seq` is per CPU
+/// and never reset.
+///
+/// A k-way merge over a loser tree: each internal node holds the head
+/// that lost the match there, so taking the next event replays only
+/// the path from the winner's leaf to the root (`log2 k` comparisons).
+/// A window has one run per CPU plus the carry, and consecutive events
+/// rarely come from the same run, so a linear scan of every head per
+/// event (or per burst) costs more than the tree.
+fn merge_runs<E>(
+    runs: &mut [&[WinEv]],
+    mut f: impl FnMut(&WinEv) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut left: usize = runs.iter().map(|r| r.len()).sum();
+    if left == 0 {
+        return Ok(());
+    }
+    let head = |run: &[WinEv]| run.first().map_or(u128::MAX, WinEv::key);
+    // Leaves are padded to a power of two with exhausted runs; each
+    // node is `(key, run)`. Build bottom-up: `win` holds each
+    // subtree's winner, `losers` what it beat.
+    let leaves = runs.len().next_power_of_two();
+    let mut win = vec![(u128::MAX, 0); 2 * leaves];
+    let mut losers = vec![(u128::MAX, 0); leaves];
+    for (i, slot) in win[leaves..].iter_mut().enumerate() {
+        *slot = (runs.get(i).map_or(u128::MAX, |r| head(r)), i);
+    }
+    for n in (1..leaves).rev() {
+        let (a, b) = (win[2 * n], win[2 * n + 1]);
+        (win[n], losers[n]) = if a.0 < b.0 { (a, b) } else { (b, a) };
+    }
+    let mut winner = win[1].1;
+    while left > 0 {
+        let run = &mut runs[winner];
+        let (ev, rest) = run.split_first().expect("the winner has a head");
+        f(ev)?;
+        *run = rest;
+        left -= 1;
+        let mut cur = (head(rest), winner);
+        let mut n = (winner + leaves) / 2;
+        while n > 0 {
+            let lost = losers[n];
+            let beaten = lost.0 < cur.0;
+            losers[n] = if beaten { cur } else { lost };
+            cur = if beaten { lost } else { cur };
+            n /= 2;
+        }
+        winner = cur.1;
+    }
+    Ok(())
+}
+
+/// One window's merge over the carry and the lanes' event runs, each
+/// sorted by key: feeds every event stamped before `end` to `f` in
+/// canonical order, and appends the rest, in the same order, to
+/// `later`. Those belong to a later merge: every lane clock is >= `end`
+/// once its window ran, so the next window's events can only be later
+/// and global order holds.
+fn merge_window<'e, E>(
+    runs: impl IntoIterator<Item = &'e Vec<WinEv>>,
+    end: Ns,
+    later: &mut Vec<WinEv>,
+    f: impl FnMut(&WinEv) -> Result<(), E>,
+) -> Result<(), E> {
+    let (mut now, mut tails): (Vec<&[WinEv]>, Vec<&[WinEv]>) = runs
+        .into_iter()
+        .map(|run| run.split_at(run.partition_point(|e| e.time < end)))
+        .unzip();
+    let Ok(()) = merge_runs(&mut tails, |ev| {
+        later.push(*ev);
+        Ok::<(), Infallible>(())
+    });
+    merge_runs(&mut now, f)
+}
+
 /// Shared read-only context every lane sees during one window: the
 /// canonical state as of the window start.
 struct LaneCtx<'a> {
@@ -122,6 +225,8 @@ struct LaneCtx<'a> {
     pager: &'a ccnuma_kernel::Pager,
     overlay: &'a FxHashMap<(Pid, VirtPage), NodeId>,
     rr_nodes: Option<u16>,
+    /// Whether lanes emit [`Ev::Tlb`]: see the module docs.
+    tlb_events: bool,
     end: Ns,
 }
 
@@ -129,6 +234,8 @@ struct LaneCtx<'a> {
 /// for the window, moved back at the merge).
 struct Lane {
     cpu: u16,
+    /// The node this CPU sits on.
+    node: NodeId,
     clock: Ns,
     pid: Option<Pid>,
     tlb: Tlb,
@@ -148,6 +255,11 @@ struct Lane {
 impl Lane {
     fn emit(&mut self, time: Ns, ev: Ev) {
         self.seq += 1;
+        assert!(
+            self.seq < SEQ_END,
+            "cpu {} event sequence overflow",
+            self.cpu
+        );
         self.events.push(WinEv {
             time,
             cpu: self.cpu,
@@ -180,7 +292,7 @@ impl Lane {
     /// The lane-side memory step: identical timing to the serial
     /// `Sim::step`, but every cross-CPU effect becomes an event.
     fn step(&mut self, ctx: &LaneCtx, pid: Pid, access: MemAccess) {
-        let my_node = ctx.cfg.node_of_proc(ProcId(self.cpu));
+        let my_node = self.node;
 
         self.breakdown
             .add_busy(access.mode, ctx.cfg.compute_ns_per_ref);
@@ -208,8 +320,10 @@ impl Lane {
             }
             self.breakdown.add_busy(Mode::Kernel, TLB_REFILL);
             self.clock += TLB_REFILL;
-            let rec = self.record_of(pid, &access, MissSource::Tlb);
-            self.emit(self.clock, Ev::Tlb { rec });
+            if ctx.tlb_events {
+                let rec = self.record_of(pid, &access, MissSource::Tlb);
+                self.emit(self.clock, Ev::Tlb { rec });
+            }
         }
 
         let hit = self.l2.access(access.page, access.line);
@@ -352,6 +466,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 });
                 Lane {
                     cpu: cpu as u16,
+                    node: self.node_of(cpu),
                     clock: self.clocks[cpu],
                     pid,
                     tlb,
@@ -374,6 +489,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             pager: &self.pager,
             overlay: &self.overlay,
             rr_nodes: self.rr_nodes,
+            tlb_events: self.tlb_events_consumed(),
             end,
         };
         let span = self.prof.enter(Phase::Lanes);
@@ -397,10 +513,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         self.prof.exit(Phase::Lanes, span);
 
         // Fold lane state back in CPU order (deterministic float sums),
-        // then replay the event pool in canonical (time, cpu, seq)
-        // order. Handoff, sort and replay are all merge time.
+        // then replay the carry and the lanes' event runs in canonical
+        // (time, cpu, seq) order. Handoff, merge and replay are all
+        // merge time.
         let span = self.prof.enter(Phase::Merge);
-        let mut pool = std::mem::take(&mut self.carry);
         let mut consumed = 0u64;
         let mut tlbs = Vec::with_capacity(procs);
         let mut l2s = Vec::with_capacity(procs);
@@ -418,7 +534,6 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             for (k, v) in lane.touched.drain() {
                 self.overlay.entry(k).or_insert(v);
             }
-            pool.append(&mut lane.events);
             self.event_scratch[cpu] = lane.events;
             tlbs.push(lane.tlb);
             l2s.push(lane.l2);
@@ -426,23 +541,31 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         self.tlb = tlbs;
         self.l2 = l2s;
 
-        pool.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
-        // Events timestamped at or past the window end belong to a
-        // later merge: every lane clock is >= `end` now, so next
-        // window's events can only be later — global order holds.
-        let cut = pool.partition_point(|e| e.time < end);
-        self.carry = pool.split_off(cut);
-
-        let mut outcome = Ok(());
-        for ev in pool {
-            outcome = self.replay(ev);
-            if outcome.is_err() {
-                break;
-            }
+        let carry = std::mem::take(&mut self.carry);
+        let mut lane_events = std::mem::take(&mut self.event_scratch);
+        let runs = std::iter::once(&carry).chain(&lane_events);
+        let mut next_carry = Vec::new();
+        let outcome = merge_window(runs, end, &mut next_carry, |ev| self.replay(ev));
+        self.carry = next_carry;
+        for events in &mut lane_events {
+            events.clear();
         }
+        self.event_scratch = lane_events;
         self.prof.exit(Phase::Merge, span);
         outcome?;
         Ok(consumed)
+    }
+
+    /// Whether replaying an [`Ev::Tlb`] can have any effect: the
+    /// recorder observes TLB fills, the trace records them, or the
+    /// policy metric counts them. When none holds, lanes skip them.
+    fn tlb_events_consumed(&self) -> bool {
+        R::ENABLED
+            || self.trace.is_some()
+            || self
+                .metric
+                .as_ref()
+                .is_some_and(|m| m.source() == MissSource::Tlb)
     }
 
     /// Replays events still in the carry pool (the windowed phase is
@@ -451,22 +574,16 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         if self.carry.is_empty() {
             return Ok(());
         }
-        let pool = std::mem::take(&mut self.carry);
+        let carry = std::mem::take(&mut self.carry);
         let span = self.prof.enter(Phase::Merge);
-        let mut outcome = Ok(());
-        for ev in pool {
-            outcome = self.replay(ev);
-            if outcome.is_err() {
-                break;
-            }
-        }
+        let outcome = carry.iter().try_for_each(|ev| self.replay(ev));
         self.prof.exit(Phase::Merge, span);
         outcome
     }
 
     /// Applies one lane event to the canonical state. Mirrors the
     /// corresponding arms of the serial `Sim::step`.
-    fn replay(&mut self, wev: WinEv) -> Result<(), SimError> {
+    fn replay(&mut self, wev: &WinEv) -> Result<(), SimError> {
         let cpu = wev.cpu as usize;
         match wev.ev {
             Ev::FirstTouch { pid, page, home } => {
@@ -539,6 +656,91 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 }
                 let my_node = self.node_of(cpu);
                 self.drive_policy(cpu, rec.pid, my_node, ProcId(wev.cpu), &rec)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn ev(time: u64, cpu: u16, seq: u64) -> WinEv {
+        WinEv {
+            time: Ns(time),
+            cpu,
+            seq,
+            ev: Ev::CohFill {
+                page: VirtPage(0),
+                line: 0,
+            },
+        }
+    }
+
+    fn keys(evs: &[WinEv]) -> Vec<(Ns, u16, u64)> {
+        evs.iter().map(|e| (e.time, e.cpu, e.seq)).collect()
+    }
+
+    proptest! {
+        /// The merge replays exactly what sorting the pooled events by
+        /// `(time, cpu, seq)` and cutting at `end` would, and carries
+        /// the rest in that same order. Up to nine lanes are drawn as
+        /// per-CPU time steps and the carry as `(time, cpu)` pairs:
+        /// lane events take odd sequence numbers and carry events even
+        /// ones, so keys are unique as the merge requires, and carry
+        /// times reach past any window end.
+        #[test]
+        fn merge_matches_sort_then_cut(
+            cpus in 1usize..=9,
+            lanes in vec(vec(0u64..40, 0..40), 9),
+            carry in vec((0u64..1_500, 0u16..9), 0..40),
+            end in 0u64..1_200,
+        ) {
+            let mut runs: Vec<Vec<WinEv>> = Vec::new();
+            let mut carry: Vec<WinEv> = carry
+                .iter()
+                .enumerate()
+                .map(|(i, &(time, cpu))| ev(time, cpu % cpus as u16, 2 * i as u64))
+                .collect();
+            carry.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
+            runs.push(carry);
+            for (cpu, steps) in lanes.iter().take(cpus).enumerate() {
+                let mut time = 0;
+                let lane = steps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, step)| {
+                        time += step;
+                        ev(time, cpu as u16, 2 * i as u64 + 1)
+                    })
+                    .collect();
+                runs.push(lane);
+            }
+
+            let mut pool: Vec<WinEv> = runs.iter().flatten().copied().collect();
+            pool.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
+            let cut = pool.partition_point(|e| e.time < Ns(end));
+
+            let mut replayed = Vec::new();
+            let mut later = Vec::new();
+            let Ok(()) = merge_window(&runs, Ns(end), &mut later, |e| {
+                replayed.push(*e);
+                Ok::<(), Infallible>(())
+            });
+            prop_assert_eq!(keys(&replayed), keys(&pool[..cut]));
+            prop_assert_eq!(keys(&later), keys(&pool[cut..]));
+
+            // An error stops the replay at the failing event.
+            if cut > 0 {
+                let stop = cut / 2;
+                let mut fed = 0;
+                let outcome = merge_window(&runs, Ns(end), &mut Vec::new(), |_| {
+                    fed += 1;
+                    if fed > stop { Err(fed) } else { Ok(()) }
+                });
+                prop_assert_eq!(outcome, Err(stop + 1));
             }
         }
     }

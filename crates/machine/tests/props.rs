@@ -319,17 +319,28 @@ proptest! {
         private_pages in 16u64..128,
         write_frac in 0.0f64..0.5,
         affinity_raw in 0u8..2,
-        dynamic_raw in 0u8..2,
+        policy_raw in 0u8..4,
         seed in 0u64..1_000_000,
         shards in 2u32..=8,
     ) {
+        use ccnuma_core::{DynamicPolicyKind, MissMetric, PolicyParams};
         use ccnuma_machine::{Machine, PolicyChoice, RunOptions};
         use ccnuma_types::ShardPlan;
-        let (affinity, dynamic) = (affinity_raw == 1, dynamic_raw == 1);
-        let policy = if dynamic {
-            PolicyChoice::base_mig_rep(ccnuma_core::PolicyParams::base().with_trigger(16))
-        } else {
-            PolicyChoice::first_touch()
+        let affinity = affinity_raw == 1;
+        // Static, and Mig/Rep driven by cache misses, every TLB miss,
+        // or one TLB miss in ten: TLB-driven runs are the ones whose
+        // lanes must emit TLB-refill events with no recorder attached.
+        let params = PolicyParams::base().with_trigger(16);
+        let mig_rep = |metric| PolicyChoice::Dynamic {
+            params,
+            kind: DynamicPolicyKind::MigRep,
+            metric,
+        };
+        let policy = match policy_raw {
+            0 => PolicyChoice::first_touch(),
+            1 => PolicyChoice::base_mig_rep(params),
+            2 => mig_rep(MissMetric::full_tlb()),
+            _ => mig_rep(MissMetric::sampled_tlb(10)),
         };
         let run = |n: u32| {
             let spec = random_workload(

@@ -12,8 +12,8 @@
 //! every complete trace chunk through the format's existing
 //! truncation-salvage path first. [`gc`] evicts least-recently-used
 //! entries, traces and results alike, until the store fits a byte
-//! budget; [`TraceStore::load`] freshens trace mtimes, so "recently
-//! used" means used, not just captured.
+//! budget; [`TraceStore::open`] and [`ResultCache::load`] freshen
+//! mtimes, so "recently used" means used, not just captured.
 
 use crate::format::{SalvageReason, StoreError, TraceReader};
 use crate::results::{ResultCache, RESULTS_DIR};
@@ -471,9 +471,10 @@ impl GcReport {
 
 /// Evicts least-recently-used entries until the store's complete trace
 /// entries and its result entries together total at most `max_bytes`.
-/// Use order is file mtime — [`TraceStore::load`] freshens a trace's on
-/// every successful load, a result's is its write time. Ties break by
-/// name so the eviction order is deterministic.
+/// Use order is file mtime — [`TraceStore::open`] freshens a trace's on
+/// every successful open (and so every load), [`ResultCache::load`] a
+/// result's on every hit. Ties break by name so the eviction order is
+/// deterministic.
 ///
 /// Concurrency-safe against loaders and other collectors: each victim
 /// is re-stat'ed immediately before unlinking, so an entry a load
@@ -491,7 +492,7 @@ pub fn gc<S: Storage>(store: &TraceStore<S>, max_bytes: u64) -> Result<GcReport,
 
 /// [`gc`] with a test seam: `before_unlink` runs after a victim is
 /// chosen and before its files are unlinked — exactly the window a
-/// concurrent [`TraceStore::load`] freshen or a racing collector's
+/// concurrent [`TraceStore::open`] freshen or a racing collector's
 /// unlink lands in.
 fn gc_with_hook<S: Storage>(
     store: &TraceStore<S>,
@@ -930,23 +931,46 @@ mod tests {
 
     #[test]
     fn load_freshens_mtime_for_lru() {
+        // Every way an entry is used freshens its LRU stamp: loading a
+        // trace, streaming it (what a sweep does), and a result hit.
         let (store, dir) = store_with("touch", &[("a", 100)]);
-        let f = fs::OpenOptions::new()
-            .append(true)
-            .open(store.trace_path("a"))
-            .unwrap();
-        f.set_modified(std::time::SystemTime::UNIX_EPOCH).unwrap();
-        drop(f);
-        let before = fs::metadata(store.trace_path("a"))
-            .unwrap()
-            .modified()
-            .unwrap();
+        let cache = ResultCache::new(dir.join(RESULTS_DIR)).unwrap();
+        let key = ResultCache::run_key("k");
+        cache.store(&key, "{\"n\":1}").unwrap();
+        let age = |path: &Path| {
+            let f = fs::OpenOptions::new().append(true).open(path).unwrap();
+            f.set_modified(std::time::SystemTime::UNIX_EPOCH).unwrap();
+        };
+        let stamp = |path: &Path| fs::metadata(path).unwrap().modified().unwrap();
+        let epoch = std::time::SystemTime::UNIX_EPOCH;
+
+        let trace = store.trace_path("a");
+        age(&trace);
         store.load("a").unwrap();
-        let after = fs::metadata(store.trace_path("a"))
-            .unwrap()
-            .modified()
-            .unwrap();
-        assert!(after > before, "load must freshen the LRU stamp");
+        assert!(stamp(&trace) > epoch, "load must freshen the LRU stamp");
+
+        age(&trace);
+        let (reader, _) = store.open("a").unwrap();
+        assert!(stamp(&trace) > epoch, "open must freshen the LRU stamp");
+        assert_eq!(reader.count(), 100, "the open stream still reads");
+
+        let result = cache.path(&key);
+        age(&result);
+        assert_eq!(cache.load(&key).unwrap().as_deref(), Some("{\"n\":1}"));
+        assert!(
+            stamp(&result) > epoch,
+            "a result hit must freshen its stamp"
+        );
+
+        // With the trace aged again, a budget for one entry keeps the
+        // result that was just read and evicts the trace.
+        age(&trace);
+        let report = gc(&store, fs::metadata(&result).unwrap().len()).unwrap();
+        assert_eq!(report.kept, 1, "{report:?}");
+        assert!(
+            result.exists() && !trace.exists(),
+            "the used result outlives the aged trace"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

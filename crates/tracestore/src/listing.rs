@@ -32,7 +32,7 @@ pub struct ListingEntry {
     /// Bytes of the trace file on disk.
     pub bytes: u64,
     /// Last-modified time of the trace file, seconds since the Unix
-    /// epoch (freshened on load, so it tracks actual use).
+    /// epoch (freshened on open, so it tracks actual use).
     pub mtime_unix: u64,
 }
 

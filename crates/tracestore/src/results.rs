@@ -27,6 +27,7 @@
 //! so a damaged entry is never served.
 
 use crate::format::StoreError;
+use crate::store::freshen;
 use ccnuma_faults::io::{retry_io, DiskStorage, RetryPolicy, Storage};
 use ccnuma_obs::json::JsonWriter;
 use ccnuma_obs::{artifact_slug, fnv1a64, JsonValue};
@@ -118,7 +119,9 @@ impl<S: Storage> ResultCache<S> {
     }
 
     /// Loads the payload stored under `key`: `Ok(None)` when there is
-    /// no entry.
+    /// no entry. A hit freshens the entry's mtime (best-effort, as
+    /// [`TraceStore::open`](crate::TraceStore::open) does), so `trace
+    /// gc` sees results that are read as used.
     ///
     /// # Errors
     ///
@@ -136,6 +139,7 @@ impl<S: Storage> ResultCache<S> {
         if stored_key != key {
             return Err(damaged("entry was stored under another key"));
         }
+        freshen(&self.path(key));
         Ok(Some(payload.to_string()))
     }
 

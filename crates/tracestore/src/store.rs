@@ -297,25 +297,29 @@ impl<S: Storage> TraceStore<S> {
         result
     }
 
-    /// Opens a streaming reader plus the sidecar for `slug`.
+    /// Opens a streaming reader plus the sidecar for `slug`. A
+    /// successful open freshens the entry's file mtime, so `trace gc`'s
+    /// least-recently-used eviction order tracks actual use (sweeps
+    /// stream a trace and never load it), not just capture time. The
+    /// freshen is best-effort: if a concurrent `trace gc` evicted the
+    /// entry between the open and the touch, the touch degrades to a
+    /// no-op — the open file handle still reads the bytes, and a
+    /// vanished file must not turn a successful open into an error.
     ///
     /// # Errors
     ///
     /// I/O errors (including a missing entry) or a corrupt sidecar.
     pub fn open(&self, slug: &str) -> Result<OpenedEntry<S>, StoreError> {
         let meta = self.meta(slug)?;
-        let reader = TraceReader::new(BufReader::new(self.storage.open(&self.trace_path(slug))?))?;
+        let path = self.trace_path(slug);
+        let reader = TraceReader::new(BufReader::new(self.storage.open(&path)?))?;
+        freshen(&path);
         Ok((reader, meta))
     }
 
     /// Loads the whole trace into memory (for callers that genuinely
-    /// need a [`Trace`], e.g. figure rendering). A successful load
-    /// freshens the entry's file mtime, so `trace gc`'s
-    /// least-recently-used eviction order tracks actual use, not just
-    /// capture time. The freshen is best-effort: if a concurrent
-    /// `trace gc` evicted the entry between the read and the touch, the
-    /// touch degrades to a no-op — the load already has the bytes, and
-    /// a vanished file must not turn a successful load into an error.
+    /// need a [`Trace`], e.g. figure rendering). Freshens the entry's
+    /// mtime through [`open`](TraceStore::open).
     ///
     /// # Errors
     ///
@@ -326,7 +330,6 @@ impl<S: Storage> TraceStore<S> {
         for rec in reader {
             b.push(rec?);
         }
-        freshen(&self.trace_path(slug));
         Ok((b.finish(), meta))
     }
 
