@@ -12,10 +12,12 @@
 //! the oracle the property tests compare against. [`CounterTable`] is
 //! what the policy engine actually uses on the per-miss hot path: every
 //! page's counters flattened into contiguous arrays indexed by
-//! `slot × procs + proc`, reached through one FxHash lookup — no
-//! per-page heap allocation, no SipHash, no pointer chase per counter.
+//! `slot × procs + proc`, where the caller names each page's slot — the
+//! machine passes the page number, the §8 replay a slot its placement
+//! map hands out — so no per-page heap allocation, no hashing and no
+//! pointer chase stand between a miss and its counter.
 
-use ccnuma_types::{FxHashMap, ProcId, VirtPage};
+use ccnuma_types::ProcId;
 
 /// Counters for one page within the current reset interval.
 ///
@@ -202,13 +204,14 @@ impl PageCountersView<'_> {
 ///
 /// The policy engine consults counters on every counted miss, so the
 /// per-page [`PageCounters`] boxes (each with its own heap-allocated
-/// per-processor vector behind a SipHash map) are flattened: one
-/// FxHash lookup maps a page to a slot, and a slot's per-processor miss
+/// per-processor vector) are flattened: a slot's per-processor miss
 /// counters live at `misses[slot × procs ..][..procs]` next to parallel
 /// scalar arrays for writes, migrates, epochs, freezes and caps. Slots
-/// are never freed individually — [`clear`](CounterTable::clear) drops
-/// everything — which matches the engine's lifecycle (pages accumulate
-/// over a run, counters reset by epoch rolling in place).
+/// are dense indices the caller chooses; the arrays grow only when a
+/// slot beyond their end is first [`track`](CounterTable::track)ed.
+/// Slots are never freed individually — [`clear`](CounterTable::clear)
+/// drops everything — which matches the engine's lifecycle (pages
+/// accumulate over a run, counters reset by epoch rolling in place).
 ///
 /// Semantics are identical to driving one [`PageCounters`] per page;
 /// the property tests in `crates/core/tests/props.rs` hold the two
@@ -218,10 +221,11 @@ impl PageCountersView<'_> {
 ///
 /// ```
 /// use ccnuma_core::CounterTable;
-/// use ccnuma_types::{ProcId, VirtPage};
+/// use ccnuma_types::ProcId;
 ///
 /// let mut t = CounterTable::new(8);
-/// let s = t.slot(VirtPage(7), u32::MAX);
+/// let s = 7;
+/// t.track(s, u32::MAX);
 /// t.roll_epoch(s, 0);
 /// assert_eq!(t.record_miss(s, ProcId(3), false), 1);
 /// assert_eq!(t.record_miss(s, ProcId(3), true), 2);
@@ -232,7 +236,8 @@ impl PageCountersView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct CounterTable {
     procs: usize,
-    slots: FxHashMap<VirtPage, u32>,
+    /// Slots with live counter state.
+    tracked: usize,
     /// Per-processor miss counters, stride `procs` per slot.
     misses: Vec<u32>,
     writes: Vec<u32>,
@@ -242,6 +247,8 @@ pub struct CounterTable {
     /// Per-slot saturation value, captured from the parameters live when
     /// the page was first counted (the engine's historical behaviour:
     /// adaptive parameter swaps only affect pages seen afterwards).
+    /// Zero marks a slot that was never tracked (a live cap is never
+    /// zero).
     caps: Vec<u32>,
 }
 
@@ -261,17 +268,17 @@ impl CounterTable {
 
     /// Number of pages with live counter state.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.tracked
     }
 
     /// True when no page is tracked.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.tracked == 0
     }
 
     /// Drops every page's state, keeping the allocations for reuse.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.tracked = 0;
         self.misses.clear();
         self.writes.clear();
         self.migrates.clear();
@@ -280,36 +287,46 @@ impl CounterTable {
         self.caps.clear();
     }
 
-    /// The slot for `page`, creating zeroed counters saturating at `cap`
-    /// on first sight.
+    /// Starts tracking `slot` with zeroed counters saturating at `cap`,
+    /// unless it is already tracked (its counters and cap then stay).
     ///
     /// # Panics
     ///
     /// Panics if `cap` is zero.
-    pub fn slot(&mut self, page: VirtPage, cap: u32) -> usize {
-        if let Some(&s) = self.slots.get(&page) {
-            return s as usize;
+    #[inline]
+    pub fn track(&mut self, slot: usize, cap: u32) {
+        if self.caps.get(slot).is_some_and(|&c| c != 0) {
+            return;
         }
         assert!(cap > 0, "counter cap must be non-zero");
-        let s = self.caps.len();
-        self.slots.insert(page, s as u32);
-        self.misses.resize(self.misses.len() + self.procs, 0);
-        self.writes.push(0);
-        self.migrates.push(0);
-        self.epochs.push(0);
-        self.frozen_until.push(0);
-        self.caps.push(cap);
-        s
+        if slot >= self.caps.len() {
+            self.grow(slot + 1);
+        }
+        self.caps[slot] = cap;
+        self.tracked += 1;
     }
 
-    /// A read-only view of `page`'s counters, if any miss has been
-    /// counted against it.
-    pub fn get(&self, page: VirtPage) -> Option<PageCountersView<'_>> {
-        let s = *self.slots.get(&page)? as usize;
+    /// Grows every array to `slots` slots; the new ones are untracked
+    /// and zeroed.
+    #[cold]
+    fn grow(&mut self, slots: usize) {
+        self.misses.resize(slots * self.procs, 0);
+        self.writes.resize(slots, 0);
+        self.migrates.resize(slots, 0);
+        self.epochs.resize(slots, 0);
+        self.frozen_until.resize(slots, 0);
+        self.caps.resize(slots, 0);
+    }
+
+    /// A read-only view of `slot`'s counters, if it is tracked.
+    pub fn get(&self, slot: usize) -> Option<PageCountersView<'_>> {
+        if self.caps.get(slot).is_none_or(|&c| c == 0) {
+            return None;
+        }
         Some(PageCountersView {
-            misses: self.row(s),
-            writes: self.writes[s],
-            migrates: self.migrates[s],
+            misses: self.row(slot),
+            writes: self.writes[slot],
+            migrates: self.migrates[slot],
         })
     }
 

@@ -247,16 +247,19 @@ impl PolicyEngine {
         self.pages.len()
     }
 
-    /// The live counter state for `page`, if any miss has been counted
+    /// The live counter state in `slot`, if any miss has been counted
     /// against it. Read-only: instrumentation uses this to snapshot the
     /// counters behind a decision.
-    pub fn counters(&self, page: VirtPage) -> Option<PageCountersView<'_>> {
-        self.pages.get(page)
+    pub fn counters(&self, slot: usize) -> Option<PageCountersView<'_>> {
+        self.pages.get(slot)
     }
 
     /// Feeds one counted miss through the decision tree (Figure 1).
     ///
-    /// `loc` describes the faulting page's placement from the accessor's
+    /// `slot` names the missed page's counters: any dense index the
+    /// caller keeps one-to-one with pages (the machine uses the page
+    /// number). The counter table grows to cover it, so slots should
+    /// stay small. `loc` describes the faulting page's placement from the accessor's
     /// point of view and `mem_pressure` is the kernel's report of free-
     /// memory pressure on the accessor's node (node 3a of the tree).
     ///
@@ -267,12 +270,13 @@ impl PolicyEngine {
     /// for lack of a local frame.
     pub fn observe(
         &mut self,
+        slot: usize,
         miss: ObservedMiss,
         loc: &PageLocation,
         mem_pressure: bool,
     ) -> PolicyAction {
         self.stats.misses_observed += 1;
-        let slot = self.pages.slot(miss.page, self.params.counter_cap);
+        self.pages.track(slot, self.params.counter_cap);
         self.pages.roll_epoch(slot, self.params.epoch_of(miss.now));
 
         // The pfault path: a store to a replicated page always collapses,
@@ -463,6 +467,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = engine.observe(
+                page as usize,
                 ObservedMiss::read(Ns(t), ProcId(proc), NodeId(node), VirtPage(page)),
                 loc,
                 false,
@@ -477,6 +482,7 @@ mod tests {
         let loc = PageLocation::master_only(NodeId(0), NodeId(1));
         for t in 0..(TRIG - 1) as u64 {
             let a = e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(1), NodeId(1), VirtPage(1)),
                 &loc,
                 false,
@@ -512,6 +518,7 @@ mod tests {
         let loc0 = PageLocation::master_only(NodeId(0), NodeId(0));
         for t in 0..4u64 {
             e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(0), NodeId(0), VirtPage(1)),
                 &loc0,
                 false,
@@ -531,6 +538,7 @@ mod tests {
         // miss counter past sharing.
         for t in 0..4u64 {
             e.observe(
+                1,
                 ObservedMiss::write(Ns(t), ProcId(0), NodeId(0), VirtPage(1)),
                 &loc0,
                 false,
@@ -552,6 +560,7 @@ mod tests {
         let loc0 = PageLocation::master_only(NodeId(0), NodeId(0));
         for t in 0..4u64 {
             e.observe(
+                1,
                 ObservedMiss::write(Ns(t), ProcId(0), NodeId(0), VirtPage(1)),
                 &loc0,
                 false,
@@ -568,6 +577,7 @@ mod tests {
         let loc0 = PageLocation::master_only(NodeId(0), NodeId(0));
         for t in 0..4u64 {
             e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(0), NodeId(0), VirtPage(1)),
                 &loc0,
                 false,
@@ -577,6 +587,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(1), NodeId(1), VirtPage(1)),
                 &loc1,
                 true, // pressure
@@ -597,6 +608,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(2), NodeId(2), VirtPage(1)),
                 &loc2,
                 false,
@@ -617,6 +629,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = e.observe(
+                1,
                 ObservedMiss::read(Ns(later + t), ProcId(2), NodeId(2), VirtPage(1)),
                 &loc2,
                 false,
@@ -631,6 +644,7 @@ mod tests {
         let mut e = engine(DynamicPolicyKind::MigRep);
         let loc = PageLocation::new(NodeId(0), NodeId(1), &[NodeId(0), NodeId(1)]);
         let a = e.observe(
+            1,
             ObservedMiss::write(Ns(0), ProcId(1), NodeId(1), VirtPage(1)),
             &loc,
             false,
@@ -654,6 +668,7 @@ mod tests {
         let loc0 = PageLocation::master_only(NodeId(0), NodeId(0));
         for t in 0..4u64 {
             e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(0), NodeId(0), VirtPage(1)),
                 &loc0,
                 false,
@@ -682,6 +697,7 @@ mod tests {
         // cleared it.
         for t in 0..(3 * TRIG) as u64 {
             e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(1), NodeId(1), VirtPage(1)),
                 &loc,
                 false,
@@ -701,6 +717,7 @@ mod tests {
             // this unit test the location stays "remote" so the page can
             // re-heat, but the migrate threshold stops a second move.
             if e.observe(
+                1,
                 ObservedMiss::read(Ns(t), ProcId(1), NodeId(1), VirtPage(1)),
                 &loc,
                 false,
@@ -766,6 +783,7 @@ mod tests {
         let loc0 = PageLocation::master_only(NodeId(0), NodeId(0));
         for t in 0..4u64 {
             e.observe(
+                page.index(),
                 ObservedMiss::read(Ns(t), ProcId(0), NodeId(0), page),
                 &loc0,
                 false,
@@ -775,6 +793,7 @@ mod tests {
         // freezes it for 2 further intervals.
         let loc_repl = PageLocation::new(NodeId(0), NodeId(1), &[NodeId(0), NodeId(1)]);
         let a = e.observe(
+            page.index(),
             ObservedMiss::write(Ns(10), ProcId(1), NodeId(1), page),
             &loc_repl,
             false,
@@ -785,6 +804,7 @@ mod tests {
         let loc1 = PageLocation::master_only(NodeId(0), NodeId(1));
         for t in 0..4u64 {
             e.observe(
+                page.index(),
                 ObservedMiss::read(Ns(next + t), ProcId(0), NodeId(0), page),
                 &loc0,
                 false,
@@ -793,6 +813,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = e.observe(
+                page.index(),
                 ObservedMiss::read(Ns(next + 10 + t), ProcId(1), NodeId(1), page),
                 &loc1,
                 false,
@@ -804,6 +825,7 @@ mod tests {
         let later = Ns::from_ms(450).0;
         for t in 0..4u64 {
             e.observe(
+                page.index(),
                 ObservedMiss::read(Ns(later + t), ProcId(0), NodeId(0), page),
                 &loc0,
                 false,
@@ -812,6 +834,7 @@ mod tests {
         let mut last = PolicyAction::nothing_not_hot();
         for t in 0..TRIG as u64 {
             last = e.observe(
+                page.index(),
                 ObservedMiss::read(Ns(later + 10 + t), ProcId(1), NodeId(1), page),
                 &loc1,
                 false,

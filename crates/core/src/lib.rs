@@ -41,9 +41,9 @@
 //! let mut action = PolicyAction::nothing_not_hot();
 //! for t in 0..4 {
 //!     let miss = ObservedMiss::read(Ns(t), ProcId(0), NodeId(0), page);
-//!     engine.observe(miss, &PageLocation::master_only(NodeId(0), NodeId(0)), false);
+//!     engine.observe(page.index(), miss, &PageLocation::master_only(NodeId(0), NodeId(0)), false);
 //!     let miss = ObservedMiss::read(Ns(t), ProcId(1), NodeId(1), page);
-//!     action = engine.observe(miss, &remote, false);
+//!     action = engine.observe(page.index(), miss, &remote, false);
 //! }
 //! // p1 hit the trigger; p0 shares the page, so the page is replicated.
 //! assert_eq!(action, PolicyAction::Replicate { at: NodeId(1) });

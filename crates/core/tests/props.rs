@@ -1,11 +1,12 @@
 //! Property-based tests for the policy engine's invariants.
 
 use ccnuma_core::{
-    DynamicPolicyKind, NoActionReason, ObservedMiss, PageLocation, Placer, PolicyAction,
-    PolicyEngine, PolicyParams, RoundRobin,
+    CounterTable, DynamicPolicyKind, NoActionReason, ObservedMiss, PageCounters, PageLocation,
+    Placer, PolicyAction, PolicyEngine, PolicyParams, RoundRobin,
 };
 use ccnuma_types::{NodeId, Ns, ProcId, VirtPage};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_miss() -> impl Strategy<Value = (u64, u16, u64, bool)> {
     (0u64..500_000_000, 0u16..8, 0u64..32, proptest::bool::ANY)
@@ -30,6 +31,7 @@ proptest! {
             // All within one 100ms interval.
             let now = Ns(i * 1000);
             let _ = e.observe(
+                7,
                 ObservedMiss::read(now, ProcId(1), NodeId(1), VirtPage(7)),
                 &loc,
                 false,
@@ -56,7 +58,7 @@ proptest! {
                 page: VirtPage(page),
                 is_write: write,
             };
-            let action = e.observe(miss, &loc, false);
+            let action = e.observe(page as usize, miss, &loc, false);
             prop_assert!(
                 matches!(
                     action,
@@ -86,7 +88,7 @@ proptest! {
                 page: VirtPage(page),
                 is_write: write,
             };
-            let _ = e.observe(miss, &loc, false);
+            let _ = e.observe(page as usize, miss, &loc, false);
         }
         prop_assert_eq!(e.stats().misses_observed, n);
     }
@@ -108,6 +110,7 @@ proptest! {
         let node = NodeId(proc % 8);
         let loc = PageLocation::new(NodeId(0), node, &[NodeId(0), NodeId(3)]);
         let action = e.observe(
+            1,
             ObservedMiss::write(Ns(t), ProcId(proc), node, VirtPage(1)),
             &loc,
             false,
@@ -168,12 +171,75 @@ proptest! {
                 page: VirtPage(page),
                 is_write: write,
             };
-            match e.observe(miss, &loc, false) {
+            match e.observe(page as usize, miss, &loc, false) {
                 PolicyAction::Migrate { to } | PolicyAction::Remap { to } => {
                     prop_assert_eq!(to, node)
                 }
                 PolicyAction::Replicate { at } => prop_assert_eq!(at, node),
                 PolicyAction::Collapse | PolicyAction::Nothing(_) => {}
+            }
+        }
+    }
+
+    /// The flat counter table behaves exactly like one [`PageCounters`]
+    /// per slot over random operation streams: slots are tracked on
+    /// first use with the cap live at that moment (later caps do not
+    /// apply), arrays grow past sparse slots, and untracked slots read
+    /// as absent.
+    #[test]
+    fn counter_table_matches_page_counters(
+        ops in proptest::collection::vec((0u8..8, 0usize..40, 0u16..4, 0u64..4, 1u32..6), 1..400),
+    ) {
+        const PROCS: usize = 4;
+        let mut table = CounterTable::new(PROCS);
+        let mut model: HashMap<usize, PageCounters> = HashMap::new();
+        for (kind, slot, proc, epoch, cap) in ops {
+            // Sparse slots: only multiples of three are ever used.
+            let slot = slot / 2 * 3;
+            let proc = ProcId(proc);
+            table.track(slot, cap);
+            let m = model
+                .entry(slot)
+                .or_insert_with(|| PageCounters::new(PROCS).with_cap(cap));
+            match kind {
+                0 => prop_assert_eq!(table.roll_epoch(slot, epoch), m.roll_epoch(epoch)),
+                1 | 2 => {
+                    let write = kind == 2;
+                    prop_assert_eq!(table.record_miss(slot, proc, write), m.record_miss(proc, write));
+                }
+                3 => {
+                    table.record_migrate(slot);
+                    m.record_migrate();
+                }
+                4 => {
+                    table.clear_misses(slot);
+                    m.clear_misses();
+                }
+                5 => {
+                    table.clear_proc(slot, proc);
+                    m.clear_proc(proc);
+                }
+                _ => {
+                    table.freeze_until(slot, epoch);
+                    m.freeze_until(epoch);
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            for s in 0..64 {
+                let Some(m) = model.get(&s) else {
+                    prop_assert!(table.get(s).is_none(), "slot {} tracked", s);
+                    continue;
+                };
+                let view = table.get(s).expect("tracked slot");
+                prop_assert_eq!(view.writes(), m.writes());
+                prop_assert_eq!(view.migrates(), m.migrates());
+                for p in 0..PROCS as u16 {
+                    prop_assert_eq!(view.miss_count(ProcId(p)), m.miss_count(ProcId(p)));
+                    prop_assert_eq!(table.shared_beyond(s, ProcId(p), 2), m.shared_beyond(ProcId(p), 2));
+                }
+                for e in 0..4 {
+                    prop_assert_eq!(table.is_frozen(s, e), m.is_frozen(e));
+                }
             }
         }
     }

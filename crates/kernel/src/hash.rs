@@ -4,9 +4,11 @@
 //! through a global open hash of page frame descriptors. The paper's
 //! *replication support* change links replicas of a physical page into a
 //! chain, with one member (the master) in the hash table. This module
-//! reproduces that structure keyed by [`VirtPage`].
+//! reproduces that structure for [`VirtPage`]s. The simulator's page
+//! numbers are dense from 0, so the "hash" is a page-indexed table: the
+//! miss handler reads a page's chain with one indexed load.
 
-use ccnuma_types::{Frame, FxHashMap, MachineConfig, NodeId, VirtPage};
+use ccnuma_types::{Frame, MachineConfig, NodeId, VirtPage};
 
 /// One logical page's physical copies: a master frame plus replica chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,12 +61,12 @@ impl PageEntry {
 #[derive(Debug, Clone)]
 pub struct PageHash {
     cfg: MachineConfig,
-    /// Keyed by FxHash: the miss handler consults the chain on every
-    /// counted miss. Every order-sensitive reader sorts
-    /// ([`replicated_pages_on`](PageHash::replicated_pages_on)) or is
-    /// order-insensitive (the invariant audit), so the hasher swap never
-    /// shows up in output.
-    entries: FxHashMap<VirtPage, PageEntry>,
+    /// Indexed by page number: the miss handler consults the chain on
+    /// every counted miss. Grows only when a master is inserted beyond
+    /// its end.
+    entries: Vec<Option<PageEntry>>,
+    /// Pages present.
+    len: usize,
     /// Running count of replica frames, for the §7.2.3 space overhead.
     replica_frames: u64,
     /// High-water mark of replica frames.
@@ -76,7 +78,8 @@ impl PageHash {
     pub fn new(cfg: MachineConfig) -> PageHash {
         PageHash {
             cfg,
-            entries: FxHashMap::default(),
+            entries: Vec::new(),
+            len: 0,
             replica_frames: 0,
             replica_frames_peak: 0,
         }
@@ -88,34 +91,37 @@ impl PageHash {
     ///
     /// Panics if the page is already present.
     pub fn insert_master(&mut self, page: VirtPage, frame: Frame) {
-        let prev = self.entries.insert(
-            page,
-            PageEntry {
-                master: frame,
-                replicas: Vec::new(),
-            },
-        );
-        assert!(prev.is_none(), "page {page} already in hash");
+        if page.index() >= self.entries.len() {
+            self.entries.resize_with(page.index() + 1, || None);
+        }
+        let slot = &mut self.entries[page.index()];
+        assert!(slot.is_none(), "page {page} already in hash");
+        *slot = Some(PageEntry {
+            master: frame,
+            replicas: Vec::new(),
+        });
+        self.len += 1;
     }
 
     /// Looks up a page's entry.
+    #[inline]
     pub fn get(&self, page: VirtPage) -> Option<&PageEntry> {
-        self.entries.get(&page)
+        self.entries.get(page.index())?.as_ref()
     }
 
     /// Whether the hash knows this page.
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.entries.contains_key(&page)
+        self.get(page).is_some()
     }
 
     /// Number of logical pages present.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no pages are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Links a replica frame into `page`'s chain.
@@ -131,7 +137,11 @@ impl PageHash {
             !nodes.contains(&node),
             "page {page} already has a copy on {node}"
         );
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self
+            .entries
+            .get_mut(page.index())
+            .and_then(Option::as_mut)
+            .expect("page must be present");
         e.replicas.push(frame);
         self.replica_frames += 1;
         self.replica_frames_peak = self.replica_frames_peak.max(self.replica_frames);
@@ -143,7 +153,11 @@ impl PageHash {
     ///
     /// Panics if the page is absent.
     pub fn migrate_master(&mut self, page: VirtPage, new_frame: Frame) -> Frame {
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self
+            .entries
+            .get_mut(page.index())
+            .and_then(Option::as_mut)
+            .expect("page must be present");
         std::mem::replace(&mut e.master, new_frame)
     }
 
@@ -154,7 +168,11 @@ impl PageHash {
     ///
     /// Panics if the page is absent.
     pub fn collapse(&mut self, page: VirtPage) -> Vec<Frame> {
-        let e = self.entries.get_mut(&page).expect("page must be present");
+        let e = self
+            .entries
+            .get_mut(page.index())
+            .and_then(Option::as_mut)
+            .expect("page must be present");
         let freed = std::mem::take(&mut e.replicas);
         self.replica_frames -= freed.len() as u64;
         freed
@@ -163,7 +181,10 @@ impl PageHash {
     /// Removes one replica of `page` living on `node`, if any, returning
     /// the freed frame (memory-pressure reclaim prefers replicated pages).
     pub fn remove_replica_on(&mut self, page: VirtPage, node: NodeId) -> Option<Frame> {
-        let e = self.entries.get_mut(&page)?;
+        let e = self
+            .entries
+            .get_mut(page.index())
+            .and_then(Option::as_mut)?;
         let pos = e
             .replicas
             .iter()
@@ -174,7 +195,7 @@ impl PageHash {
 
     /// The nodes currently holding a copy of `page` (master first).
     pub fn copy_nodes(&self, page: VirtPage) -> Vec<NodeId> {
-        match self.entries.get(&page) {
+        match self.get(page) {
             None => Vec::new(),
             Some(e) => e.all_frames().map(|f| self.cfg.node_of_frame(f)).collect(),
         }
@@ -182,35 +203,32 @@ impl PageHash {
 
     /// The frame of `page`'s copy on `node`, if one exists.
     pub fn copy_on(&self, page: VirtPage, node: NodeId) -> Option<Frame> {
-        self.entries
-            .get(&page)?
+        self.get(page)?
             .all_frames()
             .find(|f| self.cfg.node_of_frame(*f) == node)
     }
 
-    /// Pages that currently have replicas on `node` (reclaim candidates).
+    /// Pages that currently have replicas on `node` (reclaim
+    /// candidates), lowest page first: reclaim takes victims from the
+    /// front of this list, so its order is part of a run's result.
     pub fn replicated_pages_on(&self, node: NodeId) -> Vec<VirtPage> {
-        let mut pages: Vec<VirtPage> = self
-            .entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| {
                 e.replicas
                     .iter()
                     .any(|f| self.cfg.node_of_frame(*f) == node)
             })
-            .map(|(p, _)| *p)
-            .collect();
-        // The backing HashMap iterates in per-process random order, but
-        // reclaim takes victims from the front of this list, so it must
-        // be deterministic for runs to be reproducible under pressure.
-        pages.sort_unstable();
-        pages
+            .map(|(p, _)| p)
+            .collect()
     }
 
-    /// Every (page, entry) pair, in unspecified order — used by the
+    /// Every (page, entry) pair, lowest page first — used by the
     /// invariant checker to audit all replica chains.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPage, &PageEntry)> {
-        self.entries.iter().map(|(&p, e)| (p, e))
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(p, e)| Some((VirtPage(p as u64), e.as_ref()?)))
     }
 
     /// Replica frames currently live.

@@ -259,7 +259,7 @@ impl Pager {
             frames,
             hash,
             topo,
-            tables: PageTables::new(),
+            tables: PageTables::new(&cfg.machine),
             locks: LockModel::new(),
             book: CostBook::new(),
             pid_nodes: HashMap::new(),
@@ -287,8 +287,8 @@ impl Pager {
     /// `None` when the whole machine is out of memory.
     pub fn first_touch(&mut self, pid: Pid, page: VirtPage, node: NodeId) -> Option<NodeId> {
         self.pid_nodes.entry(pid).or_insert(node);
-        if let Some(frame) = self.tables.lookup(pid, page) {
-            return Some(self.cfg.machine.node_of_frame(frame));
+        if let Some(node) = self.tables.lookup_node(pid, page) {
+            return Some(node);
         }
         let frame = match self.hash.get(page) {
             None => {
@@ -305,11 +305,11 @@ impl Pager {
         Some(self.cfg.machine.node_of_frame(frame))
     }
 
-    /// The node backing (`pid`, `page`)'s current mapping.
+    /// The node backing (`pid`, `page`)'s current mapping: one indexed
+    /// read of the PTE, which carries its frame's node.
+    #[inline]
     pub fn mapping_node(&self, pid: Pid, page: VirtPage) -> Option<NodeId> {
-        self.tables
-            .lookup(pid, page)
-            .map(|f| self.cfg.machine.node_of_frame(f))
+        self.tables.lookup_node(pid, page)
     }
 
     /// Nodes holding a copy of `page` (master first).
@@ -330,11 +330,14 @@ impl Pager {
             .expect("page must be mapped before asking for its location");
         // Read the replica chain in place — this runs once per counted
         // miss and must not allocate a copy list just to summarise it.
+        // A copy is local when its frame falls in the accessor node's
+        // frame range: a subtraction and a compare, no division.
+        let first = self.cfg.machine.first_frame_of(accessor_node).0;
+        let per_node = u64::from(self.cfg.machine.frames_per_node);
         let (copy_local, replicated) = match self.hash.get(page) {
             None => (false, false),
             Some(e) => (
-                e.all_frames()
-                    .any(|f| self.cfg.machine.node_of_frame(f) == accessor_node),
+                e.all_frames().any(|f| f.0.wrapping_sub(first) < per_node),
                 e.is_replicated(),
             ),
         };

@@ -1,10 +1,18 @@
 //! Property-based tests for the kernel substrate.
 
 use ccnuma_kernel::{
-    FrameAllocator, LockGranularity, LockId, LockModel, PageOp, Pager, PagerConfig, ShootdownMode,
+    FrameAllocator, LockGranularity, LockId, LockModel, PageOp, PageTables, Pager, PagerConfig,
+    ShootdownMode,
 };
-use ccnuma_types::{MachineConfig, NodeId, Ns, Pid, VirtPage};
+use ccnuma_types::{Frame, MachineConfig, NodeId, Ns, Pid, VirtPage};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// `pids` sorted, so lists are compared as (multi)sets.
+fn sorted(mut pids: Vec<Pid>) -> Vec<Pid> {
+    pids.sort_unstable();
+    pids
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -251,5 +259,77 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(pager.last_batch().total_latency, sum);
+    }
+
+    /// The page-indexed tables agree with a naive `(pid, page) → frame`
+    /// map under random map, unmap, repoint and repoint_each calls:
+    /// every lookup and node, the PTE count, and the mappers of every
+    /// frame and page (compared as sets) match after each step. Frames
+    /// span all eight nodes; pages straddle the end of short rows.
+    #[test]
+    fn page_tables_match_reference_model(
+        ops in proptest::collection::vec((0u8..6, 0u32..5, 0u64..24, 0u64..12, 0u64..12), 1..300),
+    ) {
+        let cfg = MachineConfig::cc_numa();
+        let frame = |i: u64| Frame(i * 2_700);
+        let mut pt = PageTables::new(&cfg);
+        let mut model: HashMap<(Pid, VirtPage), Frame> = HashMap::new();
+        for (kind, raw_pid, page, a, b) in ops {
+            let (pid, page) = (Pid(raw_pid), VirtPage(page));
+            match kind {
+                0 | 1 => {
+                    pt.map(pid, page, frame(a));
+                    model.insert((pid, page), frame(a));
+                }
+                2 => {
+                    prop_assert_eq!(pt.unmap(pid, page), model.remove(&(pid, page)));
+                }
+                3 => {
+                    // Repointing a frame at itself is never asked for.
+                    let (old, new) = (frame(a), frame(if a == b { (b + 1) % 12 } else { b }));
+                    let mut expect = 0;
+                    for ((_, p), f) in model.iter_mut() {
+                        if *p == page && *f == old {
+                            *f = new;
+                            expect += 1;
+                        }
+                    }
+                    prop_assert_eq!(pt.repoint(page, old, new), expect);
+                }
+                _ => {
+                    // Each pid's target is a function of the pid; the
+                    // list may repeat a pid and name unmapped ones.
+                    let pids = [pid, Pid((raw_pid + 1) % 5), pid, Pid((raw_pid + 3) % 5)];
+                    let choose = |p: Pid| frame((u64::from(p.0) * a + b) % 12);
+                    let mut expect = 0;
+                    for &p in &pids {
+                        if let Some(cur) = model.get_mut(&(p, page)) {
+                            if *cur != choose(p) {
+                                *cur = choose(p);
+                                expect += 1;
+                            }
+                        }
+                    }
+                    prop_assert_eq!(pt.repoint_each(page, &pids, choose), expect);
+                }
+            }
+            prop_assert_eq!(pt.len(), model.len());
+            for p in 0..5 {
+                for pg in 0..25 {
+                    let key = (Pid(p), VirtPage(pg));
+                    let want = model.get(&key).copied();
+                    prop_assert_eq!(pt.lookup(key.0, key.1), want);
+                    prop_assert_eq!(pt.lookup_node(key.0, key.1), want.map(|f| cfg.node_of_frame(f)));
+                }
+            }
+            for i in 0..12 {
+                let want = model.iter().filter(|(_, &f)| f == frame(i)).map(|(&(p, _), _)| p).collect();
+                prop_assert_eq!(sorted(pt.mappers_of(frame(i)).to_vec()), sorted(want));
+            }
+            for pg in 0..25 {
+                let want = model.keys().filter(|(_, p)| *p == VirtPage(pg)).map(|&(p, _)| p).collect();
+                prop_assert_eq!(sorted(pt.mappers_of_page(VirtPage(pg))), sorted(want));
+            }
+        }
     }
 }

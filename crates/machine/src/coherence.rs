@@ -1,23 +1,32 @@
 //! Write-invalidate coherence bookkeeping.
+//!
+//! Sharer sets live in page rows: each page that has ever been filled
+//! or written owns one row of `lines_per_page × stride` words in a flat
+//! arena (`stride` = words per sharer set), and a page-indexed slot
+//! array finds the row. Workload page numbers are dense from 0 (see
+//! `WorkloadSpec::page_bound`), so the slot array is as long as the
+//! page space and a lookup is two loads, with no hashing.
 
-use ccnuma_types::{FxHashMap, ProcId, ProcSet, VirtPage};
-use std::collections::hash_map::Entry;
+use ccnuma_types::{MachineConfig, ProcId, ProcSet, VirtPage};
+
+/// Slot-array mark for a page without a row.
+const NO_ROW: u32 = u32::MAX;
 
 /// Tracks which processors cache each line, so a write can invalidate
 /// the other holders — the directory's sharing vector, reduced to what
 /// the simulator needs. Sized for the machine at construction
-/// ([`CoherenceDir::with_procs`]), up to [`ProcSet::MAX_PROCS`]
+/// ([`CoherenceDir::for_machine`]), up to [`ProcSet::MAX_PROCS`]
 /// processors.
 ///
 /// This table is consulted on every simulated write and every L2 fill,
-/// so it is built for the hot path: `(VirtPage, u16)` keys hash through
-/// [`FxHashMap`] (three word-mixes instead of SipHash) into a *slot*
-/// index, and the sharing vectors themselves live in one flat `Vec<u64>`
-/// arena at a fixed stride of words per line. A ≤64-processor machine
-/// keeps the old single-word cost; a 1024-processor machine uses 16
-/// words per line — and in both cases
-/// [`write`](CoherenceDir::write) fills a caller-owned [`ProcSet`]
-/// scratch, so the per-reference path never allocates.
+/// so it is built for the hot path: a page-indexed slot array gives the
+/// page's row, and the line's sharing vector sits at a fixed offset in
+/// it. A ≤64-processor machine uses one word per line; a 1024-processor
+/// machine uses 16 — and in both cases [`write`](CoherenceDir::write)
+/// fills a caller-owned [`ProcSet`] scratch, so the per-reference path
+/// never allocates once a page has its row. Rows are allocated on a
+/// page's first fill or write, never on a lookup, and are kept for the
+/// run (an evicted line just reads as an empty sharer set).
 ///
 /// # Examples
 ///
@@ -34,14 +43,17 @@ use std::collections::hash_map::Entry;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoherenceDir {
-    /// Line → slot index into the `words` arena.
-    slots: FxHashMap<(VirtPage, u16), u32>,
-    /// Sharing vectors, `stride` words per slot.
+    /// Page → row index into the `words` arena, [`NO_ROW`] when the page
+    /// has none. Grows only when a row is allocated.
+    row_of: Vec<u32>,
+    /// Sharing vectors: `row_len` words per row, `stride` per line.
     words: Vec<u64>,
-    /// Recycled slots of lines whose last holder evicted.
-    free: Vec<u32>,
+    /// Lines per page.
+    lines: u16,
     /// Words per sharing vector (`ceil(max_procs / 64)`).
     stride: usize,
+    /// Words per page row (`lines × stride`).
+    row_len: usize,
     max_procs: u16,
 }
 
@@ -52,22 +64,48 @@ impl CoherenceDir {
         CoherenceDir::with_procs(64)
     }
 
-    /// An empty directory sized for a machine with `procs` processors.
+    /// An empty directory sized for a machine with `procs` processors
+    /// and the paper's 32 lines per page.
     ///
     /// # Panics
     ///
     /// Panics if `procs` is zero or exceeds [`ProcSet::MAX_PROCS`].
     pub fn with_procs(procs: u16) -> CoherenceDir {
+        CoherenceDir::sized(procs, MachineConfig::cc_numa().lines_per_page())
+    }
+
+    /// An empty directory for `cfg`'s processors and lines per page,
+    /// sized for pages `0..pages` (a workload's page bound). The arena
+    /// reserves a row for every page up front, so it never moves while
+    /// rows are added; only the rows of pages actually filled or
+    /// written are ever touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has more than [`ProcSet::MAX_PROCS`]
+    /// processors or more than `u16::MAX` lines per page.
+    pub fn for_machine(cfg: &MachineConfig, pages: u64) -> CoherenceDir {
+        let mut dir = CoherenceDir::sized(cfg.procs(), cfg.lines_per_page());
+        let pages = usize::try_from(pages).expect("page bound fits in usize");
+        dir.row_of = vec![NO_ROW; pages];
+        dir.words = Vec::with_capacity(pages * dir.row_len);
+        dir
+    }
+
+    fn sized(procs: u16, lines: u32) -> CoherenceDir {
         assert!(
             procs > 0 && procs <= ProcSet::MAX_PROCS,
             "coherence dir supports 1..={} processors, got {procs}",
             ProcSet::MAX_PROCS
         );
+        let lines = u16::try_from(lines).expect("lines per page fit in u16");
+        let stride = procs.div_ceil(64) as usize;
         CoherenceDir {
-            slots: FxHashMap::default(),
+            row_of: Vec::new(),
             words: Vec::new(),
-            free: Vec::new(),
-            stride: procs.div_ceil(64) as usize,
+            lines,
+            stride,
+            row_len: lines as usize * stride,
             max_procs: procs,
         }
     }
@@ -78,46 +116,65 @@ impl CoherenceDir {
     }
 
     /// Bounds-check once per entry point — an out-of-range processor
-    /// would otherwise corrupt a neighbouring sharing vector silently.
+    /// or line would otherwise corrupt a neighbouring sharing vector
+    /// silently.
     #[inline]
-    fn check(&self, proc: ProcId) {
+    fn check(&self, proc: ProcId, line: u16) {
         assert!(
             proc.0 < self.max_procs,
             "coherence dir supports up to {} processors",
             self.max_procs
         );
+        assert!(
+            line < self.lines,
+            "line {line} beyond {} per page",
+            self.lines
+        );
+    }
+
+    /// The arena offset of `page`'s row, if it has one.
+    #[inline]
+    fn row_base(&self, page: VirtPage) -> Option<usize> {
+        match self.row_of.get(page.0 as usize) {
+            Some(&row) if row != NO_ROW => Some(row as usize * self.row_len),
+            _ => None,
+        }
     }
 
     /// The arena offset of (`page`, `line`)'s sharing vector, allocating
-    /// a slot (recycled if possible) on first sight.
+    /// the page's row on its first fill or write.
     #[inline]
-    fn slot_base(&mut self, page: VirtPage, line: u16) -> usize {
-        let stride = self.stride;
-        match self.slots.entry((page, line)) {
-            Entry::Occupied(e) => *e.get() as usize * stride,
-            Entry::Vacant(e) => {
-                let slot = match self.free.pop() {
-                    Some(s) => s,
-                    None => {
-                        let s = (self.words.len() / stride) as u32;
-                        self.words.resize(self.words.len() + stride, 0);
-                        s
-                    }
-                };
-                e.insert(slot);
-                slot as usize * stride
-            }
+    fn line_base(&mut self, page: VirtPage, line: u16) -> usize {
+        let base = match self.row_base(page) {
+            Some(base) => base,
+            None => self.new_row(page),
+        };
+        base + line as usize * self.stride
+    }
+
+    /// Allocates a zeroed row for `page`, growing the slot array to
+    /// cover it.
+    #[cold]
+    fn new_row(&mut self, page: VirtPage) -> usize {
+        let idx = usize::try_from(page.0).expect("page number fits in usize");
+        if idx >= self.row_of.len() {
+            self.row_of.resize(idx + 1, NO_ROW);
         }
+        let base = self.words.len();
+        self.row_of[idx] = u32::try_from(base / self.row_len).expect("row count fits in u32");
+        self.words.resize(base + self.row_len, 0);
+        base
     }
 
     /// Records that `proc` now caches (`page`, `line`).
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity.
+    /// Panics if `proc` is beyond the directory's capacity or `line`
+    /// beyond the page.
     pub fn record_fill(&mut self, proc: ProcId, page: VirtPage, line: u16) {
-        self.check(proc);
-        let base = self.slot_base(page, line);
+        self.check(proc, line);
+        let base = self.line_base(page, line);
         self.words[base + proc.index() / 64] |= 1u64 << (proc.index() % 64);
     }
 
@@ -125,16 +182,13 @@ impl CoherenceDir {
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity.
+    /// Panics if `proc` is beyond the directory's capacity or `line`
+    /// beyond the page.
     pub fn record_evict(&mut self, proc: ProcId, page: VirtPage, line: u16) {
-        self.check(proc);
-        if let Some(&slot) = self.slots.get(&(page, line)) {
-            let base = slot as usize * self.stride;
+        self.check(proc, line);
+        if let Some(base) = self.row_base(page) {
+            let base = base + line as usize * self.stride;
             self.words[base + proc.index() / 64] &= !(1u64 << (proc.index() % 64));
-            if self.words[base..base + self.stride].iter().all(|&w| w == 0) {
-                self.slots.remove(&(page, line));
-                self.free.push(slot);
-            }
         }
     }
 
@@ -145,12 +199,13 @@ impl CoherenceDir {
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is beyond the directory's capacity, or if
-    /// `victims` was sized for a different machine.
+    /// Panics if `proc` is beyond the directory's capacity, `line`
+    /// beyond the page, or if `victims` was sized for a different
+    /// machine.
     pub fn write(&mut self, proc: ProcId, page: VirtPage, line: u16, victims: &mut ProcSet) {
-        self.check(proc);
+        self.check(proc, line);
         let stride = self.stride;
-        let base = self.slot_base(page, line);
+        let base = self.line_base(page, line);
         let dst = victims.words_mut();
         assert_eq!(
             dst.len(),
@@ -167,10 +222,10 @@ impl CoherenceDir {
     /// Holders of (`page`, `line`), lowest processor first. Diagnostic
     /// convenience — allocates, so keep it off the per-reference path.
     pub fn holders_of(&self, page: VirtPage, line: u16) -> Vec<ProcId> {
-        let Some(&slot) = self.slots.get(&(page, line)) else {
+        let Some(base) = self.row_base(page) else {
             return Vec::new();
         };
-        let base = slot as usize * self.stride;
+        let base = base + line as usize * self.stride;
         let mut out = Vec::new();
         for (wi, &word) in self.words[base..base + self.stride].iter().enumerate() {
             let mut w = word;
@@ -182,14 +237,18 @@ impl CoherenceDir {
         out
     }
 
-    /// Number of tracked lines.
+    /// Number of lines with at least one holder. Scans every row, so
+    /// keep it off the per-reference path.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.words
+            .chunks_exact(self.stride)
+            .filter(|set| set.iter().any(|&w| w != 0))
+            .count()
     }
 
-    /// True when nothing is tracked.
+    /// True when no line has a holder.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.words.iter().all(|&w| w == 0)
     }
 }
 
@@ -279,15 +338,37 @@ mod tests {
     }
 
     #[test]
-    fn evicted_slots_are_recycled() {
+    fn evicted_lines_read_empty_and_refill_cleanly() {
         let mut d = CoherenceDir::with_procs(256);
         d.record_fill(ProcId(200), VirtPage(1), 0);
         d.record_evict(ProcId(200), VirtPage(1), 0);
         assert!(d.is_empty());
-        // The recycled slot must come back zeroed-in-effect: a stale
-        // holder from the previous tenant would corrupt the new line.
+        // The page keeps its row; a later fill of the same line must not
+        // see the evicted holder.
+        d.record_fill(ProcId(3), VirtPage(1), 0);
+        assert_eq!(d.holders_of(VirtPage(1), 0), vec![ProcId(3)]);
         d.record_fill(ProcId(3), VirtPage(9), 5);
         assert_eq!(d.holders_of(VirtPage(9), 5), vec![ProcId(3)]);
+        assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn rows_follow_the_machine_shape() {
+        let cfg = MachineConfig::cc_numa().with_nodes(2);
+        let mut d = CoherenceDir::for_machine(&cfg, 40);
+        assert_eq!(d.max_procs(), 2);
+        // Page 40 lies just past the sized bound: its fill grows the
+        // slot array.
+        d.record_fill(ProcId(1), VirtPage(40), 31);
+        assert_eq!(d.holders_of(VirtPage(40), 31), vec![ProcId(1)]);
+        assert!(d.holders_of(VirtPage(39), 31).is_empty());
+        assert!(d.holders_of(VirtPage(41), 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond 32 per page")]
+    fn record_fill_rejects_out_of_range_line() {
+        CoherenceDir::new().record_fill(ProcId(0), VirtPage(1), 32);
     }
 
     #[test]

@@ -198,6 +198,9 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     lane_seq: Vec<u64>,
     /// Per-CPU event buffers recycled between windows.
     event_scratch: Vec<Vec<WinEv>>,
+    /// Per-CPU first-touch maps, recycled between windows (drained
+    /// into `overlay` at each merge, so they keep their capacity).
+    touched_scratch: Vec<FxHashMap<(Pid, VirtPage), NodeId>>,
     /// Last quantum index for which the windowed phase ran the
     /// scheduler-boundary work (context switches, storms, adaptive).
     win_quantum: u64,
@@ -231,6 +234,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             ),
         };
         let seed = spec.seed;
+        let pages = spec.page_bound();
         let proc_streams = std::mem::take(&mut spec.streams)
             .into_iter()
             .enumerate()
@@ -247,7 +251,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             proc_nodes: cfg.proc_nodes(),
             l2: (0..procs).map(|_| L2Cache::new(&cfg)).collect(),
             tlb: (0..procs).map(|_| Tlb::new(&cfg)).collect(),
-            coherence: CoherenceDir::with_procs(cfg.procs()),
+            coherence: CoherenceDir::for_machine(&cfg, pages),
             victims: ProcSet::with_capacity_for(cfg.procs()),
             topo: cfg.effective_topology(),
             directory: DirectoryModel::new(&cfg),
@@ -277,6 +281,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             carry: Vec::new(),
             lane_seq: vec![0; procs],
             event_scratch: (0..procs).map(|_| Vec::new()).collect(),
+            touched_scratch: (0..procs).map(|_| FxHashMap::default()).collect(),
             win_quantum: u64::MAX,
             obs,
             prof,

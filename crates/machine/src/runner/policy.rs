@@ -27,6 +27,9 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             return Ok(());
         }
         let engine = self.engine.as_mut().expect("metric implies engine");
+        // Workload pages are dense from 0, so the page number is the
+        // page's counter slot.
+        let slot = rec.page.index();
         let loc = self.pager.location_for(pid, rec.page, my_node);
         let pressure = self.pager.pressure(my_node);
         // The event's own timestamp, not `clocks[cpu]`: identical on
@@ -39,7 +42,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             // counting, so the policy starves on it (the run still
             // completes; the fault shows up as capped-counter events).
             if let Some(cap) = self.faults.counter_cap() {
-                let count = engine.counters(rec.page).map_or(0, |c| c.miss_count(proc));
+                let count = engine.counters(slot).map_or(0, |c| c.miss_count(proc));
                 if count >= cap {
                     self.faults.note(FaultEvent {
                         now,
@@ -67,10 +70,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                 self.obs.on_interval_reset(now, epoch);
             }
         }
-        let action = engine.observe(miss, &loc, pressure);
+        let action = engine.observe(slot, miss, &loc, pressure);
         if R::ENABLED {
             if let Some(audit) = AuditAction::of(&action) {
-                let counters = engine.counters(rec.page);
+                let counters = engine.counters(slot);
                 self.obs.on_decision(&Decision {
                     now,
                     page: rec.page,

@@ -473,7 +473,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     l2,
                     slot,
                     breakdown: RunBreakdown::new(),
-                    touched: FxHashMap::default(),
+                    touched: std::mem::take(&mut self.touched_scratch[cpu]),
                     local_lat_sum: Ns::ZERO,
                     local_lat_n: 0,
                     refs: 0,
@@ -534,6 +534,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             for (k, v) in lane.touched.drain() {
                 self.overlay.entry(k).or_insert(v);
             }
+            self.touched_scratch[cpu] = lane.touched;
             self.event_scratch[cpu] = lane.events;
             tlbs.push(lane.tlb);
             l2s.push(lane.l2);

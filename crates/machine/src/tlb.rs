@@ -1,10 +1,16 @@
 //! The per-processor TLB model.
+//!
+//! Residency is a bitmap over the page space: bit `p` is set while page
+//! `p` has an entry. Workload page numbers are handed out densely from 0
+//! (see `WorkloadSpec::page_bound`), so the bitmap is a few hundred words
+//! and a lookup is one load, a shift and a mask. The FIFO ring holds the
+//! resident pages in load order for replacement.
 
 use ccnuma_types::{MachineConfig, VirtPage};
 
-/// Sentinel marking an empty probe-table or ring slot. Virtual page
-/// numbers are segment offsets handed out by the workload generators and
-/// never reach `u64::MAX`.
+/// Sentinel marking an empty ring slot. Virtual page numbers are segment
+/// offsets handed out by the workload generators and never reach
+/// `u64::MAX`.
 const EMPTY: u64 = u64::MAX;
 
 /// A 64-entry (configurable) TLB with FIFO replacement.
@@ -13,13 +19,10 @@ const EMPTY: u64 = u64::MAX;
 /// metrics of §8.3); shootdowns remove a single page's entry; context
 /// switches flush everything (no ASIDs, like the paper's IRIX).
 ///
-/// The TLB sits on the per-reference hot path — [`access`](Tlb::access)
-/// runs once per simulated memory reference — so residency is tracked in
-/// a flat open-addressed probe table (linear probing, backward-shift
-/// deletion) sized at construction to twice the entry count, rather than
-/// a `HashMap`. A 64-entry TLB fits in two cache lines of keys; probing
-/// it costs a multiply and a couple of compares, and no path through the
-/// TLB allocates after construction.
+/// [`access`](Tlb::access) runs once per simulated memory reference, so
+/// residency is a page-indexed bitmap rather than a map: a hit tests one
+/// bit. The bitmap grows only when a refill loads a page beyond its end,
+/// never on a lookup; a flush clears just the bits of the ring's pages.
 ///
 /// # Examples
 ///
@@ -35,15 +38,10 @@ const EMPTY: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    capacity: usize,
-    /// Probe-table index mask (table length is a power of two).
-    mask: usize,
-    /// Fibonacci-hash shift: 64 − log2(table length).
-    shift: u32,
-    /// Open-addressed keys: raw page numbers, [`EMPTY`] when vacant.
-    keys: Vec<u64>,
-    /// FIFO ring of resident pages, parallel to the original slot order;
-    /// [`EMPTY`] when the slot was shot down.
+    /// One bit per page: set while the page is resident.
+    resident: Vec<u64>,
+    /// FIFO ring of resident pages in load order; [`EMPTY`] when the
+    /// slot is vacant or was shot down.
     ring: Vec<u64>,
     head: usize,
     len: usize,
@@ -54,15 +52,9 @@ pub struct Tlb {
 impl Tlb {
     /// A TLB with the machine's entry count.
     pub fn new(cfg: &MachineConfig) -> Tlb {
-        let capacity = cfg.tlb_entries as usize;
-        // Load factor ≤ 0.5 keeps linear-probe chains short.
-        let table = (capacity * 2).next_power_of_two();
         Tlb {
-            capacity,
-            mask: table - 1,
-            shift: 64 - table.trailing_zeros(),
-            keys: vec![EMPTY; table],
-            ring: vec![EMPTY; capacity],
+            resident: Vec::new(),
+            ring: vec![EMPTY; cfg.tlb_entries as usize],
             head: 0,
             len: 0,
             hits: 0,
@@ -70,106 +62,75 @@ impl Tlb {
         }
     }
 
-    /// Fibonacci hashing: multiply by 2⁶⁴/φ and keep the top bits.
+    /// Whether `page` has an entry. Pages beyond the bitmap never do.
     #[inline]
-    fn home(&self, page: u64) -> usize {
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    fn is_resident(&self, page: u64) -> bool {
+        self.resident
+            .get((page / 64) as usize)
+            .is_some_and(|w| w & (1 << (page % 64)) != 0)
     }
 
-    /// Probe-table position of `page`, or `None` if not resident.
+    /// Clears `page`'s residency bit; the page must be resident.
     #[inline]
-    fn find(&self, page: u64) -> Option<usize> {
-        let mut pos = self.home(page);
-        loop {
-            let k = self.keys[pos];
-            if k == page {
-                return Some(pos);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            pos = (pos + 1) & self.mask;
-        }
+    fn clear(&mut self, page: u64) {
+        self.resident[(page / 64) as usize] &= !(1 << (page % 64));
     }
 
-    /// Inserts `page` at the first vacancy of its probe chain. The
-    /// caller guarantees the page is absent and the table under half
-    /// full, so the probe always terminates.
+    /// Sets `page`'s residency bit, growing the bitmap to cover it.
     #[inline]
-    fn insert(&mut self, page: u64) {
-        let mut pos = self.home(page);
-        while self.keys[pos] != EMPTY {
-            pos = (pos + 1) & self.mask;
+    fn set(&mut self, page: u64) {
+        let word = (page / 64) as usize;
+        if word >= self.resident.len() {
+            self.resident.resize(word + 1, 0);
         }
-        self.keys[pos] = page;
-    }
-
-    /// Deletes the key at `pos` by backward-shifting the rest of its
-    /// probe chain, so no tombstones accumulate.
-    fn remove_at(&mut self, mut pos: usize) {
-        loop {
-            self.keys[pos] = EMPTY;
-            let mut next = pos;
-            loop {
-                next = (next + 1) & self.mask;
-                let k = self.keys[next];
-                if k == EMPTY {
-                    return;
-                }
-                // Move `k` back into the hole only if the hole still lies
-                // on `k`'s probe path (its home is cyclically outside
-                // (pos, next]).
-                let home = self.home(k);
-                if (next.wrapping_sub(home) & self.mask) >= (next.wrapping_sub(pos) & self.mask) {
-                    self.keys[pos] = k;
-                    pos = next;
-                    break;
-                }
-            }
-        }
+        self.resident[word] |= 1 << (page % 64);
     }
 
     /// Accesses `page`; returns `true` on hit. On a miss the page is
-    /// loaded, evicting the oldest entry. One probe resolves the lookup;
-    /// the miss path reuses the FIFO slot directly instead of the old
-    /// `contains_key`-then-`insert` double probe of the map days.
+    /// loaded into the next FIFO slot, evicting that slot's page.
     pub fn access(&mut self, page: VirtPage) -> bool {
         debug_assert_ne!(page.0, EMPTY, "u64::MAX is the vacancy sentinel");
-        if self.find(page.0).is_some() {
+        if self.is_resident(page.0) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
         let old = std::mem::replace(&mut self.ring[self.head], page.0);
         if old != EMPTY {
-            let pos = self.find(old).expect("ring pages are always indexed");
-            self.remove_at(pos);
+            self.clear(old);
             self.len -= 1;
         }
-        self.insert(page.0);
+        self.set(page.0);
         self.len += 1;
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
         false
     }
 
     /// Removes `page`'s entry if resident (TLB shootdown for one page).
     pub fn shootdown(&mut self, page: VirtPage) {
-        if let Some(pos) = self.find(page.0) {
-            self.remove_at(pos);
+        if self.is_resident(page.0) {
+            self.clear(page.0);
             self.len -= 1;
             let slot = self
                 .ring
                 .iter()
                 .position(|&p| p == page.0)
-                .expect("indexed pages are in the ring");
+                .expect("resident pages are in the ring");
             self.ring[slot] = EMPTY;
         }
     }
 
     /// Flushes the whole TLB (context switch).
     pub fn flush(&mut self) {
-        self.keys.iter_mut().for_each(|k| *k = EMPTY);
-        self.ring.iter_mut().for_each(|s| *s = EMPTY);
+        for slot in 0..self.ring.len() {
+            let page = std::mem::replace(&mut self.ring[slot], EMPTY);
+            if page != EMPTY {
+                self.clear(page);
+            }
+        }
         self.head = 0;
         self.len = 0;
     }
@@ -273,32 +234,35 @@ mod tests {
     }
 
     #[test]
-    fn colliding_pages_probe_past_each_other() {
-        // Pages one table-length apart share a home slot modulo nothing —
-        // force collisions by brute force: find three pages with the same
-        // home and check they all stay resident and individually
-        // removable.
+    fn pages_sharing_a_bitmap_word_survive_each_others_shootdown() {
+        // Pages 0..64 share one residency word, 64 starts the next: a
+        // shootdown must clear exactly its own bit.
         let mut t = tlb();
-        let target = t.home(0);
-        let mut same_home = vec![0u64];
-        let mut p = 1u64;
-        while same_home.len() < 3 {
-            if t.home(p) == target {
-                same_home.push(p);
-            }
-            p += 1;
-        }
-        for &p in &same_home {
+        let pages = [0u64, 1, 62, 63, 64];
+        for &p in &pages {
             assert!(!t.access(VirtPage(p)));
         }
-        for &p in &same_home {
-            assert!(t.access(VirtPage(p)), "collided page {p} lost");
+        t.shootdown(VirtPage(1));
+        t.shootdown(VirtPage(63));
+        for p in [0u64, 62, 64] {
+            assert!(
+                t.access(VirtPage(p)),
+                "page {p} lost to a neighbour's shootdown"
+            );
         }
-        // Removing the middle of the probe chain must not strand the rest.
-        t.shootdown(VirtPage(same_home[1]));
-        assert!(t.access(VirtPage(same_home[0])));
-        assert!(t.access(VirtPage(same_home[2])));
-        assert!(!t.access(VirtPage(same_home[1])));
+        assert!(!t.access(VirtPage(1)));
+        assert!(!t.access(VirtPage(63)));
+        assert_eq!(t.len(), 5);
+    }
+
+    #[test]
+    fn refill_beyond_the_bitmap_grows_it() {
+        let mut t = tlb();
+        assert!(!t.access(VirtPage(5)));
+        assert!(!t.access(VirtPage(100_000)));
+        assert!(t.access(VirtPage(5)));
+        assert!(t.access(VirtPage(100_000)));
+        assert!(!t.access(VirtPage(99_999)));
     }
 
     #[test]

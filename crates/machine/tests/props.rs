@@ -106,17 +106,22 @@ proptest! {
         }
     }
 
-    /// The flat TLB agrees with the naive model on every access outcome
+    /// The bitmap TLB agrees with the naive model on every access outcome
     /// over arbitrary interleavings of accesses, shootdowns and flushes —
-    /// the probing and backward-shift deletion never lose or invent a page.
+    /// setting, clearing and growing the residency bitmap never lose or
+    /// invent a page. Page numbers are scaled by a per-case stride so
+    /// one case packs pages into a few bitmap words and another spreads
+    /// them one or more words apart, straddling word boundaries.
     #[test]
     fn tlb_matches_reference_model(
         events in proptest::collection::vec((0u8..8, 0u64..200), 1..800),
+        stride in 1u64..130,
     ) {
         let cfg = MachineConfig::cc_numa();
         let mut tlb = Tlb::new(&cfg);
         let mut model = ModelTlb::new(cfg.tlb_entries as usize);
         for (kind, page) in events {
+            let page = page * stride;
             match kind {
                 0 => {
                     // Rare: full flush (context switch).

@@ -419,7 +419,7 @@ pub fn write_run_artifacts(
 
     atomic_write(
         &run_dir.join("metrics.json"),
-        rec.metrics.to_json().as_bytes(),
+        rec.metrics().to_json().as_bytes(),
     )?;
     Ok(run_dir)
 }

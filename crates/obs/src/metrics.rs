@@ -59,13 +59,19 @@ impl Metrics {
         self.hists.iter().map(|(&k, v)| (k, v))
     }
 
+    /// Folds `h`'s samples into histogram `name`, creating it first if
+    /// needed.
+    pub fn merge_histogram(&mut self, name: &'static str, h: &Histogram) {
+        self.hists.entry(name).or_default().merge(h);
+    }
+
     /// Folds `other`'s counters and histograms into `self`.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, v) in other.counters() {
             self.add(name, v);
         }
         for (name, h) in other.histograms() {
-            self.hists.entry(name).or_default().merge(h);
+            self.merge_histogram(name, h);
         }
     }
 

@@ -11,6 +11,7 @@
 //! assert it.
 
 use crate::audit::{AuditAction, AuditEvent, AuditLog, Decision};
+use crate::hist::Histogram;
 use crate::metrics::Metrics;
 use crate::sample::{EpochSeries, SampleView};
 use ccnuma_core::PolicyAction;
@@ -144,12 +145,54 @@ pub struct ShootdownEvent {
     pub flush_ops: u32,
 }
 
+/// The series recorded on every replayed miss and TLB refill, held in
+/// fixed fields instead of name-keyed registry entries so the per-event
+/// hooks compare no strings. [`RunRecorder::metrics`] folds them into
+/// the registry under their names; a series never recorded stays out
+/// of it, exactly as an untouched registry name would.
+#[derive(Debug, Clone, Default)]
+struct HotSeries {
+    misses_local: u64,
+    misses_remote: u64,
+    tlb_refills: u64,
+    miss_latency: Histogram,
+    miss_latency_local: Histogram,
+    miss_latency_remote: Histogram,
+    tlb_refill: Histogram,
+}
+
+impl HotSeries {
+    fn fold_into(&self, m: &mut Metrics) {
+        for (name, v) in [
+            ("misses_local", self.misses_local),
+            ("misses_remote", self.misses_remote),
+            ("tlb_refills", self.tlb_refills),
+        ] {
+            if v > 0 {
+                m.add(name, v);
+            }
+        }
+        for (name, h) in [
+            ("miss_latency_ns", &self.miss_latency),
+            ("miss_latency_local_ns", &self.miss_latency_local),
+            ("miss_latency_remote_ns", &self.miss_latency_remote),
+            ("tlb_refill_ns", &self.tlb_refill),
+        ] {
+            if h.count() > 0 {
+                m.merge_histogram(name, h);
+            }
+        }
+    }
+}
+
 /// The full observability recorder: metrics registry, epoch time series,
 /// pager audit log, and the raw event streams behind the Chrome trace.
 #[derive(Debug, Clone)]
 pub struct RunRecorder {
-    /// Named counters and latency histograms.
-    pub metrics: Metrics,
+    /// Named counters and histograms, less the per-miss series.
+    metrics: Metrics,
+    /// The per-miss and per-refill series.
+    hot: HotSeries,
     /// The epoch-sampled time series.
     pub series: EpochSeries,
     /// The pager decision audit log.
@@ -171,6 +214,7 @@ impl RunRecorder {
     pub fn new(cfg: ObsConfig) -> RunRecorder {
         RunRecorder {
             metrics: Metrics::new(),
+            hot: HotSeries::default(),
             series: EpochSeries::new(cfg.epoch),
             audit: AuditLog::new(),
             sched: Vec::new(),
@@ -178,6 +222,13 @@ impl RunRecorder {
             shootdowns: Vec::new(),
             sim_time: Ns::ZERO,
         }
+    }
+
+    /// Every named counter and histogram recorded so far.
+    pub fn metrics(&self) -> Metrics {
+        let mut m = self.metrics.clone();
+        self.hot.fold_into(&mut m);
+        m
     }
 
     /// Scheduler timeline events, in record order.
@@ -226,19 +277,20 @@ impl Recorder for RunRecorder {
     }
 
     fn on_miss(&mut self, _rec: &MissRecord, latency: Ns, remote: bool) {
-        self.metrics.observe("miss_latency_ns", latency.0);
+        let hot = &mut self.hot;
+        hot.miss_latency.record(latency.0);
         if remote {
-            self.metrics.inc("misses_remote");
-            self.metrics.observe("miss_latency_remote_ns", latency.0);
+            hot.misses_remote += 1;
+            hot.miss_latency_remote.record(latency.0);
         } else {
-            self.metrics.inc("misses_local");
-            self.metrics.observe("miss_latency_local_ns", latency.0);
+            hot.misses_local += 1;
+            hot.miss_latency_local.record(latency.0);
         }
     }
 
     fn on_tlb_fill(&mut self, _rec: &MissRecord, cost: Ns) {
-        self.metrics.inc("tlb_refills");
-        self.metrics.observe("tlb_refill_ns", cost.0);
+        self.hot.tlb_refills += 1;
+        self.hot.tlb_refill.record(cost.0);
     }
 
     fn on_decision(&mut self, d: &Decision) {
@@ -340,7 +392,7 @@ impl Recorder for RunRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccnuma_types::NodeId;
+    use ccnuma_types::{NodeId, Pid, ProcId};
 
     #[test]
     #[allow(clippy::assertions_on_constants)]
@@ -379,18 +431,51 @@ mod tests {
             kind: FaultKind::CopyAbort { page: VirtPage(3) },
         });
         r.on_run_end(Ns(1000), &SampleView::default());
-        assert_eq!(r.metrics.counter("context_switches"), 1);
-        assert_eq!(r.metrics.counter("pager_ops_done"), 1);
-        assert_eq!(r.metrics.counter("pager_ops_skipped"), 1);
-        assert_eq!(r.metrics.counter("pager_ops_failed"), 1);
-        assert_eq!(r.metrics.counter("faults_injected"), 1);
-        assert_eq!(r.metrics.counter("fault_copy_abort"), 1);
+        assert_eq!(r.metrics().counter("context_switches"), 1);
+        assert_eq!(r.metrics().counter("pager_ops_done"), 1);
+        assert_eq!(r.metrics().counter("pager_ops_skipped"), 1);
+        assert_eq!(r.metrics().counter("pager_ops_failed"), 1);
+        assert_eq!(r.metrics().counter("faults_injected"), 1);
+        assert_eq!(r.metrics().counter("fault_copy_abort"), 1);
         assert_eq!(r.audit.len(), 1, "fault lands in the audit log");
         assert_eq!(r.op_events()[2].outcome, "failed");
-        assert_eq!(r.metrics.histogram("pager_migrate_ns").unwrap().count(), 1);
+        assert_eq!(
+            r.metrics().histogram("pager_migrate_ns").unwrap().count(),
+            1
+        );
         assert_eq!(r.op_events().len(), 3);
         assert_eq!(r.shootdown_events().len(), 1);
         assert_eq!(r.sim_time(), Ns(1000));
         assert_eq!(r.series.len(), 1, "run end closes the series");
+    }
+
+    /// The fixed-slot miss and refill series export exactly as the
+    /// name-keyed registry records them, and an unrecorded series stays
+    /// absent.
+    #[test]
+    fn hot_series_fold_into_the_registry_by_name() {
+        let mut r = RunRecorder::default();
+        let mut expect = Metrics::new();
+        let rec = MissRecord::user_data_read(Ns(1), ProcId(0), Pid(0), VirtPage(1));
+        for (latency, remote) in [(300, false), (1200, true), (310, false)] {
+            r.on_miss(&rec, Ns(latency), remote);
+            expect.observe("miss_latency_ns", latency);
+            if remote {
+                expect.inc("misses_remote");
+                expect.observe("miss_latency_remote_ns", latency);
+            } else {
+                expect.inc("misses_local");
+                expect.observe("miss_latency_local_ns", latency);
+            }
+        }
+        r.on_context_switch(0, Ns(0), None);
+        expect.inc("context_switches");
+        assert_eq!(r.metrics().to_json(), expect.to_json());
+        assert!(r.metrics().histogram("tlb_refill_ns").is_none());
+
+        r.on_tlb_fill(&rec, Ns(250));
+        expect.inc("tlb_refills");
+        expect.observe("tlb_refill_ns", 250);
+        assert_eq!(r.metrics().to_json(), expect.to_json());
     }
 }

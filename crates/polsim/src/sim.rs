@@ -9,6 +9,7 @@ use ccnuma_trace::{MissRecord, MissSource, Trace};
 use ccnuma_types::{
     FxHashMap, MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset, VirtPage,
 };
+use std::collections::hash_map::Entry;
 
 /// The contentionless memory model of Section 8.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,7 +303,12 @@ pub struct Replay {
     filter: TraceFilter,
     /// The node of each processor ([`MachineConfig::proc_nodes`]).
     proc_nodes: Vec<NodeId>,
-    placements: FxHashMap<VirtPage, Placement>,
+    /// Each page's slot, handed out densely in order of first sight:
+    /// the index of its placement in `placements` and of its policy
+    /// counters, so both are as large as the trace's distinct pages,
+    /// whatever their page numbers.
+    slots: FxHashMap<VirtPage, u32>,
+    placements: Vec<Placement>,
     placer: Option<Box<dyn Placer>>,
     dynamic: Option<(PolicyEngine, MissMetric)>,
     priming: Option<PostFactoBuilder>,
@@ -350,7 +356,8 @@ impl Replay {
             topo: cfg.topology_model(),
             proc_nodes: machine.proc_nodes(),
             filter,
-            placements: FxHashMap::default(),
+            slots: FxHashMap::default(),
+            placements: Vec::new(),
             placer,
             dynamic,
             priming,
@@ -413,13 +420,20 @@ impl Replay {
         let node = self.proc_nodes[rec.proc.index()];
         // Establish placement at first sight of the page (first touch for
         // dynamic policies, the placer's choice for static ones).
-        let placer = &mut self.placer;
-        let placement = self.placements.entry(rec.page).or_insert_with(|| {
-            Placement::at(match placer {
-                Some(p) => p.place(rec.page, node),
-                None => node,
-            })
-        });
+        let slot = match self.slots.entry(rec.page) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                let master = match &mut self.placer {
+                    Some(p) => p.place(rec.page, node),
+                    None => node,
+                };
+                let slot = self.placements.len();
+                e.insert(u32::try_from(slot).expect("distinct pages fit in u32"));
+                self.placements.push(Placement::at(master));
+                slot
+            }
+        };
+        let placement = &mut self.placements[slot];
 
         // Stall accounting: cache misses passing the filter are charged
         // for the cheapest copy through the topology. On the flat model
@@ -463,7 +477,7 @@ impl Replay {
             page: rec.page,
             is_write: rec.kind.is_write(),
         };
-        match engine.observe(miss, &loc, false) {
+        match engine.observe(slot, miss, &loc, false) {
             PolicyAction::Nothing(_) | PolicyAction::Remap { .. } => {}
             PolicyAction::Migrate { to } => {
                 placement.migrate(to);

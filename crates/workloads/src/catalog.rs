@@ -426,6 +426,17 @@ mod tests {
     }
 
     #[test]
+    fn page_bound_equals_footprint() {
+        let specs = WorkloadKind::ALL
+            .iter()
+            .map(|kind| kind.build(Scale::quick()))
+            .chain([2, 8, 16].map(|nodes| shared_reader(nodes, Scale::quick())));
+        for spec in specs {
+            assert_eq!(spec.page_bound(), spec.footprint_pages, "{}", spec.name);
+        }
+    }
+
+    #[test]
     fn database_uses_four_cpus() {
         let spec = WorkloadKind::Database.build(Scale::quick());
         assert_eq!(spec.config.nodes, 4);

@@ -132,9 +132,19 @@ impl Segment {
         self
     }
 
-    /// Draws a page from this segment's pool.
-    fn pick_page(&self, rng: &mut SmallRng) -> VirtPage {
-        let hot_pages = ((self.pages as f64 * self.hot_frac).ceil() as u64).clamp(1, self.pages);
+    /// Size of the hot subset: `ceil(pages × hot_frac)`, at least one page.
+    fn hot_pages(&self) -> u64 {
+        ((self.pages as f64 * self.hot_frac).ceil() as u64).clamp(1, self.pages)
+    }
+
+    /// One past the last page of the pool.
+    fn end(&self) -> u64 {
+        self.base.0 + self.pages
+    }
+
+    /// Draws a page from this segment's pool; `hot_pages` is
+    /// [`hot_pages`](Segment::hot_pages), computed once per stream.
+    fn pick_page(&self, hot_pages: u64, rng: &mut SmallRng) -> VirtPage {
         let in_hot = rng.gen_bool(self.hot_weight);
         let idx = if in_hot {
             rng.gen_range(0..hot_pages)
@@ -166,6 +176,8 @@ impl Segment {
 pub struct ProcessStream {
     pid: Pid,
     segments: Vec<Segment>,
+    /// Each segment's hot-subset size, parallel to `segments`.
+    hot_pages: Vec<u64>,
     total_weight: f64,
     lines_per_page: u16,
 }
@@ -182,6 +194,7 @@ impl ProcessStream {
         assert!(total_weight > 0.0, "total segment weight must be positive");
         ProcessStream {
             pid,
+            hot_pages: segments.iter().map(Segment::hot_pages).collect(),
             segments,
             total_weight,
             lines_per_page: 32,
@@ -198,18 +211,26 @@ impl ProcessStream {
         &self.segments
     }
 
+    /// One past the highest page any of this process's segments holds:
+    /// every reference the stream generates is below it.
+    pub fn page_bound(&self) -> u64 {
+        self.segments.iter().map(Segment::end).max().unwrap_or(0)
+    }
+
     /// Generates the next reference.
     pub fn next_ref(&mut self, rng: &mut SmallRng) -> MemAccess {
         let mut pick = rng.gen_range(0.0..self.total_weight);
-        let mut chosen = &self.segments[self.segments.len() - 1];
-        for seg in &self.segments {
+        let mut chosen = self.segments.len() - 1;
+        for (i, seg) in self.segments.iter().enumerate() {
             if pick < seg.weight {
-                chosen = seg;
+                chosen = i;
                 break;
             }
             pick -= seg.weight;
         }
-        let page = chosen.pick_page(rng);
+        let hot_pages = self.hot_pages[chosen];
+        let chosen = &self.segments[chosen];
+        let page = chosen.pick_page(hot_pages, rng);
         let kind = if chosen.class == RefClass::Instr {
             AccessKind::Read
         } else if rng.gen_bool(chosen.write_frac) {

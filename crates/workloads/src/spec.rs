@@ -25,6 +25,20 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// One past the highest page any stream can reference: the largest
+    /// segment end over all streams. Pages are handed out densely from 0
+    /// by a [`PageSpace`](crate::PageSpace), so page-indexed machine
+    /// state never grows past this many pages. Every catalog workload
+    /// references its whole space, so this equals `footprint_pages`
+    /// there.
+    pub fn page_bound(&self) -> u64 {
+        self.streams
+            .iter()
+            .map(ProcessStream::page_bound)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Footprint in megabytes, using the config's page size.
     pub fn footprint_mb(&self) -> f64 {
         self.footprint_pages as f64 * self.config.page_size as f64 / (1024.0 * 1024.0)

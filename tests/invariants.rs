@@ -70,6 +70,7 @@ proptest! {
             let node = NodeId(r.proc.0 % 8);
             let loc = PageLocation::master_only(master, node);
             let _ = engine.observe(
+                r.page.index(),
                 ObservedMiss {
                     now: r.time,
                     proc: r.proc,
