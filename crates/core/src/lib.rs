@@ -16,8 +16,8 @@
 //!   producing [`PolicyAction`]s and keeping the Table 4 action statistics;
 //! * [`PageLocation`] — the placement facts the decision needs (is the
 //!   accessor's mapping local? does a local copy exist? is it replicated?);
-//! * [`Placer`] implementations — the static baselines: [`RoundRobin`],
-//!   [`FirstTouch`] and the clairvoyant [`PostFacto`] (Section 8.1);
+//! * [`StaticPolicyKind`] — the static baselines: round-robin,
+//!   first-touch and the clairvoyant post-facto placement (Section 8.1);
 //! * [`MissMetric`] — which hardware events drive the policy: full or
 //!   sampled cache misses, full or sampled TLB misses (Section 8.3);
 //! * [`overhead`] — the Section 7.2.1 counter-space-overhead analytics.
@@ -67,6 +67,4 @@ pub use engine::{NoActionReason, ObservedMiss, PolicyAction, PolicyEngine, Polic
 pub use location::PageLocation;
 pub use metric::MissMetric;
 pub use params::{DynamicPolicyKind, PolicyParams};
-pub use placement::{
-    FirstTouch, Placer, PostFacto, PostFactoBuilder, RoundRobin, StaticPolicyKind,
-};
+pub use placement::StaticPolicyKind;

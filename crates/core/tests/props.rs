@@ -2,7 +2,7 @@
 
 use ccnuma_core::{
     CounterTable, DynamicPolicyKind, NoActionReason, ObservedMiss, PageCounters, PageLocation,
-    Placer, PolicyAction, PolicyEngine, PolicyParams, RoundRobin,
+    PolicyAction, PolicyEngine, PolicyParams,
 };
 use ccnuma_types::{NodeId, Ns, ProcId, VirtPage};
 use proptest::prelude::*;
@@ -116,34 +116,6 @@ proptest! {
             false,
         );
         prop_assert_eq!(action, PolicyAction::Collapse);
-    }
-
-    /// Round-robin placement is a permutation-stable function: each page
-    /// gets exactly one home, and homes cycle through all nodes.
-    #[test]
-    fn round_robin_placement_is_stable_and_covering(
-        pages in proptest::collection::vec(0u64..64, 1..200),
-        nodes in 1u16..16,
-    ) {
-        let mut rr = RoundRobin::new(nodes);
-        let mut first: std::collections::HashMap<u64, NodeId> = std::collections::HashMap::new();
-        for &p in &pages {
-            let home = rr.place(VirtPage(p), NodeId(0));
-            prop_assert!(home.0 < nodes);
-            let prev = first.entry(p).or_insert(home);
-            prop_assert_eq!(*prev, home, "placement changed for page {}", p);
-        }
-        // Distinct pages in first-touch order get consecutive nodes.
-        let mut seen = std::collections::HashSet::new();
-        let mut order = Vec::new();
-        for &p in &pages {
-            if seen.insert(p) {
-                order.push(first[&p]);
-            }
-        }
-        for (i, home) in order.iter().enumerate() {
-            prop_assert_eq!(home.0, (i as u16) % nodes);
-        }
     }
 
     /// Actions are consistent with the location: Migrate/Replicate target

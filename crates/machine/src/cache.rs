@@ -23,6 +23,10 @@ use ccnuma_types::{MachineConfig, VirtPage};
 #[derive(Debug, Clone)]
 pub struct L2Cache {
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two (as in every validated
+    /// geometry: 512 KiB / (128 B × 2 ways) = 2048), so a line's set is
+    /// a mask of its id instead of a division.
+    set_mask: Option<u64>,
     ways: usize,
     lines_per_page: u64,
     /// tags[set * ways + way] = line id + 1 (0 = invalid).
@@ -41,6 +45,7 @@ impl L2Cache {
         let ways = cfg.l2_ways as usize;
         L2Cache {
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             ways,
             lines_per_page: cfg.lines_per_page() as u64,
             tags: vec![0; sets * ways],
@@ -56,11 +61,21 @@ impl L2Cache {
         page.0 * self.lines_per_page + line as u64
     }
 
+    /// The set holding line `id`.
+    #[inline]
+    fn set_of(&self, id: u64) -> usize {
+        match self.set_mask {
+            Some(mask) => (id & mask) as usize,
+            None => (id % self.sets as u64) as usize,
+        }
+    }
+
     /// Accesses (`page`, `line`); returns `true` on hit. On a miss the
     /// line is filled, evicting the set's LRU way.
     pub fn access(&mut self, page: VirtPage, line: u16) -> bool {
-        let id = self.line_id(page, line) + 1;
-        let set = ((id - 1) % self.sets as u64) as usize;
+        let line = self.line_id(page, line);
+        let set = self.set_of(line);
+        let id = line + 1;
         self.tick += 1;
         let base = set * self.ways;
         let ways = &mut self.tags[base..base + self.ways];
@@ -88,8 +103,9 @@ impl L2Cache {
     /// Invalidates (`page`, `line`) if present (coherence write from
     /// another CPU). Returns `true` when a line was dropped.
     pub fn invalidate(&mut self, page: VirtPage, line: u16) -> bool {
-        let id = self.line_id(page, line) + 1;
-        let set = ((id - 1) % self.sets as u64) as usize;
+        let line = self.line_id(page, line);
+        let set = self.set_of(line);
+        let id = line + 1;
         let base = set * self.ways;
         for w in 0..self.ways {
             if self.tags[base + w] == id {
@@ -178,6 +194,23 @@ mod tests {
         assert!(c.invalidate(VirtPage(9), 1));
         assert!(!c.invalidate(VirtPage(9), 1), "already gone");
         assert!(!c.access(VirtPage(9), 1), "must miss after invalidate");
+    }
+
+    #[test]
+    fn sets_that_are_not_a_power_of_two_index_by_remainder() {
+        // 3 sets × 2 ways: lines 0, 3 and 6 share set 0 (a mask of 2
+        // would put line 6 in set 2).
+        let mut cfg = MachineConfig::cc_numa();
+        cfg.l2_bytes = 3 * 2 * cfg.line_size;
+        let mut c = L2Cache::new(&cfg);
+        assert_eq!(c.set_mask, None);
+        assert_eq!(cache().set_mask, Some(2047));
+        assert!(!c.access(VirtPage(0), 0));
+        assert!(!c.access(VirtPage(0), 3));
+        assert!(!c.access(VirtPage(0), 6)); // evicts line 0 (LRU)
+        assert!(!c.access(VirtPage(0), 0), "line 0 was evicted");
+        assert!(c.access(VirtPage(0), 6));
+        assert!(c.invalidate(VirtPage(0), 6));
     }
 
     #[test]

@@ -94,7 +94,8 @@ pub enum Phase {
     TraceEncode,
     /// One trace-store chunk decode (read + checksum + delta decoding).
     TraceDecode,
-    /// One policy-simulator replay of a sweep cell.
+    /// One policy-simulator pass of a sweep: a dynamic cell's replay, or
+    /// the profile pass that prices the static cells.
     Replay,
     /// One window merge in the windowed engine: folding lane state back,
     /// sorting the event pool, and applying lane events (first touches,

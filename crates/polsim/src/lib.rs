@@ -10,7 +10,10 @@
 //! policies of Figure 6 (RR, FT, PF, Migr, Repl, Mig/Rep) driven by any
 //! of the four information metrics of Figure 8 (FC, SC, FT, ST), with a
 //! mode filter for the kernel-only study of Figure 7, and reports the
-//! stall/overhead breakdown each figure plots.
+//! stall/overhead breakdown each figure plots. The dynamic policies
+//! stream the trace through a [`Replay`]; the static baselines never
+//! move a page, so a one-pass [`StaticProfile`] of the trace prices all
+//! three of them exactly, at any latency or topology.
 //!
 //! # Examples
 //!
@@ -32,8 +35,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pages;
+mod profile;
 mod report;
 mod sim;
 
+pub use profile::StaticProfile;
 pub use report::PolsimReport;
 pub use sim::{simulate, PolsimConfig, Replay, SimPolicy, TraceFilter};

@@ -33,6 +33,24 @@ pub struct PolsimReport {
 }
 
 impl PolsimReport {
+    /// A report with nothing charged yet.
+    pub(crate) fn empty(label: String, other_time: Ns) -> PolsimReport {
+        PolsimReport {
+            label,
+            local_misses: 0,
+            remote_misses: 0,
+            local_stall: Ns::ZERO,
+            remote_stall: Ns::ZERO,
+            mig_overhead: Ns::ZERO,
+            rep_overhead: Ns::ZERO,
+            migrations: 0,
+            replications: 0,
+            collapses: 0,
+            other_time,
+            policy_stats: None,
+        }
+    }
+
     /// Total modelled execution time.
     pub fn total(&self) -> Ns {
         self.other_time

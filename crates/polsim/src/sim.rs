@@ -1,15 +1,13 @@
 //! The trace replay engine.
 
-use crate::PolsimReport;
+use crate::pages::PageSlots;
+use crate::{PolsimReport, StaticProfile};
 use ccnuma_core::{
-    DynamicPolicyKind, FirstTouch, MissMetric, ObservedMiss, PageLocation, Placer, PolicyAction,
-    PolicyEngine, PolicyParams, PostFactoBuilder, RoundRobin, StaticPolicyKind,
+    DynamicPolicyKind, MissMetric, ObservedMiss, PageLocation, PolicyAction, PolicyEngine,
+    PolicyParams, StaticPolicyKind,
 };
 use ccnuma_trace::{MissRecord, MissSource, Trace};
-use ccnuma_types::{
-    FxHashMap, MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset, VirtPage,
-};
-use std::collections::hash_map::Entry;
+use ccnuma_types::{MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset};
 
 /// The contentionless memory model of Section 8.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +81,8 @@ pub enum TraceFilter {
 }
 
 impl TraceFilter {
-    fn admits(self, mode: Mode) -> bool {
+    /// True when misses in `mode` are charged.
+    pub(crate) fn admits(self, mode: Mode) -> bool {
         match self {
             TraceFilter::All => true,
             TraceFilter::UserOnly => mode == Mode::User,
@@ -170,14 +169,18 @@ impl SimPolicy {
     pub fn label(&self) -> String {
         match self {
             SimPolicy::Static(k) => k.to_string(),
-            SimPolicy::Dynamic { kind, metric, .. } => {
-                if metric.rate() == 1 && metric.source() == MissSource::Cache {
-                    kind.to_string()
-                } else {
-                    format!("{kind} [{metric}]")
-                }
-            }
+            SimPolicy::Dynamic { kind, metric, .. } => dynamic_label(*kind, metric),
         }
+    }
+}
+
+/// A dynamic policy's label: its kind, plus its metric unless that is
+/// full cache-miss information.
+fn dynamic_label(kind: DynamicPolicyKind, metric: &MissMetric) -> String {
+    if metric.rate() == 1 && metric.source() == MissSource::Cache {
+        kind.to_string()
+    } else {
+        format!("{kind} [{metric}]")
     }
 }
 
@@ -262,33 +265,34 @@ impl Placement {
     }
 }
 
-/// An incremental replay of one policy under the Section 8 memory model:
-/// the streaming entry point behind [`simulate`].
+/// An incremental replay of one dynamic policy under the Section 8
+/// memory model: the streaming entry point behind [`simulate`].
 ///
-/// Records are fed one at a time, so a stored trace can be replayed
-/// chunk by chunk with bounded memory. Post-facto placement needs the
-/// whole trace before the replay proper ([`needs_priming`] returns
-/// `true`); run the trace through [`prime`] first and [`seal`] the
-/// placer, then make the second pass with [`observe`]. Every other
-/// policy is single-pass: skip straight to [`observe`]. [`finish`]
-/// yields the [`PolsimReport`].
+/// Records are fed one at a time with [`observe`], so a stored trace can
+/// be replayed chunk by chunk with bounded memory; [`finish`] yields the
+/// [`PolsimReport`]. Each page starts on its first toucher's node. The
+/// static baselines never move a page, so they are priced from a
+/// [`StaticProfile`] instead of replayed.
 ///
-/// [`needs_priming`]: Replay::needs_priming
-/// [`prime`]: Replay::prime
-/// [`seal`]: Replay::seal
 /// [`observe`]: Replay::observe
 /// [`finish`]: Replay::finish
 ///
 /// # Examples
 ///
 /// ```
-/// use ccnuma_polsim::{PolsimConfig, Replay, SimPolicy, TraceFilter};
+/// use ccnuma_core::{DynamicPolicyKind, MissMetric, PolicyParams};
+/// use ccnuma_polsim::{PolsimConfig, Replay, TraceFilter};
 /// use ccnuma_trace::MissRecord;
 /// use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
 ///
 /// let cfg = PolsimConfig::section8(8);
-/// let mut replay = Replay::new(&cfg, SimPolicy::first_touch(), TraceFilter::All);
-/// assert!(!replay.needs_priming());
+/// let mut replay = Replay::new(
+///     &cfg,
+///     PolicyParams::base(),
+///     DynamicPolicyKind::MigRep,
+///     MissMetric::full_cache(),
+///     TraceFilter::All,
+/// );
 /// for i in 0..10 {
 ///     replay.observe(&MissRecord::user_data_read(Ns(i), ProcId(3), Pid(0), VirtPage(1)));
 /// }
@@ -296,7 +300,7 @@ impl Placement {
 /// assert_eq!(report.local_misses, 10);
 /// ```
 pub struct Replay {
-    cfg: PolsimConfig,
+    move_cost: Ns,
     /// The latency model misses are charged through (flat unless the
     /// config installs a preset).
     topo: Topology,
@@ -307,132 +311,51 @@ pub struct Replay {
     /// the index of its placement in `placements` and of its policy
     /// counters, so both are as large as the trace's distinct pages,
     /// whatever their page numbers.
-    slots: FxHashMap<VirtPage, u32>,
+    slots: PageSlots,
     placements: Vec<Placement>,
-    placer: Option<Box<dyn Placer>>,
-    dynamic: Option<(PolicyEngine, MissMetric)>,
-    priming: Option<PostFactoBuilder>,
+    engine: PolicyEngine,
+    metric: MissMetric,
     report: PolsimReport,
 }
 
 impl Replay {
-    /// Sets up a replay of `policy` on a `cfg.nodes`-node machine.
-    pub fn new(cfg: &PolsimConfig, policy: SimPolicy, filter: TraceFilter) -> Replay {
-        let label = policy.label();
+    /// Sets up a replay of the `kind` policy with Table 1 `params`,
+    /// driven by `metric`, on a `cfg.nodes`-node machine.
+    pub fn new(
+        cfg: &PolsimConfig,
+        params: PolicyParams,
+        kind: DynamicPolicyKind,
+        metric: MissMetric,
+        filter: TraceFilter,
+    ) -> Replay {
         let machine = MachineConfig::cc_numa().with_nodes(cfg.nodes);
-
-        type Parts = (
-            Option<Box<dyn Placer>>,
-            Option<(PolicyEngine, MissMetric)>,
-            Option<PostFactoBuilder>,
-        );
-        let (placer, dynamic, priming): Parts = match policy {
-            SimPolicy::Static(StaticPolicyKind::RoundRobin) => {
-                (Some(Box::new(RoundRobin::new(cfg.nodes))), None, None)
-            }
-            SimPolicy::Static(StaticPolicyKind::FirstTouch) => {
-                (Some(Box::new(FirstTouch::new())), None, None)
-            }
-            SimPolicy::Static(StaticPolicyKind::PostFacto) => {
-                // Perfect future knowledge: collect it in a priming pass.
-                (None, None, Some(PostFactoBuilder::new(&machine)))
-            }
-            SimPolicy::Dynamic {
-                params,
-                kind,
-                metric,
-            } => (
-                None,
-                Some((
-                    PolicyEngine::with_procs(params, kind, machine.procs() as usize),
-                    metric,
-                )),
-                None,
-            ),
-        };
-
+        let label = dynamic_label(kind, &metric);
         Replay {
-            cfg: cfg.clone(),
+            move_cost: cfg.move_cost,
             topo: cfg.topology_model(),
             proc_nodes: machine.proc_nodes(),
             filter,
-            slots: FxHashMap::default(),
+            slots: PageSlots::default(),
             placements: Vec::new(),
-            placer,
-            dynamic,
-            priming,
-            report: PolsimReport {
-                label,
-                local_misses: 0,
-                remote_misses: 0,
-                local_stall: Ns::ZERO,
-                remote_stall: Ns::ZERO,
-                mig_overhead: Ns::ZERO,
-                rep_overhead: Ns::ZERO,
-                migrations: 0,
-                replications: 0,
-                collapses: 0,
-                other_time: cfg.other_time,
-                policy_stats: None,
-            },
+            engine: PolicyEngine::with_procs(params, kind, machine.procs() as usize),
+            metric,
+            report: PolsimReport::empty(label, cfg.other_time),
         }
     }
 
-    /// True while the policy still needs a priming pass over the whole
-    /// trace (post-facto only) before [`observe`](Replay::observe).
-    pub fn needs_priming(&self) -> bool {
-        self.priming.is_some()
-    }
-
-    /// Feeds one record of the priming pass. A no-op for single-pass
-    /// policies, so callers may unconditionally prime when convenient.
-    pub fn prime(&mut self, rec: &MissRecord) {
-        if let Some(b) = &mut self.priming {
-            if self.filter.admits(rec.mode) {
-                b.observe(rec);
-            }
-        }
-    }
-
-    /// Ends the priming pass and freezes the post-facto placement.
-    /// Observing a record seals implicitly, so a forgotten `seal` after
-    /// an empty priming pass degrades to first-touch fallback rather
-    /// than panicking.
-    pub fn seal(&mut self) {
-        if let Some(b) = self.priming.take() {
-            self.placer = Some(Box::new(b.finish()));
-        }
-    }
-
-    /// Replays one record: establishes placement at first sight of the
-    /// page, charges stall for cache misses passing the filter, and lets
-    /// a dynamic policy act on whatever its metric admits.
+    /// Replays one record: places the page on this node at its first
+    /// sight, charges stall for cache misses passing the filter, and
+    /// lets the policy act on whatever its metric admits.
     ///
     /// # Panics
     ///
     /// Panics if the record's processor is out of range for the machine.
     pub fn observe(&mut self, rec: &MissRecord) {
-        // Test before sealing: taking the (large) builder out of its
-        // `Option` on every record would copy it each time.
-        if self.priming.is_some() {
-            self.seal();
-        }
         let node = self.proc_nodes[rec.proc.index()];
-        // Establish placement at first sight of the page (first touch for
-        // dynamic policies, the placer's choice for static ones).
-        let slot = match self.slots.entry(rec.page) {
-            Entry::Occupied(e) => *e.get() as usize,
-            Entry::Vacant(e) => {
-                let master = match &mut self.placer {
-                    Some(p) => p.place(rec.page, node),
-                    None => node,
-                };
-                let slot = self.placements.len();
-                e.insert(u32::try_from(slot).expect("distinct pages fit in u32"));
-                self.placements.push(Placement::at(master));
-                slot
-            }
-        };
+        let (slot, fresh) = self.slots.slot(rec.page);
+        if fresh {
+            self.placements.push(Placement::at(node));
+        }
         let placement = &mut self.placements[slot];
 
         // Stall accounting: cache misses passing the filter are charged
@@ -461,10 +384,7 @@ impl Replay {
         }
 
         // Policy decisions: whatever the metric admits.
-        let Some((engine, metric)) = &mut self.dynamic else {
-            return;
-        };
-        if !metric.admits(rec) {
+        if !self.metric.admits(rec) {
             return;
         }
         let on_node = placement.has(node);
@@ -477,23 +397,23 @@ impl Replay {
             page: rec.page,
             is_write: rec.kind.is_write(),
         };
-        match engine.observe(slot, miss, &loc, false) {
+        match self.engine.observe(slot, miss, &loc, false) {
             PolicyAction::Nothing(_) | PolicyAction::Remap { .. } => {}
             PolicyAction::Migrate { to } => {
                 placement.migrate(to);
                 self.report.migrations += 1;
-                self.report.mig_overhead += self.cfg.move_cost;
+                self.report.mig_overhead += self.move_cost;
             }
             PolicyAction::Replicate { at } => {
                 placement.replicate(at);
                 self.report.replications += 1;
-                self.report.rep_overhead += self.cfg.move_cost;
+                self.report.rep_overhead += self.move_cost;
             }
             PolicyAction::Collapse => {
                 if placement.is_replicated() {
                     placement.collapse();
                     self.report.collapses += 1;
-                    self.report.rep_overhead += self.cfg.move_cost;
+                    self.report.rep_overhead += self.move_cost;
                 }
             }
         }
@@ -501,8 +421,7 @@ impl Replay {
 
     /// Consumes the replay and returns the report.
     pub fn finish(mut self) -> PolsimReport {
-        self.seal();
-        self.report.policy_stats = self.dynamic.map(|(engine, _)| *engine.stats());
+        self.report.policy_stats = Some(*self.engine.stats());
         self.report
     }
 }
@@ -514,33 +433,39 @@ impl Replay {
 /// TLB-driven policies are evaluated on cache-miss performance in
 /// Figure 8). Page moves cost [`PolsimConfig::move_cost`] each.
 ///
-/// This is the convenience wrapper over [`Replay`] for in-memory traces;
-/// replay from a stored trace streams records through [`Replay`]
-/// directly.
+/// This is the convenience wrapper for in-memory traces: a dynamic
+/// policy streams the records through [`Replay`], a static one prices a
+/// [`StaticProfile`] of them. Pricing several static policies of one
+/// trace is cheaper from a single profile.
 pub fn simulate(
     trace: &Trace,
     cfg: &PolsimConfig,
     policy: SimPolicy,
     filter: TraceFilter,
 ) -> PolsimReport {
-    let mut replay = Replay::new(cfg, policy, filter);
-    if replay.needs_priming() {
-        for rec in trace.iter() {
-            replay.prime(rec);
+    match policy {
+        SimPolicy::Static(kind) => {
+            StaticProfile::of(cfg.nodes, filter, trace.iter()).price(cfg, kind)
         }
-        replay.seal();
+        SimPolicy::Dynamic {
+            params,
+            kind,
+            metric,
+        } => {
+            let mut replay = Replay::new(cfg, params, kind, metric, filter);
+            for rec in trace.iter() {
+                replay.observe(rec);
+            }
+            replay.finish()
+        }
     }
-    for rec in trace.iter() {
-        replay.observe(rec);
-    }
-    replay.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccnuma_trace::{MissRecord, TraceBuilder};
-    use ccnuma_types::{Pid, ProcId};
+    use ccnuma_types::{Pid, ProcId, VirtPage};
 
     /// `n` remote read misses from proc 5 to a page first touched by proc 0.
     fn remote_read_trace(n: u64) -> Trace {

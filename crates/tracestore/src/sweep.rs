@@ -4,19 +4,21 @@
 //! policies — generalizes to a grid: policies × trigger thresholds ×
 //! sampling rates × remote latencies × move costs × topologies. A
 //! [`SweepSpec`] declares the grid; [`run_sweep`] streams the stored
-//! trace through [`ccnuma_polsim::Replay`] for each *distinct* cell on
-//! scoped worker threads (cells whose effective inputs coincide — a
-//! static policy ignores triggers and sampling, a non-flat topology
-//! ignores the latency axis — share one replay), and the result renders
-//! as a deterministic JSON (`ccnuma-sweep/2`) or CSV artifact whose
-//! bytes do not depend on the worker count.
+//! trace through [`ccnuma_polsim::Replay`] for each *distinct* dynamic
+//! cell on scoped worker threads (cells whose effective inputs coincide
+//! — a static policy ignores triggers and sampling, a non-flat topology
+//! ignores the latency axis — share one replay). The static cells never
+//! move a page, so all of them are priced from one shared
+//! [`ccnuma_polsim::StaticProfile`] pass. The result renders as a
+//! deterministic JSON (`ccnuma-sweep/2`) or CSV artifact whose bytes do
+//! not depend on the worker count.
 
 use crate::format::StoreError;
 use crate::results::ResultCache;
 use ccnuma_core::{MissMetric, PolicyParams, PolicyStats};
 use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_obs::{Phase, Profiler, SpanProfiler};
-use ccnuma_polsim::{PolsimConfig, PolsimReport, Replay, SimPolicy, TraceFilter};
+use ccnuma_polsim::{PolsimConfig, PolsimReport, Replay, SimPolicy, StaticProfile, TraceFilter};
 use ccnuma_trace::MissRecord;
 use ccnuma_types::{Ns, TopologyPreset};
 use core::convert::Infallible;
@@ -33,7 +35,7 @@ pub enum SweepPolicy {
     RoundRobin,
     /// First-touch static baseline.
     FirstTouch,
-    /// Post-facto optimal static placement (two-pass replay).
+    /// Post-facto optimal static placement.
     PostFacto,
     /// Dynamic policy, migration only.
     MigrationOnly,
@@ -486,7 +488,7 @@ pub struct SweepStore<'a> {
     /// The swept trace's slug: part of every cell's result key, so two
     /// traces never share a cell.
     pub trace_slug: &'a str,
-    /// Per-cell soft deadline: a replay exceeding it gets a stderr
+    /// Per-pass soft deadline: a pass exceeding it gets a stderr
     /// warning. Warnings never touch the artifacts, so resumed and
     /// fresh sweeps stay byte-identical.
     pub soft_deadline: Option<Duration>,
@@ -520,8 +522,37 @@ impl SweepStore<'_> {
     }
 }
 
-/// Replays one cell, reopening the trace stream for the second pass a
-/// post-facto policy needs.
+/// Profiles one pass of the trace for pricing static cells.
+fn profile_pass<E, I, F>(nodes: u16, filter: TraceFilter, open: &F) -> Result<StaticProfile, E>
+where
+    I: Iterator<Item = Result<MissRecord, E>>,
+    F: Fn() -> Result<I, E>,
+{
+    let mut profile = StaticProfile::new(nodes, filter);
+    for rec in open()? {
+        profile.observe(&rec?);
+    }
+    Ok(profile)
+}
+
+/// Prices one static cell from a profile of its trace.
+fn price_cell(
+    cell: &CellParams,
+    profile: &StaticProfile,
+    nodes: u16,
+    other_time: Ns,
+) -> (PolsimReport, u64) {
+    let SimPolicy::Static(kind) = cell.policy.to_sim(cell.trigger, cell.sample) else {
+        unreachable!("only static cells are priced from a profile");
+    };
+    (
+        profile.price(&cell.config(nodes, other_time), kind),
+        profile.records(),
+    )
+}
+
+/// Evaluates one cell in one pass over a fresh stream: a dynamic policy
+/// is replayed record by record, a static one priced from a profile.
 fn replay_cell<E, I, F>(
     cell: &CellParams,
     nodes: u16,
@@ -533,23 +564,29 @@ where
     I: Iterator<Item = Result<MissRecord, E>>,
     F: Fn() -> Result<I, E>,
 {
-    let cfg = cell.config(nodes, other_time);
-    let mut replay = Replay::new(&cfg, cell.policy.to_sim(cell.trigger, cell.sample), filter);
-    if replay.needs_priming() {
-        for rec in open()? {
-            replay.prime(&rec?);
+    match cell.policy.to_sim(cell.trigger, cell.sample) {
+        SimPolicy::Static(_) => {
+            let profile = profile_pass(nodes, filter, open)?;
+            Ok(price_cell(cell, &profile, nodes, other_time))
         }
-        replay.seal();
+        SimPolicy::Dynamic {
+            params,
+            kind,
+            metric,
+        } => {
+            let cfg = cell.config(nodes, other_time);
+            let mut replay = Replay::new(&cfg, params, kind, metric, filter);
+            let mut records = 0u64;
+            for rec in open()? {
+                replay.observe(&rec?);
+                records += 1;
+            }
+            Ok((replay.finish(), records))
+        }
     }
-    let mut records = 0u64;
-    for rec in open()? {
-        replay.observe(&rec?);
-        records += 1;
-    }
-    Ok((replay.finish(), records))
 }
 
-/// Replays one cell against an in-memory record slice — the serve
+/// Evaluates one cell against an in-memory record slice — the serve
 /// daemon's eval path, where the trace is already resident. Infallible
 /// by construction: the only error source in a replay is the trace
 /// stream, and a slice cannot fail (its error type is uninhabited, so
@@ -568,10 +605,11 @@ pub fn eval_cell(
     }
 }
 
-/// Runs the sweep: every distinct cell is replayed once, on up to
-/// `jobs` scoped worker threads, each streaming its own reopened trace
-/// (`open` must yield a fresh stream per call — post-facto cells open
-/// it twice). The output is in grid order regardless of scheduling.
+/// Runs the sweep on up to `jobs` scoped worker threads, each pass
+/// streaming its own reopened trace (`open` must yield a fresh stream
+/// per call): every distinct dynamic cell is replayed in a pass of its
+/// own, and one more pass profiles the trace for all the static cells.
+/// The output is in grid order regardless of scheduling.
 ///
 /// # Errors
 ///
@@ -599,15 +637,17 @@ where
 /// stored in `store.results` under
 /// [`ResultCache::key`]`(trace_slug, nodes, other_time, filter, memo_key)`
 /// — the key the serve daemon uses — and cells already stored there are
-/// restored instead of replayed. Returns the report plus the number of
-/// distinct replays restored.
+/// restored instead of replayed. Static cells are stored one entry per
+/// cell, though they share a pass: only the missing ones are priced,
+/// and when none is missing the sweep makes no profile pass. Returns the
+/// report plus the number of distinct cells restored.
 ///
 /// The rendered artifacts are byte-identical whether the sweep ran
 /// fresh, resumed partially, or resumed completely — restored payloads
 /// round-trip every report field exactly, and `unique_replays` keeps
 /// counting distinct cells, not work done this invocation. A damaged
 /// entry and a failed store are stderr warnings: the cell is replayed
-/// (or stays unstored) and the sweep continues. A replay exceeding
+/// (or stays unstored) and the sweep continues. A pass exceeding
 /// `soft_deadline` warns on stderr (artifacts untouched); sweeps have no
 /// hard deadline — a cell is pure replay arithmetic, so unlike a bench
 /// run it cannot wedge on host state, and killing it would forfeit a
@@ -638,10 +678,11 @@ where
 
 /// [`run_sweep`] with host-time profiling: each worker thread owns its
 /// own [`SpanProfiler`] (no shared hot-path state) and times every
-/// distinct cell replay as a [`Phase::Replay`] span; the per-worker
-/// profilers merge commutatively into the returned aggregate, so its
-/// entry/span counts equal `unique_replays` whatever the worker count
-/// or scheduling.
+/// trace pass — a dynamic cell's replay, or the static cells' shared
+/// profile pass with their pricing — as a [`Phase::Replay`] span; the
+/// per-worker profilers merge commutatively into the returned
+/// aggregate, so its entry/span counts equal the passes made whatever
+/// the worker count or scheduling.
 ///
 /// # Errors
 ///
@@ -664,6 +705,27 @@ where
     run_sweep_inner(spec, nodes, other_time, jobs, open, true, None)
         .map(|(report, prof, _)| (report, prof.expect("profiling was requested")))
 }
+
+/// One trace pass of a sweep.
+enum Pass {
+    /// A dynamic cell's replay (its index among the distinct cells).
+    Replay(usize),
+    /// The profile every listed static cell is priced from.
+    Profile(Vec<usize>),
+}
+
+impl Pass {
+    /// What a soft-deadline warning names.
+    fn describe(&self, cells: &[CellParams]) -> String {
+        match self {
+            Pass::Replay(i) => format!("cell {}", cells[*i].memo_key()),
+            Pass::Profile(of) => format!("profile pass for {} static cell(s)", of.len()),
+        }
+    }
+}
+
+/// A pass's cells, by index among the distinct cells, with results.
+type PassOutcome = Result<Vec<(usize, (PolsimReport, u64))>, StoreError>;
 
 fn run_sweep_inner<I, F>(
     spec: &SweepSpec,
@@ -695,17 +757,14 @@ where
         job_of_cell.push(job);
     }
 
-    type JobSlot = Mutex<Option<Result<(PolsimReport, u64), StoreError>>>;
-    let results: Vec<JobSlot> = job_cells.iter().map(|_| Mutex::new(None)).collect();
-
-    // Restore stored cells up front: their slots are filled before any
-    // worker starts, so workers simply skip them.
+    // Restore stored cells up front; only the rest get a pass.
+    let mut done: Vec<Option<(PolsimReport, u64)>> = vec![None; job_cells.len()];
     let mut resumed = 0usize;
     if let Some(st) = store {
-        for (i, cell) in job_cells.iter().enumerate() {
+        for (slot, cell) in done.iter_mut().zip(&job_cells) {
             match st.load(&st.key(nodes, other_time, spec.filter, cell)) {
-                Ok(Some(done)) => {
-                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(done));
+                Ok(Some(stored)) => {
+                    *slot = Some(stored);
                     resumed += 1;
                 }
                 Ok(None) => {}
@@ -717,11 +776,28 @@ where
         }
     }
 
+    // Every missing static cell is priced from one shared profile pass;
+    // each missing dynamic cell replays in its own.
+    let missing = || (0..job_cells.len()).filter(|&i| done[i].is_none());
+    let statics: Vec<usize> = missing()
+        .filter(|&i| !job_cells[i].policy.is_dynamic())
+        .collect();
+    let mut passes: Vec<Pass> = Vec::new();
+    if !statics.is_empty() {
+        passes.push(Pass::Profile(statics));
+    }
+    passes.extend(
+        missing()
+            .filter(|&i| job_cells[i].policy.is_dynamic())
+            .map(Pass::Replay),
+    );
+
+    let outcomes: Vec<Mutex<Option<PassOutcome>>> =
+        passes.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = jobs.min(job_cells.len()).max(1);
     let merged_prof: Mutex<SpanProfiler> = Mutex::new(SpanProfiler::new());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..jobs.min(passes.len()) {
             scope.spawn(|| {
                 // Each worker keeps its own profiler so the replay loop
                 // never contends on shared state; the merge at the end
@@ -729,45 +805,51 @@ where
                 // independent.
                 let mut local_prof = profile.then(SpanProfiler::new);
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = job_cells.get(i) else {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(pass) = passes.get(k) else {
                         break;
                     };
-                    if results[i]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .is_some()
-                    {
-                        continue; // restored from the result store
-                    }
                     let span = local_prof.as_mut().and_then(|p| p.enter(Phase::Replay));
                     let started = Instant::now();
-                    let outcome = replay_cell(cell, nodes, other_time, spec.filter, &open);
+                    let outcome = match pass {
+                        Pass::Replay(i) => {
+                            replay_cell(&job_cells[*i], nodes, other_time, spec.filter, &open)
+                                .map(|r| vec![(*i, r)])
+                        }
+                        Pass::Profile(of) => profile_pass(nodes, spec.filter, &open).map(|p| {
+                            of.iter()
+                                .map(|&i| (i, price_cell(&job_cells[i], &p, nodes, other_time)))
+                                .collect()
+                        }),
+                    };
                     if let Some(p) = local_prof.as_mut() {
                         p.exit(Phase::Replay, span);
                     }
-                    if let (Some(st), Ok((report, n))) = (store, &outcome) {
+                    if let (Some(st), Ok(priced)) = (store, &outcome) {
                         if let Some(soft) = st.soft_deadline {
                             let wall = started.elapsed();
                             if wall > soft {
                                 eprintln!(
-                                    "warning: watchdog: sweep cell {} exceeded soft deadline \
+                                    "warning: watchdog: sweep {} exceeded soft deadline \
                                      ({:.2}s > {:.2}s)",
-                                    cell.memo_key(),
+                                    pass.describe(&job_cells),
                                     wall.as_secs_f64(),
                                     soft.as_secs_f64()
                                 );
                             }
                         }
-                        let key = st.key(nodes, other_time, spec.filter, cell);
-                        if let Err(e) = st.results.store(&key, &cell_payload(report, *n)) {
-                            eprintln!(
-                                "warning: result store: storing sweep cell {}: {e}",
-                                cell.memo_key()
-                            );
+                        for (i, (report, n)) in priced {
+                            let cell = &job_cells[*i];
+                            let key = st.key(nodes, other_time, spec.filter, cell);
+                            if let Err(e) = st.results.store(&key, &cell_payload(report, *n)) {
+                                eprintln!(
+                                    "warning: result store: storing sweep cell {}: {e}",
+                                    cell.memo_key()
+                                );
+                            }
                         }
                     }
-                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+                    *outcomes[k].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
                 }
                 if let Some(p) = local_prof {
                     merged_prof
@@ -779,17 +861,25 @@ where
         }
     });
 
-    let mut reports = Vec::with_capacity(job_cells.len());
-    let mut records = 0u64;
-    for slot in results {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok((report, n))) => {
-                records = records.max(n);
-                reports.push(report);
+    for outcome in outcomes {
+        match outcome.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(Ok(priced)) => {
+                for (i, result) in priced {
+                    done[i] = Some(result);
+                }
             }
             Some(Err(e)) => return Err(e),
-            None => unreachable!("every job slot is filled before the scope ends"),
+            None => unreachable!("every pass finishes before the scope ends"),
         }
+    }
+    let mut reports = Vec::with_capacity(job_cells.len());
+    let mut records = 0u64;
+    for (report, n) in done
+        .into_iter()
+        .map(|d| d.expect("every cell restored or passed"))
+    {
+        records = records.max(n);
+        reports.push(report);
     }
 
     let unique_replays = job_cells.len();
@@ -905,26 +995,47 @@ mod tests {
     }
 
     #[test]
-    fn post_facto_cell_primes_twice() {
-        use std::sync::atomic::AtomicUsize;
+    fn static_cells_share_one_profile_pass() {
         let recs = records();
         let opens = AtomicUsize::new(0);
-        let spec = SweepSpec {
-            policies: vec![SweepPolicy::PostFacto],
-            triggers: vec![128],
-            sample_rates: vec![1],
-            remote_latencies_ns: vec![1200],
-            move_costs_us: vec![350],
-            topologies: vec![TopologyPreset::Flat],
-            filter: TraceFilter::All,
+        let sweep = |policies: Vec<SweepPolicy>, jobs| {
+            let spec = SweepSpec {
+                policies,
+                triggers: vec![128],
+                sample_rates: vec![1],
+                remote_latencies_ns: vec![1200],
+                move_costs_us: vec![350],
+                topologies: vec![TopologyPreset::Flat],
+                filter: TraceFilter::All,
+            };
+            opens.store(0, Ordering::Relaxed);
+            let report = run_sweep(&spec, 8, Ns::ZERO, jobs, || {
+                opens.fetch_add(1, Ordering::Relaxed);
+                Ok(open_mem(&recs))
+            })
+            .unwrap();
+            (report, opens.load(Ordering::Relaxed))
         };
-        let report = run_sweep(&spec, 8, Ns::ZERO, 1, || {
-            opens.fetch_add(1, Ordering::Relaxed);
-            Ok(open_mem(&recs))
-        })
-        .unwrap();
-        assert_eq!(opens.load(Ordering::Relaxed), 2, "prime + replay passes");
-        assert_eq!(report.cells[0].report.label, "PF");
+        // Post-facto needs no priming pass: one open prices it.
+        let (pf, passes) = sweep(vec![SweepPolicy::PostFacto], 1);
+        assert_eq!(passes, 1, "one profile pass, no priming pass");
+        assert_eq!(pf.cells[0].report.label, "PF");
+        // RR, FT and PF share that one pass, at any worker count, and
+        // still count as three distinct cells.
+        for jobs in [1, 3] {
+            let (grid, passes) = sweep(
+                vec![
+                    SweepPolicy::RoundRobin,
+                    SweepPolicy::FirstTouch,
+                    SweepPolicy::PostFacto,
+                ],
+                jobs,
+            );
+            assert_eq!(passes, 1, "jobs={jobs}");
+            assert_eq!(grid.unique_replays, 3);
+            assert_eq!(grid.records, recs.len() as u64);
+            assert_eq!(grid.cells[2].report, pf.cells[0].report);
+        }
     }
 
     #[test]
@@ -973,8 +1084,9 @@ mod tests {
             let (report, prof) =
                 run_sweep_profiled(&spec, 8, Ns::ZERO, jobs, || Ok(open_mem(&recs))).unwrap();
             assert_eq!(report, plain, "profiling never changes the sweep");
-            // One Replay span per distinct replay, independent of the
-            // worker count (the merge is commutative).
+            // One Replay span per pass, independent of the worker
+            // count (the merge is commutative); the default grid is all
+            // dynamic, so that is one per distinct cell.
             assert_eq!(
                 prof.entries(Phase::Replay),
                 report.unique_replays as u64,
@@ -1105,6 +1217,117 @@ mod tests {
         assert_eq!(report.unique_replays, 12);
         let plain = run_sweep(&spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs))).unwrap();
         assert_eq!(report, plain);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_static_cells_price_only_what_is_missing() {
+        let dir = std::env::temp_dir().join(format!("ccnuma-sweep-static-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = ResultCache::new(&dir).unwrap();
+        let recs = records();
+        let spec = SweepSpec {
+            policies: vec![
+                SweepPolicy::RoundRobin,
+                SweepPolicy::FirstTouch,
+                SweepPolicy::PostFacto,
+                SweepPolicy::MigRep,
+            ],
+            triggers: vec![128],
+            sample_rates: vec![1],
+            remote_latencies_ns: vec![300, 3000],
+            move_costs_us: vec![350],
+            topologies: vec![TopologyPreset::Flat, TopologyPreset::TwoSocket],
+            filter: TraceFilter::All,
+        };
+        let store = SweepStore {
+            results: &results,
+            trace_slug: "t",
+            soft_deadline: None,
+        };
+        let opens = AtomicUsize::new(0);
+        let sweep = |spec: &SweepSpec, jobs| {
+            opens.store(0, Ordering::Relaxed);
+            let open = || {
+                opens.fetch_add(1, Ordering::Relaxed);
+                Ok(open_mem(&recs))
+            };
+            let (report, resumed) = run_sweep_cached(spec, 8, Ns(777), jobs, open, &store).unwrap();
+            (report, resumed, opens.load(Ordering::Relaxed))
+        };
+        let entries = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+            let mut v: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        let fresh = run_sweep(&spec, 8, Ns(777), 2, || Ok(open_mem(&recs))).unwrap();
+        // Nine static cells (six flat, three two-socket), three dynamic.
+        assert_eq!(fresh.unique_replays, 12);
+
+        // Store the FT cells only, as if an earlier sweep stopped there.
+        let ft_only = SweepSpec {
+            policies: vec![SweepPolicy::FirstTouch],
+            ..spec.clone()
+        };
+        let (_, _, passes) = sweep(&ft_only, 1);
+        assert_eq!(passes, 1);
+        let stored = entries();
+        assert_eq!(stored.len(), 3);
+
+        for jobs in [1, 3] {
+            let (report, resumed, passes) = sweep(&spec, jobs);
+            if jobs == 1 {
+                // The three FT cells come back; one profile pass prices
+                // the six other static cells, three passes replay the
+                // dynamic ones.
+                assert_eq!(resumed, 3);
+                assert_eq!(passes, 1 + 3);
+                let now = entries();
+                assert_eq!(now.len(), 12, "each static cell is its own entry");
+                for entry in &stored {
+                    assert!(now.contains(entry), "stored entry rewritten: {:?}", entry.0);
+                }
+            } else {
+                // Everything is stored now: no pass at all.
+                assert_eq!((resumed, passes), (12, 0));
+            }
+            assert_eq!(report.to_json("demo"), fresh.to_json("demo"));
+            assert_eq!(report.to_csv(), fresh.to_csv());
+        }
+
+        // With every static cell stored and the dynamic ones missing,
+        // the sweep makes no static pass.
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = ResultCache::new(&dir).unwrap();
+        let store = SweepStore {
+            results: &results,
+            ..store
+        };
+        let statics = SweepSpec {
+            policies: vec![
+                SweepPolicy::RoundRobin,
+                SweepPolicy::FirstTouch,
+                SweepPolicy::PostFacto,
+            ],
+            ..spec.clone()
+        };
+        run_sweep_cached(&statics, 8, Ns(777), 1, || Ok(open_mem(&recs)), &store).unwrap();
+        opens.store(0, Ordering::Relaxed);
+        let open = || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok(open_mem(&recs))
+        };
+        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        assert_eq!(resumed, 9);
+        assert_eq!(opens.load(Ordering::Relaxed), 3, "dynamic replays only");
+        assert_eq!(report.to_json("demo"), fresh.to_json("demo"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
