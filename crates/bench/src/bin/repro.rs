@@ -43,9 +43,10 @@
 //!
 //! `--window-us N` overrides the simulator's 100 µs scheduling window.
 //! Unlike `--shards` it is part of the simulated machine — a different
-//! window perturbs scheduling decisions and therefore the tables — but
-//! like `--shards` it stays out of the run-cache key, so cached results
-//! are only reused within one invocation's window setting.
+//! window perturbs scheduling decisions and therefore the tables — so a
+//! non-default window joins the run-cache key and the trace slug:
+//! `--resume` and `--trace-dir` never serve a run computed at another
+//! window.
 //!
 //! `repro serve` runs the sweep-as-a-service daemon: stored traces stay
 //! resident in memory, one `POST /v1/eval` replays one sweep cell, and

@@ -318,11 +318,10 @@ impl Executor {
     }
 
     /// Sets the shard epoch window (`--window-us`) for every run whose
-    /// spec has not set its own. Like the shard plan it is an execution
-    /// knob excluded from cache keys, so tuning it never invalidates
-    /// cached runs — but unlike shards it *can* perturb results
-    /// (contention feedback is one window late), so comparative
-    /// experiments should hold it fixed.
+    /// spec has not set its own. Unlike the shard plan it perturbs
+    /// results (contention feedback is one window late), so it is
+    /// installed before keying: a non-default window joins cache keys
+    /// and trace slugs. Comparative experiments should hold it fixed.
     #[must_use]
     pub fn with_window_us(mut self, us: Option<u64>) -> Executor {
         self.window_us = us;

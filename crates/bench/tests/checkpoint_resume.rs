@@ -1,8 +1,9 @@
 //! Crash-tolerance integration tests for the `repro` binary: a SIGKILL
 //! mid-plan loses nothing that was stored, the resumed invocation's
 //! stdout is byte-identical to the committed golden capture, a fully
-//! stored plan replays with zero recomputation, and a damaged stored
-//! trace is recomputed with a warning instead of rendered.
+//! stored plan replays with zero recomputation, a damaged stored trace
+//! is recomputed with a warning instead of rendered, and a store filled
+//! at one window is not restored at another.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -122,6 +123,47 @@ fn sigkill_mid_plan_then_resume_is_byte_identical_with_zero_recomputation() {
     );
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
     assert_eq!(stdout, include_str!("golden_repro_all_quick.stdout"));
+
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// The window changes results, so a resume store filled at the default
+/// window must restore nothing at `--window-us 1000`: the rerun
+/// recomputes and prints what a fresh 1000 us run prints.
+#[test]
+fn a_resume_store_is_not_restored_at_another_window() {
+    let ckpt = scratch("window");
+    let fig3 = |window: &[&str], resume: bool| {
+        let mut cmd = repro();
+        cmd.args(["fig3", "--scale", "quick", "--jobs", "2"])
+            .args(window);
+        if resume {
+            cmd.arg("--resume").arg(&ckpt);
+        }
+        let out = cmd.output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "fig3 failed: {stderr}");
+        (
+            String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+            stderr,
+        )
+    };
+    let wide = ["--window-us", "1000"];
+
+    let (default_out, _) = fig3(&[], true);
+    let (resumed_out, stderr) = fig3(&wide, true);
+    assert_eq!(
+        resumed_count(&stderr),
+        0,
+        "no run stored at 100 us may be restored at 1000 us: {stderr}"
+    );
+    assert!(computed_count(&stderr) > 0, "{stderr}");
+    let (fresh_out, _) = fig3(&wide, false);
+    assert_eq!(resumed_out, fresh_out);
+    assert_ne!(
+        fresh_out, default_out,
+        "the window changes fig3, or this test proves nothing"
+    );
 
     let _ = std::fs::remove_dir_all(&ckpt);
 }

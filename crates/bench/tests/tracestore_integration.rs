@@ -8,6 +8,9 @@
 //!    worker counts.
 //! 3. `repro trace verify` exits 0 on an intact store and 1 with a
 //!    checksum diagnostic after a single flipped byte.
+//! 4. A stored capture is never served at another window: the window
+//!    changes results, so a non-default window captures under its own
+//!    slug.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -166,4 +169,50 @@ fn trace_verify_detects_a_flipped_byte() {
         bad_out.contains("FAIL"),
         "corruption must be diagnosed: {bad_out}"
     );
+}
+
+/// The slug a `repro sweep` stderr line reports, and whether the trace
+/// was served from the store.
+fn sweep_trace(out: &std::process::Output) -> (String, bool) {
+    stdout_of(out);
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("sweep: trace "))
+        .unwrap_or_else(|| panic!("no trace line: {err}"));
+    let slug = line.split(' ').next().expect("slug").to_string();
+    (slug, line.contains("served from store"))
+}
+
+#[test]
+fn a_stored_capture_is_not_served_at_another_window() {
+    let dir = scratch("window");
+    let dir = dir.to_str().expect("temp path is UTF-8");
+    let sweep = |window: &[&str]| {
+        let mut args = vec![
+            "sweep",
+            "--workload",
+            "raytrace",
+            "--scale",
+            "quick",
+            "--trace-dir",
+            dir,
+            "--policies",
+            "FT",
+        ];
+        args.extend_from_slice(window);
+        sweep_trace(&repro(&args))
+    };
+
+    let (default_slug, served) = sweep(&[]);
+    assert!(!served, "the first sweep captures");
+    let (slug, served) = sweep(&["--window-us", "1000"]);
+    assert!(
+        !served,
+        "a 1000 us sweep must capture again, not reuse {default_slug}"
+    );
+    assert_ne!(slug, default_slug, "the window must join the slug");
+    // The default window keys like an unset one, so existing stores
+    // stay valid.
+    assert_eq!(sweep(&["--window-us", "100"]), (default_slug, true));
 }

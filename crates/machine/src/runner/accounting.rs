@@ -1,12 +1,12 @@
-//! Run accounting: building miss records and assembling the final
-//! [`RunReport`] from the simulation state.
+//! Run accounting: epoch samples and the final [`RunReport`] assembled
+//! from the simulation state.
 
 use super::Sim;
 use crate::RunReport;
 use ccnuma_faults::FaultInjector;
 use ccnuma_obs::{Profiler, Recorder, SampleView};
-use ccnuma_trace::{MissRecord, MissSource, TraceBuilder};
-use ccnuma_types::{MemAccess, Ns, Pid, ProcId};
+use ccnuma_trace::TraceBuilder;
+use ccnuma_types::Ns;
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// Snapshots the cumulative simulator state at sim time `now` for the
@@ -14,8 +14,8 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     pub(super) fn sample_view(&self, now: Ns) -> SampleView {
         let stats = self.engine.as_ref().map(|e| *e.stats()).unwrap_or_default();
         SampleView {
-            local_misses: self.breakdown.local_misses(),
-            remote_misses: self.breakdown.remote_misses(),
+            local_misses: self.tally.breakdown.local_misses(),
+            remote_misses: self.tally.breakdown.remote_misses(),
             migrations: stats.migrations,
             replications: stats.replications,
             collapses: stats.collapses,
@@ -23,31 +23,13 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             replica_frames: self.pager.hash().replica_frames(),
             frames_used: self.pager.frames().used_total(),
             dir_occupancy_pct: self.directory.max_occupancy(now),
-            policy_overhead: self.breakdown.policy_overhead(),
-        }
-    }
-    pub(super) fn record_of(
-        &self,
-        cpu: usize,
-        pid: Pid,
-        access: &MemAccess,
-        source: MissSource,
-    ) -> MissRecord {
-        MissRecord {
-            time: self.clocks[cpu],
-            proc: ProcId(cpu as u16),
-            pid,
-            page: access.page,
-            kind: access.kind,
-            mode: access.mode,
-            class: access.class,
-            source,
+            policy_overhead: self.tally.breakdown.policy_overhead(),
         }
     }
 
     pub(super) fn finish(mut self) -> RunReport {
-        let sim_time = self.clocks.iter().copied().fold(Ns::ZERO, Ns::max);
-        let cpu_time = self.clocks.iter().copied().sum::<Ns>();
+        let sim_time = self.cores.iter().map(|c| c.clock).fold(Ns::ZERO, Ns::max);
+        let cpu_time = self.cores.iter().map(|c| c.clock).sum::<Ns>();
         if F::ENABLED {
             self.forward_fault_events();
         }
@@ -55,10 +37,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             let view = self.sample_view(sim_time);
             self.obs.on_run_end(sim_time, &view);
         }
-        let avg_local = if self.local_lat_n == 0 {
+        let avg_local = if self.tally.local_lat_n == 0 {
             Ns::ZERO
         } else {
-            self.local_lat_sum / self.local_lat_n
+            self.tally.local_lat_sum / self.tally.local_lat_n
         };
         let avg_tlbs = if self.flush_batches == 0 {
             0.0
@@ -68,7 +50,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         RunReport {
             workload: self.spec.name.clone(),
             policy_label: self.opts.policy.label(),
-            breakdown: self.breakdown,
+            breakdown: self.tally.breakdown,
             policy_stats: self.engine.as_ref().map(|e| *e.stats()),
             cost_book: self.pager.book().clone(),
             contention: *self.directory.stats(),

@@ -4,13 +4,19 @@
 //! split across focused submodules behind the [`Machine`] facade:
 //!
 //! * [`options`] — [`PolicyChoice`] and [`RunOptions`];
-//! * `sched` — the main loop: clock ordering, quantum boundaries, context
-//!   switches, idle accounting, adaptive-interval ticks;
-//! * `memory` — the per-reference access path (TLB, L2, coherence, NUMA
-//!   memory) and its breakdown charges;
+//! * `sched` — the main loop: windows, then the exact serial tail in
+//!   clock order; scheduling points (quantum boundaries, context
+//!   switches, epoch samples), idle accounting, adaptive-interval ticks;
+//! * `memory` — the one per-reference step (TLB, L2, coherence, NUMA
+//!   memory) and its breakdown charges, generic over the sink that takes
+//!   its effects: the serial tail's immediate sink, which applies each
+//!   effect to the canonical state at once, or a window lane's buffering
+//!   sink;
+//! * `window` — windowed, sharded execution: lanes, their event runs and
+//!   the canonical merge that replays them;
 //! * `policy` — miss events into the policy engine, page-op batching, the
 //!   pager and TLB shootdown;
-//! * `accounting` — miss records and final report assembly.
+//! * `accounting` — epoch samples and final report assembly.
 //!
 //! A run is a pure function of its inputs: `Sim` owns all state
 //! (including its RNG, seeded from the workload spec), is `Send`, and
@@ -32,13 +38,13 @@ use ccnuma_core::{AdaptiveTrigger, MissMetric, PolicyAction, PolicyEngine};
 use ccnuma_faults::{FaultInjector, FaultPlan, FaultStats, NullFaults};
 use ccnuma_kernel::{OpOutcome, PageOp, Pager, PagerConfig};
 use ccnuma_obs::{NullProfiler, NullRecorder, Profiler, Recorder};
-use ccnuma_stats::RunBreakdown;
-use ccnuma_trace::TraceBuilder;
+use ccnuma_trace::{MissSource, TraceBuilder};
 use ccnuma_types::{FxHashMap, NodeId, Ns, Pid, ProcSet, SimError, Topology, VirtPage};
 use ccnuma_workloads::{ProcessStream, WorkloadSpec};
+use memory::{Core, StepEnv, Tally};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use window::WinEv;
+use window::{LaneBuf, WinEv};
 
 /// The assembled machine, ready to run one workload under one policy.
 pub struct Machine {
@@ -109,9 +115,9 @@ impl Machine {
         match self.opts.faults {
             Some(fspec) => {
                 let plan = FaultPlan::from_spec(fspec, self.spec.seed, self.spec.config.nodes);
-                Sim::new(self.spec, self.opts, obs, prof, plan).run()
+                Sim::new(self.spec, self.opts, obs, prof, plan).run(true)
             }
-            None => Sim::new(self.spec, self.opts, obs, prof, NullFaults).run(),
+            None => Sim::new(self.spec, self.opts, obs, prof, NullFaults).run(true),
         }
     }
 }
@@ -141,17 +147,12 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     spec: WorkloadSpec,
     opts: RunOptions,
     /// Per-process reference stream plus its own RNG, both taken out of
-    /// the slot while a window lane owns them. One RNG per process (not
-    /// one global) is what lets lanes draw references independently of
-    /// how CPUs are grouped onto shards.
+    /// the slot while a core running the process holds them. One RNG
+    /// per process (not one global) is what lets lanes draw references
+    /// independently of how CPUs are grouped onto shards.
     proc_streams: Vec<Option<(ProcessStream, SmallRng)>>,
-    clocks: Vec<Ns>,
-    cur_pid: Vec<Option<Pid>>,
-    cur_quantum: Vec<u64>,
-    /// Each CPU's node, resolved once (see `MachineConfig::proc_nodes`).
-    proc_nodes: Vec<NodeId>,
-    l2: Vec<L2Cache>,
-    tlb: Vec<Tlb>,
+    cores: Vec<Core>,
+    env: StepEnv,
     coherence: CoherenceDir,
     /// Reusable victim-set scratch for coherence writes; sized for the
     /// machine once so the per-reference path never allocates.
@@ -164,11 +165,7 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     pager: Pager,
     engine: Option<PolicyEngine>,
     metric: Option<MissMetric>,
-    /// Round-robin placement as a pure function of the page number
-    /// (`page % nodes`), so any lane can compute a home without shared
-    /// placement state.
-    rr_nodes: Option<u16>,
-    breakdown: RunBreakdown,
+    tally: Tally,
     trace: Option<TraceBuilder>,
     pending: Vec<(PageOp, PolicyAction)>,
     /// Drained `pending` batches swap through here so both buffers keep
@@ -177,8 +174,6 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     pending_scratch: Vec<(PageOp, PolicyAction)>,
     ops_scratch: Vec<PageOp>,
     outcomes_scratch: Vec<OpOutcome>,
-    local_lat_sum: Ns,
-    local_lat_n: u64,
     tlbs_flushed_sum: u64,
     flush_batches: u64,
     adaptive: Option<AdaptiveTrigger>,
@@ -193,17 +188,8 @@ struct Sim<'a, R: Recorder, F: FaultInjector, P: Profiler> {
     /// Window events whose timestamps fall beyond the merged window;
     /// replayed (still in canonical order) in a later merge.
     carry: Vec<WinEv>,
-    /// Per-CPU event sequence numbers; never reset, so `(cpu, seq)` is
-    /// unique across the whole run and the merge order total.
-    lane_seq: Vec<u64>,
-    /// Per-CPU event buffers recycled between windows.
-    event_scratch: Vec<Vec<WinEv>>,
-    /// Per-CPU first-touch maps, recycled between windows (drained
-    /// into `overlay` at each merge, so they keep their capacity).
-    touched_scratch: Vec<FxHashMap<(Pid, VirtPage), NodeId>>,
-    /// Last quantum index for which the windowed phase ran the
-    /// scheduler-boundary work (context switches, storms, adaptive).
-    win_quantum: u64,
+    /// Per-CPU lane buffers, recycled between windows.
+    lanes: Vec<LaneBuf>,
 }
 
 impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
@@ -243,14 +229,32 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
                 Some((stream, rng))
             })
             .collect();
+        let tlb_events = R::ENABLED
+            || opts.capture_trace
+            || metric
+                .as_ref()
+                .is_some_and(|m| m.source() == MissSource::Tlb);
         Sim {
             proc_streams,
-            clocks: vec![Ns::ZERO; procs],
-            cur_pid: vec![None; procs],
-            cur_quantum: vec![u64::MAX; procs],
-            proc_nodes: cfg.proc_nodes(),
-            l2: (0..procs).map(|_| L2Cache::new(&cfg)).collect(),
-            tlb: (0..procs).map(|_| Tlb::new(&cfg)).collect(),
+            cores: (0..)
+                .zip(cfg.proc_nodes())
+                .map(|(cpu, node)| Core {
+                    cpu,
+                    node,
+                    clock: Ns::ZERO,
+                    pid: None,
+                    quantum: u64::MAX,
+                    tlb: Tlb::new(&cfg),
+                    l2: L2Cache::new(&cfg),
+                    slot: None,
+                })
+                .collect(),
+            env: StepEnv {
+                compute: cfg.compute_ns_per_ref,
+                l2_hit: cfg.l2_hit,
+                rr_nodes,
+                tlb_events,
+            },
             coherence: CoherenceDir::for_machine(&cfg, pages),
             victims: ProcSet::with_capacity_for(cfg.procs()),
             topo: cfg.effective_topology(),
@@ -258,8 +262,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             pager: Pager::new(pager_cfg),
             engine,
             metric,
-            rr_nodes,
-            breakdown: RunBreakdown::new(),
+            tally: Tally::default(),
             trace: if opts.capture_trace {
                 Some(TraceBuilder::new())
             } else {
@@ -269,8 +272,6 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             pending_scratch: Vec::new(),
             ops_scratch: Vec::new(),
             outcomes_scratch: Vec::new(),
-            local_lat_sum: Ns::ZERO,
-            local_lat_n: 0,
             tlbs_flushed_sum: 0,
             flush_batches: 0,
             adaptive: opts.adaptive.clone(),
@@ -279,10 +280,7 @@ impl<'a, R: Recorder, F: FaultInjector, P: Profiler> Sim<'a, R, F, P> {
             obs_epoch: 0,
             overlay: FxHashMap::default(),
             carry: Vec::new(),
-            lane_seq: vec![0; procs],
-            event_scratch: (0..procs).map(|_| Vec::new()).collect(),
-            touched_scratch: (0..procs).map(|_| FxHashMap::default()).collect(),
-            win_quantum: u64::MAX,
+            lanes: (0..procs).map(|_| LaneBuf::default()).collect(),
             obs,
             prof,
             faults,
@@ -314,6 +312,46 @@ mod tests {
 
     fn quick(kind: WorkloadKind, policy: PolicyChoice) -> RunReport {
         Machine::new(kind.build(Scale::quick()), RunOptions::new(policy)).run()
+    }
+
+    /// The windowing-error oracle: the whole (fault-free) run through
+    /// the exact serial sink, with no window opened.
+    fn run_serial(spec: WorkloadSpec, opts: RunOptions) -> RunReport {
+        assert!(opts.faults.is_none(), "the oracle runs fault-free");
+        Sim::new(spec, opts, &mut NullRecorder, &mut NullProfiler, NullFaults)
+            .run(false)
+            .unwrap()
+    }
+
+    /// The oracle charges every nanosecond a CPU clock advances to
+    /// exactly one breakdown slice, as the windowed engine does.
+    #[test]
+    fn serial_oracle_keeps_time_accounting_exact() {
+        for policy in [
+            PolicyChoice::first_touch(),
+            PolicyChoice::round_robin(),
+            PolicyChoice::base_mig_rep(PolicyParams::base().with_trigger(16)),
+        ] {
+            let spec = WorkloadKind::Raytrace.build(Scale::quick());
+            let r = run_serial(spec, RunOptions::new(policy));
+            assert_eq!(r.breakdown.total(), r.cpu_time, "{}", r.policy_label);
+        }
+    }
+
+    /// A run shorter than the tail bound never opens a window, so the
+    /// windowed engine and the oracle are the same computation.
+    #[test]
+    fn serial_oracle_is_the_tail() {
+        let spec = || {
+            WorkloadKind::Engineering.build(Scale {
+                refs_per_cpu: 1_000,
+            })
+        };
+        let params = PolicyParams::base().with_trigger(16);
+        let opts = RunOptions::new(PolicyChoice::base_mig_rep(params)).with_trace();
+        let windowed = Machine::new(spec(), opts.clone()).run();
+        let serial = run_serial(spec(), opts);
+        assert_eq!(format!("{windowed:?}"), format!("{serial:?}"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Per-run configuration: the placement policy and the kernel knobs.
 
+use super::window::WINDOW;
 use ccnuma_core::{AdaptiveTrigger, DynamicPolicyKind, MissMetric, PolicyParams};
 use ccnuma_faults::FaultSpec;
 use ccnuma_kernel::{LockGranularity, ShootdownMode};
 use ccnuma_trace::MissSource;
-use ccnuma_types::ShardPlan;
+use ccnuma_types::{Ns, ShardPlan};
 use std::fmt;
 
 /// The page-placement policy for a run.
@@ -86,29 +87,34 @@ pub struct RunOptions {
     /// simulated CPUs. Results are byte-identical at every shard count.
     pub shards: ShardPlan,
     /// Shard epoch window length in simulated microseconds; `None`
-    /// uses the built-in default (100 µs). An experiment knob for
-    /// window-tuning studies: like `shards` it is excluded from the
-    /// run-cache key, so changing it never invalidates cached runs.
+    /// uses the built-in default (100 µs). The window changes results,
+    /// so unlike `shards` a non-default window is part of the run-cache
+    /// key.
     pub window_us: Option<u64>,
 }
 
-/// Hand-written so the shard plan and window length stay out of the
-/// debug rendering: run cache keys are derived from
-/// `format!("{spec:?}")`, and execution hints must never perturb them
-/// — the whole point is that results are byte-identical at every shard
-/// count, and the window is an experiment knob, not an identity.
+/// Hand-written so the shard plan stays out of the debug rendering: run
+/// cache keys and trace slugs are derived from `format!("{spec:?}")`,
+/// and results are byte-identical at every shard count. The window does
+/// change results (contention feedback is one window late), so it is
+/// rendered, but only when it differs from the default: `None` and
+/// `Some(100)` key alike, and every key made before the window joined
+/// them stays valid.
 impl fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("policy", &self.policy)
+        let mut d = f.debug_struct("RunOptions");
+        d.field("policy", &self.policy)
             .field("capture_trace", &self.capture_trace)
             .field("shootdown", &self.shootdown)
             .field("granularity", &self.granularity)
             .field("batch_pages", &self.batch_pages)
             .field("pipelined_copy", &self.pipelined_copy)
             .field("adaptive", &self.adaptive)
-            .field("faults", &self.faults)
-            .finish()
+            .field("faults", &self.faults);
+        if let Some(us) = self.window_us.filter(|&us| Ns::from_us(us) != WINDOW) {
+            d.field("window_us", &us);
+        }
+        d.finish()
     }
 }
 
@@ -198,10 +204,10 @@ impl RunOptions {
     }
 
     /// Sets the shard epoch window length in simulated microseconds.
-    /// An execution hint like the shard plan: excluded from the cache
-    /// key. Note that unlike `shards`, the window size *can* perturb
-    /// results (directory-contention feedback is one window late), so
-    /// comparative experiments should hold it fixed.
+    /// Unlike `shards`, the window size perturbs results
+    /// (directory-contention feedback is one window late), so a
+    /// non-default window joins the cache key, and comparative
+    /// experiments should hold it fixed.
     ///
     /// # Panics
     ///
@@ -226,11 +232,16 @@ mod tests {
         assert!(!format!("{b:?}").contains("shards"));
     }
 
+    /// The window changes results, so a non-default window must key
+    /// apart; the default keys like an unset window.
     #[test]
-    fn window_is_invisible_to_debug_and_cache_keys() {
-        let a = RunOptions::new(PolicyChoice::first_touch());
-        let b = RunOptions::new(PolicyChoice::first_touch()).with_window_us(250);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(!format!("{b:?}").contains("window"));
+    fn only_a_non_default_window_joins_debug_and_cache_keys() {
+        let key = |opts: RunOptions| format!("{opts:?}");
+        let unset = key(RunOptions::new(PolicyChoice::first_touch()));
+        let default = key(RunOptions::new(PolicyChoice::first_touch()).with_window_us(100));
+        let other = key(RunOptions::new(PolicyChoice::first_touch()).with_window_us(250));
+        assert_eq!(unset, default);
+        assert!(!unset.contains("window"));
+        assert!(other.contains("window_us: 250"), "{other}");
     }
 }

@@ -8,31 +8,27 @@ use ccnuma_faults::{FaultEvent, FaultInjector, FaultKind};
 use ccnuma_kernel::{OpOutcome, PageOp};
 use ccnuma_obs::{AuditAction, Decision, Phase, Profiler, Recorder};
 use ccnuma_trace::MissRecord;
-use ccnuma_types::{Mode, NodeId, Ns, Pid, ProcId, SimError, VirtPage};
+use ccnuma_types::{Mode, Ns, SimError, VirtPage};
 
 impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// Feeds one miss event to the policy engine and acts on the decision.
-    pub(super) fn drive_policy(
-        &mut self,
-        cpu: usize,
-        pid: Pid,
-        my_node: NodeId,
-        proc: ProcId,
-        rec: &MissRecord,
-    ) -> Result<(), SimError> {
+    pub(super) fn drive_policy(&mut self, rec: &MissRecord) -> Result<(), SimError> {
         let Some(metric) = &mut self.metric else {
             return Ok(());
         };
         if !metric.admits(rec) {
             return Ok(());
         }
+        let (proc, pid) = (rec.proc, rec.pid);
+        let cpu = proc.index();
+        let my_node = self.cores[cpu].node;
         let engine = self.engine.as_mut().expect("metric implies engine");
         // Workload pages are dense from 0, so the page number is the
         // page's counter slot.
         let slot = rec.page.index();
         let loc = self.pager.location_for(pid, rec.page, my_node);
         let pressure = self.pager.pressure(my_node);
-        // The event's own timestamp, not `clocks[cpu]`: identical on
+        // The event's own timestamp, not the CPU clock: identical on
         // the serial path (records carry the CPU clock), and the only
         // deterministic choice when a merge replays lane events after
         // the lane clocks have already advanced past them.
@@ -141,7 +137,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             // retried on the next flush attempt, but only up to the
             // bound — injected loss may delay a batch, never starve it.
             if self.consec_intr_lost < MAX_INTR_LOSSES
-                && self.faults.interrupt_lost(self.clocks[cpu])
+                && self.faults.interrupt_lost(self.cores[cpu].clock)
             {
                 self.consec_intr_lost += 1;
                 return Ok(());
@@ -179,7 +175,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         self.ops_scratch.extend(batch.iter().map(|(op, _)| *op));
         let mut outcomes = std::mem::take(&mut self.outcomes_scratch);
         self.pager.service_batch_into(
-            self.clocks[cpu],
+            self.cores[cpu].clock,
             &self.ops_scratch,
             &mut self.faults,
             &mut outcomes,
@@ -188,10 +184,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         if stats.flush_ops > 0 {
             self.tlbs_flushed_sum += stats.tlbs_flushed as u64;
             self.flush_batches += 1;
-            self.obs.on_shootdown(self.clocks[cpu], &stats);
+            self.obs.on_shootdown(self.cores[cpu].clock, &stats);
         }
         for ((op, action), outcome) in batch.iter().zip(outcomes.iter().copied()) {
-            let start = self.clocks[cpu];
+            let start = self.cores[cpu].clock;
             match outcome {
                 OpOutcome::Done { latency } => {
                     if F::ENABLED {
@@ -214,8 +210,11 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                         self.fault_stats.reclaimed_frames += u64::from(freed);
                     }
                     let retried = if freed > 0 {
-                        self.pager
-                            .service_batch_with(self.clocks[cpu], &[*op], &mut self.faults)[0]
+                        self.pager.service_batch_with(
+                            self.cores[cpu].clock,
+                            &[*op],
+                            &mut self.faults,
+                        )[0]
                     } else {
                         OpOutcome::NoPage
                     };
@@ -246,10 +245,10 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
                     if reason.retryable() {
                         for _ in 0..MAX_OP_RETRIES {
                             self.fault_stats.op_retries += 1;
-                            self.breakdown.add_busy(Mode::Kernel, RETRY_BACKOFF);
-                            self.clocks[cpu] += RETRY_BACKOFF;
+                            self.tally.breakdown.add_busy(Mode::Kernel, RETRY_BACKOFF);
+                            self.cores[cpu].clock += RETRY_BACKOFF;
                             last = self.pager.service_batch_with(
-                                self.clocks[cpu],
+                                self.cores[cpu].clock,
                                 &[*op],
                                 &mut self.faults,
                             )[0];
@@ -294,23 +293,23 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     fn note_pressure_failure(&mut self, cpu: usize) {
         self.consec_failures += 1;
         if self.consec_failures >= PRESSURE_THRESHOLD {
-            let now = self.clocks[cpu];
+            let now = self.cores[cpu].clock;
             self.enter_remap_only(now);
         }
     }
 
     fn charge_overhead(&mut self, cpu: usize, op: &PageOp, latency: Ns) {
         match op {
-            PageOp::Migrate { .. } => self.breakdown.add_mig_overhead(latency),
-            _ => self.breakdown.add_rep_overhead(latency),
+            PageOp::Migrate { .. } => self.tally.breakdown.add_mig_overhead(latency),
+            _ => self.tally.breakdown.add_rep_overhead(latency),
         }
-        self.clocks[cpu] += latency;
+        self.cores[cpu].clock += latency;
     }
 
     /// Removes `page` from every TLB (the mappings changed).
     fn shootdown_all(&mut self, page: VirtPage) {
-        for tlb in &mut self.tlb {
-            tlb.shootdown(page);
+        for core in &mut self.cores {
+            core.tlb.shootdown(page);
         }
     }
 }

@@ -6,11 +6,12 @@
 //! # Determinism contract
 //!
 //! A lane's window is a pure function of (lane state, the shared-state
-//! snapshot at the window start, the window bounds): it owns its TLB,
-//! L2, clock, reference stream and RNG, reads the pager and topology
-//! immutably, and queues everything else — first touches, coherence
-//! writes and fills, policy-driving miss events — as [`Ev`] values
-//! stamped `(time, cpu, seq)`. Each lane's events, and the carry pool
+//! snapshot at the window start, the window bounds): it borrows its
+//! CPU's core (TLB, L2, clock, reference stream and RNG) out of `Sim`
+//! by `chunks_mut`, reads the pager and topology immutably, and queues
+//! everything else — first touches, coherence writes and fills,
+//! policy-driving miss events — as [`Ev`] values stamped
+//! `(time, cpu, seq)`. Each lane's events, and the carry pool
 //! of events held back from earlier windows, are already sorted by
 //! that key, so the merge never sorts: it replays a k-way merge of
 //! those runs on the coordinating thread, straight out of the lanes'
@@ -19,11 +20,12 @@
 //! are the same computation with different thread placement; reports
 //! are byte-identical by construction.
 //!
-//! A TLB refill becomes an event only when its replay can do
-//! something: a recorder is on, a trace is being captured, or the
-//! policy counts TLB misses. Otherwise the merge would replay it as a
-//! no-op, so the lane never emits it. Eliding it is exact: `seq` only
-//! breaks ties within one CPU and stays monotone.
+//! A lane runs the one per-reference step (`memory::step`) with itself
+//! as the buffering sink: every effect on shared state becomes an event
+//! in the lane's ordered run. A TLB refill reaches the sink only when
+//! its replay can do something (see `StepEnv::tlb_events`); eliding it
+//! is exact, since `seq` only breaks ties within one CPU and stays
+//! monotone.
 //!
 //! Directory-controller contention (§7.1.2) is charged entirely at the
 //! merge: lanes charge the uncontended miss latency, and the canonical
@@ -39,21 +41,15 @@
 //! (scheduler re-query, fault storms, adaptive ticks, epoch sampling)
 //! runs between windows on the coordinating thread, exactly once per
 //! quantum. The final stretch of a run (and anything too short to
-//! window) uses the exact serial per-reference loop in `sched`.
+//! window) runs the same step with the immediate sink
+//! (`memory::Immediate`), which applies each effect to the canonical
+//! state at once: the exact serial semantics, in CPU clock order.
 
-use super::memory::TLB_REFILL;
+use super::memory::{step, Core, Ev, Sink, StepEnv, Tally};
 use super::Sim;
-use crate::{L2Cache, Tlb};
 use ccnuma_faults::FaultInjector;
 use ccnuma_obs::{Phase, Profiler, Recorder};
-use ccnuma_stats::RunBreakdown;
-use ccnuma_trace::{MissRecord, MissSource};
-use ccnuma_types::{
-    AccessKind, FxHashMap, MachineConfig, MemAccess, Mode, NodeId, Ns, Pid, ProcId, SimError,
-    Topology, VirtPage,
-};
-use ccnuma_workloads::ProcessStream;
-use rand::rngs::SmallRng;
+use ccnuma_types::{FxHashMap, NodeId, Ns, Pid, SimError, Topology, VirtPage};
 use std::convert::Infallible;
 
 /// Default window length in simulated nanoseconds, used when
@@ -61,56 +57,6 @@ use std::convert::Infallible;
 /// additionally clamped so they never cross a scheduler-quantum
 /// boundary.
 pub(super) const WINDOW: Ns = Ns(100_000);
-
-/// One deferred cross-CPU interaction, replayed at merge time.
-#[derive(Clone, Copy)]
-pub(super) enum Ev {
-    /// A lane first-touched an unmapped page; the merge allocates it
-    /// (with the §7.2.3 reclaim-then-retry pressure response).
-    FirstTouch {
-        /// Touching process.
-        pid: Pid,
-        /// The touched page.
-        page: VirtPage,
-        /// Home node the lane decided (first-touch or round-robin).
-        home: NodeId,
-    },
-    /// A TLB refill: recorded, traced, and fed to the policy engine.
-    /// Emitted only when one of those consumers is on.
-    Tlb {
-        /// The miss record (timestamped with the lane clock).
-        rec: MissRecord,
-    },
-    /// A secondary-cache miss: recorded, traced, policy-driven, and
-    /// queued at the home node's directory controller during the
-    /// merge (the lane charges the uncontended latency; the canonical
-    /// replay computes the queueing delay and defers it to the CPU's
-    /// next window).
-    Miss {
-        /// The miss record.
-        rec: MissRecord,
-        /// Uncontended miss latency the lane charged.
-        latency: Ns,
-        /// Home node of the page (where the directory request lands).
-        home: NodeId,
-        /// Whether the miss went off-node.
-        remote: bool,
-    },
-    /// A write hit the coherence directory: invalidate other sharers.
-    CohWrite {
-        /// Written page.
-        page: VirtPage,
-        /// Written line within the page.
-        line: u16,
-    },
-    /// A clean fill: record the sharer in the coherence directory.
-    CohFill {
-        /// Filled page.
-        page: VirtPage,
-        /// Filled line.
-        line: u16,
-    },
-}
 
 /// An [`Ev`] with its canonical merge key.
 #[derive(Clone, Copy)]
@@ -220,177 +166,117 @@ fn merge_window<'e, E>(
 /// Shared read-only context every lane sees during one window: the
 /// canonical state as of the window start.
 struct LaneCtx<'a> {
-    cfg: &'a MachineConfig,
+    env: StepEnv,
     topo: &'a Topology,
     pager: &'a ccnuma_kernel::Pager,
     overlay: &'a FxHashMap<(Pid, VirtPage), NodeId>,
-    rr_nodes: Option<u16>,
-    /// Whether lanes emit [`Ev::Tlb`]: see the module docs.
-    tlb_events: bool,
     end: Ns,
 }
 
-/// Per-CPU state a window lane owns while it runs (moved out of `Sim`
-/// for the window, moved back at the merge).
-struct Lane {
-    cpu: u16,
-    /// The node this CPU sits on.
-    node: NodeId,
-    clock: Ns,
-    pid: Option<Pid>,
-    tlb: Tlb,
-    l2: L2Cache,
-    /// The scheduled process's stream and RNG, taken from the slot.
-    slot: Option<(ProcessStream, SmallRng)>,
-    breakdown: RunBreakdown,
-    /// First-touch homes this lane decided this window.
+/// A lane's buffers, kept per CPU between windows so they keep their
+/// capacity.
+#[derive(Default)]
+pub(super) struct LaneBuf {
+    tally: Tally,
+    /// First-touch homes this lane decided this window (drained into
+    /// the overlay at the merge).
     touched: FxHashMap<(Pid, VirtPage), NodeId>,
-    local_lat_sum: Ns,
-    local_lat_n: u64,
+    /// References stepped this window.
     refs: u64,
+    /// Last event sequence number; never reset, so `(cpu, seq)` is
+    /// unique across the whole run and the merge order total.
     seq: u64,
     events: Vec<WinEv>,
 }
 
-impl Lane {
-    fn emit(&mut self, time: Ns, ev: Ev) {
-        self.seq += 1;
-        assert!(
-            self.seq < SEQ_END,
-            "cpu {} event sequence overflow",
-            self.cpu
-        );
-        self.events.push(WinEv {
-            time,
-            cpu: self.cpu,
-            seq: self.seq,
-            ev,
-        });
-    }
+/// The buffering sink: one CPU's lane for one window. Every cross-CPU
+/// effect becomes an event for the canonical merge.
+struct Lane<'w> {
+    ctx: &'w LaneCtx<'w>,
+    core: &'w mut Core,
+    buf: &'w mut LaneBuf,
+}
 
+impl Lane<'_> {
     /// Advances this lane to the window end (or until its reference
     /// budget runs out — a guard against zero-cost configurations).
-    fn run_window(&mut self, ctx: &LaneCtx) {
-        let Some(pid) = self.pid else {
-            if self.clock < ctx.end {
-                self.breakdown.add_idle(ctx.end - self.clock);
-                self.clock = ctx.end;
+    fn run(mut self) {
+        let end = self.ctx.end;
+        let Some(pid) = self.core.pid else {
+            if self.core.clock < end {
+                self.buf.tally.breakdown.add_idle(end - self.core.clock);
+                self.core.clock = end;
             }
             return;
         };
-        let min_step = ctx.cfg.compute_ns_per_ref.0.max(1);
-        let mut budget = ctx.end.0.saturating_sub(self.clock.0) / min_step + 1;
-        while self.clock < ctx.end && budget > 0 {
+        let env = self.ctx.env;
+        let mut budget = end.0.saturating_sub(self.core.clock.0) / env.compute.0.max(1) + 1;
+        while self.core.clock < end && budget > 0 {
             budget -= 1;
-            let (stream, rng) = self.slot.as_mut().expect("scheduled lane has a stream");
+            let (stream, rng) = self
+                .core
+                .slot
+                .as_mut()
+                .expect("scheduled lane has a stream");
             let access = stream.next_ref(rng);
-            self.refs += 1;
-            self.step(ctx, pid, access);
+            self.buf.refs += 1;
+            let Ok(()) = step(&mut self, env, pid, access);
         }
     }
+}
 
-    /// The lane-side memory step: identical timing to the serial
-    /// `Sim::step`, but every cross-CPU effect becomes an event.
-    fn step(&mut self, ctx: &LaneCtx, pid: Pid, access: MemAccess) {
-        let my_node = self.node;
+impl Sink for Lane<'_> {
+    type Error = Infallible;
 
-        self.breakdown
-            .add_busy(access.mode, ctx.cfg.compute_ns_per_ref);
-        self.clock += ctx.cfg.compute_ns_per_ref;
+    fn core(&mut self) -> &mut Core {
+        self.core
+    }
 
-        if !self.tlb.access(access.page) {
-            let key = (pid, access.page);
-            if ctx.pager.mapping_node(pid, access.page).is_none()
-                && !ctx.overlay.contains_key(&key)
-                && !self.touched.contains_key(&key)
-            {
-                let home = match ctx.rr_nodes {
-                    Some(n) => NodeId((access.page.0 % u64::from(n)) as u16),
-                    None => my_node,
-                };
-                self.touched.insert(key, home);
-                self.emit(
-                    self.clock,
-                    Ev::FirstTouch {
-                        pid,
-                        page: access.page,
-                        home,
-                    },
-                );
-            }
-            self.breakdown.add_busy(Mode::Kernel, TLB_REFILL);
-            self.clock += TLB_REFILL;
-            if ctx.tlb_events {
-                let rec = self.record_of(pid, &access, MissSource::Tlb);
-                self.emit(self.clock, Ev::Tlb { rec });
-            }
-        }
+    fn tally(&mut self) -> &mut Tally {
+        &mut self.buf.tally
+    }
 
-        let hit = self.l2.access(access.page, access.line);
-        if access.kind == AccessKind::Write {
-            self.emit(
-                self.clock,
-                Ev::CohWrite {
-                    page: access.page,
-                    line: access.line,
-                },
-            );
-        } else if !hit {
-            self.emit(
-                self.clock,
-                Ev::CohFill {
-                    page: access.page,
-                    line: access.line,
-                },
-            );
-        }
+    fn topo(&self) -> &Topology {
+        self.ctx.topo
+    }
 
-        if hit {
-            self.breakdown
-                .add_hit_stall(access.mode, access.class, ctx.cfg.l2_hit);
-            self.clock += ctx.cfg.l2_hit;
-            return;
-        }
-
-        let mapped = ctx
+    /// The pager as of the window start, then pages first-touched in
+    /// earlier windows whose events are still in the carry, then this
+    /// lane's own touches. Forced inline: left to itself the compiler
+    /// calls it out of line from both probes in the step, once per TLB
+    /// and L2 miss.
+    #[inline(always)]
+    fn home(&self, pid: Pid, page: VirtPage) -> Option<NodeId> {
+        self.ctx
             .pager
-            .mapping_node(pid, access.page)
-            .or_else(|| ctx.overlay.get(&(pid, access.page)).copied())
-            .or_else(|| self.touched.get(&(pid, access.page)).copied())
-            .expect("page mapped by a prior touch");
-        let tier = ctx.topo.tier(my_node, mapped);
-        let remote = tier.is_off_node();
-        let latency = ctx.topo.latency(my_node, mapped, access.kind);
-        self.breakdown
-            .add_stall_tier(access.mode, access.class, tier, latency);
-        self.clock += latency;
-        if !remote {
-            self.local_lat_sum += latency;
-            self.local_lat_n += 1;
-        }
-        let rec = self.record_of(pid, &access, MissSource::Cache);
-        self.emit(
-            self.clock,
-            Ev::Miss {
-                rec,
-                latency,
-                home: mapped,
-                remote,
-            },
-        );
+            .mapping_node(pid, page)
+            .or_else(|| self.ctx.overlay.get(&(pid, page)).copied())
+            .or_else(|| self.buf.touched.get(&(pid, page)).copied())
     }
 
-    fn record_of(&self, pid: Pid, access: &MemAccess, source: MissSource) -> MissRecord {
-        MissRecord {
-            time: self.clock,
-            proc: ProcId(self.cpu),
-            pid,
-            page: access.page,
-            kind: access.kind,
-            mode: access.mode,
-            class: access.class,
-            source,
+    /// Contention is charged at the merge: see the module docs.
+    fn contention(&mut self, _: Ns, _: NodeId, _: bool) -> Ns {
+        Ns::ZERO
+    }
+
+    fn emit(&mut self, ev: Ev) -> Result<(), Infallible> {
+        let buf = &mut *self.buf;
+        if let Ev::FirstTouch { pid, page, home } = ev {
+            buf.touched.insert((pid, page), home);
         }
+        buf.seq += 1;
+        assert!(
+            buf.seq < SEQ_END,
+            "cpu {} event sequence overflow",
+            self.core.cpu
+        );
+        buf.events.push(WinEv {
+            time: self.core.clock,
+            cpu: self.core.cpu,
+            seq: buf.seq,
+            ev,
+        });
+        Ok(())
     }
 }
 
@@ -406,172 +292,106 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// only while `refs_left` exceeds it can never overdraw.
     pub(super) fn window_tail_bound(&self) -> u64 {
         let min_step = self.spec.config.compute_ns_per_ref.0.max(1);
-        self.clocks.len() as u64 * (self.window().0 / min_step + 2)
+        self.cores.len() as u64 * (self.window().0 / min_step + 2)
     }
 
-    /// Runs one window: quantum/epoch work, parallel lanes, canonical
+    /// Runs one window: scheduling point, parallel lanes, canonical
     /// merge. Returns the number of references consumed.
-    pub(super) fn run_window(&mut self, shards: usize, quantum: Ns) -> Result<u64, SimError> {
-        let procs = self.clocks.len();
-        let cur = self.clocks.iter().copied().min().expect("at least one cpu");
+    pub(super) fn run_window(&mut self, shards: usize) -> Result<u64, SimError> {
+        let cur = self
+            .cores
+            .iter()
+            .map(|c| c.clock)
+            .min()
+            .expect("at least one cpu");
+        // Windows never straddle a quantum boundary, so the boundary
+        // work runs here, once per quantum, for every CPU at once.
+        self.sched_point(cur, 0..self.cores.len());
+        let quantum = self.spec.scheduler.quantum().0;
+        let end = Ns((cur.0 + self.window().0).min((cur.0 / quantum + 1) * quantum));
 
-        if R::ENABLED && self.obs.epoch_due(cur) {
-            let span = self.prof.enter(Phase::Epoch);
-            let view = self.sample_view(cur);
-            self.obs.on_epoch(cur, &view);
-            self.prof.exit(Phase::Epoch, span);
-        }
-
-        // Quantum-boundary work runs once per quantum, between windows,
-        // for every CPU at once (windows never straddle a boundary).
-        let q = cur.0 / quantum.0;
-        if q != self.win_quantum {
-            let span = self.prof.enter(Phase::Sched);
-            self.win_quantum = q;
-            if F::ENABLED {
-                self.drive_storms(cur);
-            }
-            self.adaptive_tick(cur);
-            let map = self.spec.scheduler.assignment(cur);
-            for cpu in 0..procs {
-                self.cur_quantum[cpu] = q;
-                let pid = map.get(cpu).copied().flatten();
-                if pid != self.cur_pid[cpu] {
-                    self.tlb[cpu].flush();
-                    self.cur_pid[cpu] = pid;
-                    if let Some(p) = pid {
-                        self.pager.set_pid_node(p, self.node_of(cpu));
-                    }
-                    self.obs
-                        .on_context_switch(cpu, cur, pid.map(|p| p.0 as u64));
-                }
-            }
-            self.prof.exit(Phase::Sched, span);
-        }
-        let end = Ns((cur.0 + self.window().0).min((q + 1) * quantum.0));
-
-        // Move per-CPU state out of `Sim` into lanes.
-        let tlbs = std::mem::take(&mut self.tlb);
-        let l2s = std::mem::take(&mut self.l2);
-        let mut lanes: Vec<Lane> = tlbs
-            .into_iter()
-            .zip(l2s)
-            .enumerate()
-            .map(|(cpu, (tlb, l2))| {
-                let pid = self.cur_pid[cpu];
-                let slot = pid.map(|p| {
-                    self.proc_streams[p.index()]
+        // A lane draws from the stream of the process it runs.
+        for core in &mut self.cores {
+            if let (Some(pid), None) = (core.pid, &core.slot) {
+                core.slot = Some(
+                    self.proc_streams[pid.index()]
                         .take()
-                        .expect("scheduler assigned one pid to two cpus")
-                });
-                Lane {
-                    cpu: cpu as u16,
-                    node: self.node_of(cpu),
-                    clock: self.clocks[cpu],
-                    pid,
-                    tlb,
-                    l2,
-                    slot,
-                    breakdown: RunBreakdown::new(),
-                    touched: std::mem::take(&mut self.touched_scratch[cpu]),
-                    local_lat_sum: Ns::ZERO,
-                    local_lat_n: 0,
-                    refs: 0,
-                    seq: self.lane_seq[cpu],
-                    events: std::mem::take(&mut self.event_scratch[cpu]),
-                }
-            })
-            .collect();
+                        .expect("scheduler assigned one pid to two cpus"),
+                );
+            }
+        }
 
         let ctx = LaneCtx {
-            cfg: &self.spec.config,
+            env: self.env,
             topo: &self.topo,
             pager: &self.pager,
             overlay: &self.overlay,
-            rr_nodes: self.rr_nodes,
-            tlb_events: self.tlb_events_consumed(),
             end,
         };
         let span = self.prof.enter(Phase::Lanes);
-        if shards <= 1 {
-            for lane in &mut lanes {
-                lane.run_window(&ctx);
+        let per = self.cores.len().div_ceil(shards.max(1));
+        let chunks = self.cores.chunks_mut(per).zip(self.lanes.chunks_mut(per));
+        let run = |(cores, bufs): (&mut [Core], &mut [LaneBuf])| {
+            for (core, buf) in cores.iter_mut().zip(bufs) {
+                Lane {
+                    ctx: &ctx,
+                    core,
+                    buf,
+                }
+                .run();
             }
+        };
+        if shards <= 1 {
+            chunks.for_each(run);
         } else {
-            let per = lanes.len().div_ceil(shards);
             std::thread::scope(|s| {
-                let ctx = &ctx;
-                for chunk in lanes.chunks_mut(per) {
-                    s.spawn(move || {
-                        for lane in chunk {
-                            lane.run_window(ctx);
-                        }
-                    });
+                for chunk in chunks {
+                    s.spawn(move || run(chunk));
                 }
             });
         }
         self.prof.exit(Phase::Lanes, span);
 
-        // Fold lane state back in CPU order (deterministic float sums),
-        // then replay the carry and the lanes' event runs in canonical
+        // Fold lane tallies in CPU order (deterministic sums), then
+        // replay the carry and the lanes' event runs in canonical
         // (time, cpu, seq) order. Handoff, merge and replay are all
         // merge time.
         let span = self.prof.enter(Phase::Merge);
+        let mut lanes = std::mem::take(&mut self.lanes);
         let mut consumed = 0u64;
-        let mut tlbs = Vec::with_capacity(procs);
-        let mut l2s = Vec::with_capacity(procs);
-        for mut lane in lanes {
-            let cpu = lane.cpu as usize;
-            consumed += lane.refs;
-            self.clocks[cpu] = lane.clock;
-            self.lane_seq[cpu] = lane.seq;
-            self.breakdown.merge(&lane.breakdown);
-            self.local_lat_sum += lane.local_lat_sum;
-            self.local_lat_n += lane.local_lat_n;
-            if let (Some(pid), Some(slot)) = (lane.pid, lane.slot.take()) {
-                self.proc_streams[pid.index()] = Some(slot);
-            }
-            for (k, v) in lane.touched.drain() {
+        for buf in &mut lanes {
+            consumed += std::mem::take(&mut buf.refs);
+            let tally = std::mem::take(&mut buf.tally);
+            self.tally.breakdown.merge(&tally.breakdown);
+            self.tally.local_lat_sum += tally.local_lat_sum;
+            self.tally.local_lat_n += tally.local_lat_n;
+            for (k, v) in buf.touched.drain() {
                 self.overlay.entry(k).or_insert(v);
             }
-            self.touched_scratch[cpu] = lane.touched;
-            self.event_scratch[cpu] = lane.events;
-            tlbs.push(lane.tlb);
-            l2s.push(lane.l2);
         }
-        self.tlb = tlbs;
-        self.l2 = l2s;
-
         let carry = std::mem::take(&mut self.carry);
-        let mut lane_events = std::mem::take(&mut self.event_scratch);
-        let runs = std::iter::once(&carry).chain(&lane_events);
+        let runs = std::iter::once(&carry).chain(lanes.iter().map(|b| &b.events));
         let mut next_carry = Vec::new();
         let outcome = merge_window(runs, end, &mut next_carry, |ev| self.replay(ev));
         self.carry = next_carry;
-        for events in &mut lane_events {
-            events.clear();
+        for buf in &mut lanes {
+            buf.events.clear();
         }
-        self.event_scratch = lane_events;
+        self.lanes = lanes;
         self.prof.exit(Phase::Merge, span);
         outcome?;
         Ok(consumed)
     }
 
-    /// Whether replaying an [`Ev::Tlb`] can have any effect: the
-    /// recorder observes TLB fills, the trace records them, or the
-    /// policy metric counts them. When none holds, lanes skip them.
-    fn tlb_events_consumed(&self) -> bool {
-        R::ENABLED
-            || self.trace.is_some()
-            || self
-                .metric
-                .as_ref()
-                .is_some_and(|m| m.source() == MissSource::Tlb)
-    }
-
-    /// Replays events still in the carry pool (the windowed phase is
-    /// over; the serial tail starts from fully merged state).
-    pub(super) fn flush_carried(&mut self) -> Result<(), SimError> {
+    /// Ends the windowed phase: replays events still in the carry pool
+    /// and returns every lane's stream, so the serial tail starts from
+    /// fully merged state.
+    pub(super) fn end_windows(&mut self) -> Result<(), SimError> {
+        for core in &mut self.cores {
+            if let (Some(pid), Some(slot)) = (core.pid, core.slot.take()) {
+                self.proc_streams[pid.index()] = Some(slot);
+            }
+        }
         if self.carry.is_empty() {
             return Ok(());
         }
@@ -582,83 +402,36 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         outcome
     }
 
-    /// Applies one lane event to the canonical state. Mirrors the
-    /// corresponding arms of the serial `Sim::step`.
+    /// Applies one lane event to the canonical state. A miss first
+    /// queues at the canonical directory in merge order — the single
+    /// place every CPU's misses contend. The lane already charged the
+    /// uncontended latency; the queueing delay lands on the CPU's clock
+    /// here, before its next window (a one-window deferral, the price
+    /// of relaxed synchronization).
     fn replay(&mut self, wev: &WinEv) -> Result<(), SimError> {
-        let cpu = wev.cpu as usize;
-        match wev.ev {
-            Ev::FirstTouch { pid, page, home } => {
-                // Another event (same page, earlier in canonical order)
-                // may have mapped it already; first writer wins.
-                if self.pager.mapping_node(pid, page).is_none()
-                    && self.pager.first_touch(pid, page, home).is_none()
-                {
-                    for n in 0..self.spec.config.nodes {
-                        let freed = self.pager.reclaim_replicas_on(NodeId(n), 8);
-                        if F::ENABLED {
-                            self.fault_stats.reclaimed_frames += u64::from(freed);
-                        }
-                    }
-                    if self.pager.first_touch(pid, page, home).is_none() {
-                        return Err(SimError::OutOfMemory { page, node: home });
-                    }
+        let cpu = usize::from(wev.cpu);
+        let mut ev = wev.ev;
+        if let Ev::Miss {
+            rec,
+            latency,
+            home,
+            remote,
+        } = &mut ev
+        {
+            let wait = self.directory.request(wev.time, *home, *remote);
+            if wait > Ns::ZERO {
+                let tier = self.topo.tier(self.cores[cpu].node, *home);
+                self.tally
+                    .breakdown
+                    .add_contention_stall(rec.mode, rec.class, tier, wait);
+                self.cores[cpu].clock += wait;
+                if !*remote {
+                    self.tally.local_lat_sum += wait;
                 }
-                Ok(())
-            }
-            Ev::Tlb { rec } => {
-                self.obs.on_tlb_fill(&rec, TLB_REFILL);
-                if let Some(t) = &mut self.trace {
-                    t.push(rec);
-                }
-                let my_node = self.node_of(cpu);
-                self.drive_policy(cpu, rec.pid, my_node, ProcId(wev.cpu), &rec)
-            }
-            Ev::CohWrite { page, line } => {
-                let span = self.prof.enter(Phase::Coherence);
-                self.coherence
-                    .write(ProcId(wev.cpu), page, line, &mut self.victims);
-                for victim in self.victims.iter() {
-                    self.l2[victim.index()].invalidate(page, line);
-                }
-                self.prof.exit(Phase::Coherence, span);
-                Ok(())
-            }
-            Ev::CohFill { page, line } => {
-                self.coherence.record_fill(ProcId(wev.cpu), page, line);
-                Ok(())
-            }
-            Ev::Miss {
-                rec,
-                latency,
-                home,
-                remote,
-            } => {
-                // Queue the request at the canonical directory in merge
-                // order — the single place every CPU's misses contend,
-                // exactly as in the serial loop. The lane already
-                // charged the uncontended latency; the queueing delay
-                // lands on the CPU's clock here, before its next
-                // window (a one-window deferral, the price of relaxed
-                // synchronization).
-                let wait = self.directory.request(wev.time, home, remote);
-                if wait > Ns::ZERO {
-                    let my_node = self.node_of(cpu);
-                    let tier = self.topo.tier(my_node, home);
-                    self.breakdown
-                        .add_contention_stall(rec.mode, rec.class, tier, wait);
-                    self.clocks[cpu] += wait;
-                    if !remote {
-                        self.local_lat_sum += wait;
-                    }
-                }
-                self.obs.on_miss(&rec, latency + wait, remote);
-                if let Some(t) = &mut self.trace {
-                    t.push(rec);
-                }
-                let my_node = self.node_of(cpu);
-                self.drive_policy(cpu, rec.pid, my_node, ProcId(wev.cpu), &rec)
+                *latency += wait;
             }
         }
+        self.apply(cpu, ev)
     }
 }
 
