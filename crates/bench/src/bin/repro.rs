@@ -435,8 +435,10 @@ fn run_sweep_cmd(o: &Opts) -> i32 {
             results: &results,
             trace_slug: &slug,
             soft_deadline: o.soft_deadline,
+            progress: &|_| true,
         };
-        run_sweep_cached(spec, nodes, other_time, jobs, open, &cells).map(|(r, n)| (r, None, n))
+        run_sweep_cached(spec, nodes, other_time, jobs, open, &cells)
+            .map(|run| (run.report, None, run.resumed))
     } else if o.profile_out.is_some() {
         run_sweep_profiled(spec, nodes, other_time, jobs, open).map(|(r, p)| (r, Some(p), 0))
     } else {

@@ -515,10 +515,11 @@ fn trace(action: &str, mut o: Opts, names: Vec<String>) -> Result<Command, CliEr
         "capture" => TraceAction::Capture(names.iter().map(kind).collect::<Result<_, _>>()?),
         "info" => TraceAction::Info(names),
         "verify" => TraceAction::Verify(names),
-        "ls" => match names.first() {
-            Some(extra) => return Err(CliError::Unexpected(extra.clone())),
-            None => TraceAction::Ls,
-        },
+        // These act on the whole store: a name would be ignored.
+        "ls" | "fsck" | "gc" if !names.is_empty() => {
+            return Err(CliError::Unexpected(names[0].clone()))
+        }
+        "ls" => TraceAction::Ls,
         "fsck" => TraceAction::Fsck,
         "gc" => TraceAction::Gc(
             o.max_bytes

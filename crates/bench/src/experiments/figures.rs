@@ -8,11 +8,12 @@ use crate::helpers::{base_params, dynamic_spec, ft_spec, traced_ft, traced_ft_sp
 use crate::plan::Executor;
 use ccnuma_core::{DynamicPolicyKind, MissMetric, PolicyParams};
 use ccnuma_machine::{RunReport, RunSpec};
-use ccnuma_polsim::{simulate, PolsimConfig, PolsimReport, SimPolicy, StaticProfile, TraceFilter};
+use ccnuma_polsim::{evaluate, Cell, PolsimConfig, SimPolicy, TraceFilter};
 use ccnuma_stats::{f1, BarChart, Table};
 use ccnuma_trace::read_chains;
 use ccnuma_types::{MachineConfig, Ns};
 use ccnuma_workloads::{Scale, WorkloadKind};
+use core::convert::Infallible;
 use std::fmt::Write as _;
 
 fn report_bar(chart: &mut BarChart, r: &RunReport) {
@@ -205,17 +206,12 @@ fn polsim_figure(
     for kind in workloads {
         let tr = traced_ft(exec, *kind, scale);
         let cfg = PolsimConfig::section8(tr.nodes()).with_other_time(tr.other_time());
-        // The static baselines are all priced from one profile.
-        let mut profile = None;
-        let reports: Vec<PolsimReport> = policies(*kind)
+        let cells: Vec<Cell> = policies(*kind)
             .into_iter()
-            .map(|p| match p {
-                SimPolicy::Static(placement) => profile
-                    .get_or_insert_with(|| StaticProfile::of(cfg.nodes, filter, tr.trace().iter()))
-                    .price(&cfg, placement),
-                p => simulate(tr.trace(), &cfg, p, filter),
-            })
+            .map(|p| (cfg.clone(), p))
             .collect();
+        let open = || Ok::<_, Infallible>(tr.trace().iter().map(|r| Ok(*r)));
+        let Ok((reports, _)) = evaluate(&cells, filter, open);
         let base_total = reports[0].total();
         let mut chart = BarChart::new(vec![
             "mig overhead",

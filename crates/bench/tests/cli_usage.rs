@@ -70,6 +70,18 @@ fn trace_gc_and_ls_argument_errors_open_no_store() {
         &["trace", "ls", "extra"],
         "unexpected argument \"extra\"",
     );
+    // fsck and gc act on the whole store, so a name is refused rather
+    // than ignored.
+    refused_before_work(
+        "fsck-name",
+        &["trace", "fsck", "some-slug"],
+        "unexpected argument \"some-slug\"",
+    );
+    refused_before_work(
+        "gc-name",
+        &["trace", "gc", "--max-bytes", "1", "some-slug"],
+        "unexpected argument \"some-slug\"",
+    );
 }
 
 #[test]

@@ -13,7 +13,10 @@
 //! stall/overhead breakdown each figure plots. The dynamic policies
 //! stream the trace through a [`Replay`]; the static baselines never
 //! move a page, so a one-pass [`StaticProfile`] of the trace prices all
-//! three of them exactly, at any latency or topology.
+//! three of them exactly, at any latency or topology. The planner,
+//! [`plan()`], makes that choice once for every caller, and [`evaluate`]
+//! runs its passes: one profile pass for every static cell of a list,
+//! one replay pass per dynamic cell.
 //!
 //! # Examples
 //!
@@ -36,10 +39,12 @@
 #![warn(missing_docs)]
 
 mod pages;
+mod plan;
 mod profile;
 mod report;
 mod sim;
 
+pub use plan::{evaluate, plan, Cell, Pass, PassOutput};
 pub use profile::StaticProfile;
 pub use report::PolsimReport;
 pub use sim::{simulate, PolsimConfig, Replay, SimPolicy, TraceFilter};

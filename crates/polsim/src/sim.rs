@@ -1,13 +1,14 @@
 //! The trace replay engine.
 
 use crate::pages::PageSlots;
-use crate::{PolsimReport, StaticProfile};
+use crate::{evaluate, PolsimReport};
 use ccnuma_core::{
     DynamicPolicyKind, MissMetric, ObservedMiss, PageLocation, PolicyAction, PolicyEngine,
     PolicyParams, StaticPolicyKind,
 };
 use ccnuma_trace::{MissRecord, MissSource, Trace};
 use ccnuma_types::{MachineConfig, Mode, NodeId, Ns, Topology, TopologyPreset};
+use core::convert::Infallible;
 
 /// The contentionless memory model of Section 8.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,7 +273,8 @@ impl Placement {
 /// be replayed chunk by chunk with bounded memory; [`finish`] yields the
 /// [`PolsimReport`]. Each page starts on its first toucher's node. The
 /// static baselines never move a page, so they are priced from a
-/// [`StaticProfile`] instead of replayed.
+/// [`StaticProfile`](crate::StaticProfile) instead of replayed; the
+/// [`plan`](crate::plan()) decides which cells take which.
 ///
 /// [`observe`]: Replay::observe
 /// [`finish`]: Replay::finish
@@ -350,6 +352,7 @@ impl Replay {
     /// # Panics
     ///
     /// Panics if the record's processor is out of range for the machine.
+    #[inline]
     pub fn observe(&mut self, rec: &MissRecord) {
         let node = self.proc_nodes[rec.proc.index()];
         let (slot, fresh) = self.slots.slot(rec.page);
@@ -433,32 +436,21 @@ impl Replay {
 /// TLB-driven policies are evaluated on cache-miss performance in
 /// Figure 8). Page moves cost [`PolsimConfig::move_cost`] each.
 ///
-/// This is the convenience wrapper for in-memory traces: a dynamic
-/// policy streams the records through [`Replay`], a static one prices a
-/// [`StaticProfile`] of them. Pricing several static policies of one
-/// trace is cheaper from a single profile.
+/// This is the one-cell convenience wrapper for in-memory traces, an
+/// [`evaluate`] call: a dynamic policy streams the records through a
+/// [`Replay`], a static one prices a
+/// [`StaticProfile`](crate::StaticProfile) of them. Several policies of
+/// one trace are cheaper as one [`evaluate`] call, which prices all the
+/// static ones from a single profile.
 pub fn simulate(
     trace: &Trace,
     cfg: &PolsimConfig,
     policy: SimPolicy,
     filter: TraceFilter,
 ) -> PolsimReport {
-    match policy {
-        SimPolicy::Static(kind) => {
-            StaticProfile::of(cfg.nodes, filter, trace.iter()).price(cfg, kind)
-        }
-        SimPolicy::Dynamic {
-            params,
-            kind,
-            metric,
-        } => {
-            let mut replay = Replay::new(cfg, params, kind, metric, filter);
-            for rec in trace.iter() {
-                replay.observe(rec);
-            }
-            replay.finish()
-        }
-    }
+    let open = || Ok::<_, Infallible>(trace.iter().map(|r| Ok(*r)));
+    let Ok((mut reports, _)) = evaluate(&[(cfg.clone(), policy)], filter, open);
+    reports.pop().expect("one cell, one report")
 }
 
 #[cfg(test)]

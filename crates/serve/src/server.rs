@@ -9,6 +9,13 @@
 //! concurrent-sweep cap (429), the resident-trace byte budget (503),
 //! and the PR 8 watchdog deadlines (soft = warn + count, hard = typed
 //! 503 with the result discarded, never cached).
+//!
+//! `POST /v1/eval` answers one cell from the in-memory memo, then the
+//! on-disk result cache, then an `eval_cell` replay of the resident
+//! trace. `POST /v1/sweeps` runs `repro sweep`'s engine
+//! (`run_sweep_cached`) over the resident trace: the same result keys,
+//! the same single static pass, the same bytes. Every memo entry is
+//! also written to disk, so sweeps restore from the result cache alone.
 
 use crate::http::{
     finish_chunks, read_request, start_chunked, write_chunk, write_response, HttpError, Request,
@@ -19,16 +26,17 @@ use crate::state::{
 };
 use ccnuma_obs::artifact_slug;
 use ccnuma_obs::json::{JsonValue, JsonWriter};
+use ccnuma_polsim::TraceFilter;
 use ccnuma_tracestore::{
-    cell_from_payload, cell_payload, eval_cell, CellParams, ResultCache, StoreListing, SweepCell,
-    SweepPolicy, SweepReport, SweepSpec, TraceMeta,
+    cell_payload, eval_cell, run_sweep_cached, CellParams, ResultCache, StoreError, StoreListing,
+    SweepPolicy, SweepSpec, SweepStore, TraceMeta,
 };
 use ccnuma_types::TopologyPreset;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -127,8 +135,8 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Sweep threads are detached but check the shutdown flag
-        // between cells and advertise themselves in `running_sweeps`;
-        // give them a bounded grace period to finish the current cell.
+        // between passes and advertise themselves in `running_sweeps`;
+        // give them a bounded grace period to finish the current pass.
         let deadline = Instant::now() + Duration::from_secs(30);
         while self.state.running_sweeps.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(25));
@@ -234,7 +242,7 @@ fn shed_connection(stream: TcpStream) {
     let _ = write_response(
         &mut w,
         503,
-        "Service Unavailable",
+        reason(503),
         "application/json",
         &[
             ("Retry-After", "1".to_string()),
@@ -305,7 +313,6 @@ fn respond(
     state: &ServeState,
     w: &mut impl Write,
     status: u16,
-    reason: &str,
     extra: &[(&str, String)],
     body: &str,
 ) -> io::Result<()> {
@@ -318,30 +325,37 @@ fn respond(
     write_response(
         w,
         status,
-        reason,
+        reason(status),
         "application/json",
         extra,
         body.as_bytes(),
     )
 }
 
+/// The reason phrase of each status the daemon answers with.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        202 => "Accepted",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        _ => "Service Unavailable",
+    }
+}
+
 fn respond_error(
     state: &ServeState,
     w: &mut impl Write,
     status: u16,
-    reason: &str,
     code: &str,
     message: &str,
     extra: &[(&str, String)],
 ) -> io::Result<()> {
-    respond(
-        state,
-        w,
-        status,
-        reason,
-        extra,
-        &error_body(status, code, message),
-    )
+    respond(state, w, status, extra, &error_body(status, code, message))
 }
 
 /// Routes one request. An `Err` means the connection is unusable.
@@ -350,17 +364,16 @@ fn dispatch(state: &Arc<ServeState>, req: &Request, w: &mut impl Write) -> io::R
     let result = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             state.count("req_healthz", 1);
-            respond(state, w, 200, "OK", &[], "{\"ok\":true}")
+            respond(state, w, 200, &[], "{\"ok\":true}")
         }
         ("GET", "/v1/traces") => {
             state.count("req_traces", 1);
             match StoreListing::scan(&state.store) {
-                Ok(listing) => respond(state, w, 200, "OK", &[], &listing.to_json()),
+                Ok(listing) => respond(state, w, 200, &[], &listing.to_json()),
                 Err(e) => respond_error(
                     state,
                     w,
                     500,
-                    "Internal Server Error",
                     "store_error",
                     &format!("listing failed: {e}"),
                     &[],
@@ -391,7 +404,6 @@ fn dispatch(state: &Arc<ServeState>, req: &Request, w: &mut impl Write) -> io::R
                 state,
                 w,
                 405,
-                "Method Not Allowed",
                 "method_not_allowed",
                 "see README: Sweep service",
                 &[],
@@ -399,31 +411,31 @@ fn dispatch(state: &Arc<ServeState>, req: &Request, w: &mut impl Write) -> io::R
         }
         _ => {
             state.count("errors_4xx", 1);
-            respond_error(
-                state,
-                w,
-                404,
-                "Not Found",
-                "unknown_route",
-                "no such endpoint",
-                &[],
-            )
+            respond_error(state, w, 404, "unknown_route", "no such endpoint", &[])
         }
     };
     state.observe("request_latency_us", t0.elapsed().as_micros() as u64);
     result
 }
 
-/// The parsed coordinates of one eval request.
-struct EvalParams {
-    slug: String,
-    cell: CellParams,
-    filter: ccnuma_polsim::TraceFilter,
+/// A rejected request: status, error code and message.
+type Bad = (u16, &'static str, String);
+
+fn bad(code: &'static str, message: String) -> Bad {
+    (400, code, message)
 }
 
-/// Parses the eval body; `Err` carries `(code, message)` for a 400/404.
-fn parse_eval(state: &ServeState, body: &[u8]) -> Result<EvalParams, (u16, &'static str, String)> {
-    let bad = |code: &'static str, msg: String| (400u16, code, msg);
+/// Answers a rejected request with its typed error body.
+fn respond_bad(state: &ServeState, w: &mut impl Write, (status, code, msg): Bad) -> io::Result<()> {
+    if status < 500 {
+        state.count("errors_4xx", 1);
+    }
+    respond_error(state, w, status, code, &msg, &[])
+}
+
+/// Reads a JSON body that names a stored trace: the document, the
+/// trace's slug and its sidecar.
+fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, TraceMeta), Bad> {
     let text =
         std::str::from_utf8(body).map_err(|_| bad("bad_json", "body is not UTF-8".into()))?;
     let v =
@@ -432,75 +444,113 @@ fn parse_eval(state: &ServeState, body: &[u8]) -> Result<EvalParams, (u16, &'sta
         .get("trace")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| bad("missing_trace", "field \"trace\" is required".into()))?;
-    let policy_name = v
-        .get("policy")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| bad("missing_policy", "field \"policy\" is required".into()))?;
-    let policy = SweepPolicy::parse(policy_name)
-        .ok_or_else(|| bad("unknown_policy", format!("unknown policy {policy_name:?}")))?;
-    let u = |key: &str, default: u64| -> Result<u64, (u16, &'static str, String)> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(x) => x
-                .as_u64()
-                .ok_or_else(|| bad("bad_field", format!("field {key:?} must be a u64"))),
-        }
-    };
-    let trigger = u32::try_from(u("trigger", 128)?)
-        .map_err(|_| bad("bad_field", "trigger out of range".into()))?;
-    let sample = u32::try_from(u("sample_rate", 1)?)
-        .map_err(|_| bad("bad_field", "sample_rate out of range".into()))?;
-    let sample = sample.max(1);
-    let remote_ns = u("remote_latency_ns", 1200)?;
-    let move_us = u("move_cost_us", 350)?;
-    let topology = match v.get("topology") {
-        None => TopologyPreset::Flat,
-        Some(x) => {
-            let name = x
-                .as_str()
-                .ok_or_else(|| bad("bad_field", "topology must be a string".into()))?;
-            TopologyPreset::parse(name)
-                .ok_or_else(|| bad("unknown_topology", format!("unknown topology {name:?}")))?
-        }
-    };
-    let filter = match v.get("filter") {
-        None => ccnuma_polsim::TraceFilter::UserOnly,
-        Some(x) => {
-            let name = x
-                .as_str()
-                .ok_or_else(|| bad("bad_field", "filter must be a string".into()))?;
-            parse_filter(name)
-                .ok_or_else(|| bad("unknown_filter", format!("unknown filter {name:?}")))?
-        }
-    };
     let slug = state.resolve_slug(trace).ok_or((
-        404u16,
+        404,
         "unknown_trace",
         format!("no trace named {trace:?} in the store"),
     ))?;
+    let meta = state.store.meta(&slug).map_err(|e| {
+        let msg = format!("sidecar read failed: {e}");
+        (500, "store_error", msg)
+    })?;
+    Ok((v, slug, meta))
+}
+
+/// One body field: `default` when absent, else what `read` makes of
+/// its value; a value `read` rejects is a 400 with `code`.
+fn field<T>(
+    v: &JsonValue,
+    key: &str,
+    code: &'static str,
+    default: T,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<T, Bad> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(x) => read(x).ok_or_else(|| bad(code, format!("bad value in {key:?}"))),
+    }
+}
+
+/// One sweep axis: an array of values each read by `read`.
+fn axis<T>(
+    v: &JsonValue,
+    key: &str,
+    default: Vec<T>,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Vec<T>, Bad> {
+    field(v, key, "bad_field", default, |x| {
+        x.as_array()?.iter().map(&read).collect()
+    })
+}
+
+fn u32_of(x: &JsonValue) -> Option<u32> {
+    x.as_u64().and_then(|n| u32::try_from(n).ok())
+}
+
+fn policy_of(x: &JsonValue) -> Option<SweepPolicy> {
+    x.as_str().and_then(SweepPolicy::parse)
+}
+
+fn topology_of(x: &JsonValue) -> Option<TopologyPreset> {
+    x.as_str().and_then(TopologyPreset::parse)
+}
+
+fn filter_of(v: &JsonValue) -> Result<TraceFilter, Bad> {
+    field(v, "filter", "unknown_filter", TraceFilter::UserOnly, |x| {
+        x.as_str().and_then(parse_filter)
+    })
+}
+
+/// The parsed coordinates of one eval request.
+struct EvalParams {
+    slug: String,
+    meta: TraceMeta,
+    cell: CellParams,
+    filter: TraceFilter,
+}
+
+fn parse_eval(state: &ServeState, body: &[u8]) -> Result<EvalParams, Bad> {
+    let (v, slug, meta) = parse_body(state, body)?;
+    let num = |key: &str, default| field(&v, key, "bad_field", default, JsonValue::as_u64);
+    let count = |key: &str, default| field(&v, key, "bad_field", default, u32_of);
+    let policy = field(&v, "policy", "unknown_policy", None, |x| {
+        policy_of(x).map(Some)
+    })?;
+    let policy =
+        policy.ok_or_else(|| bad("missing_policy", "field \"policy\" is required".into()))?;
+    let topology = field(
+        &v,
+        "topology",
+        "unknown_topology",
+        TopologyPreset::Flat,
+        topology_of,
+    )?;
+    let cell = CellParams {
+        policy,
+        trigger: count("trigger", 128)?,
+        sample: count("sample_rate", 1)?.max(1),
+        remote_ns: num("remote_latency_ns", 1200)?,
+        move_us: num("move_cost_us", 350)?,
+        topology,
+    };
+    let filter = filter_of(&v)?;
     Ok(EvalParams {
         slug,
-        cell: CellParams {
-            policy,
-            trigger,
-            sample,
-            remote_ns,
-            move_us,
-            topology,
-        },
+        meta,
+        cell,
         filter,
     })
 }
 
-/// Looks a cell up in the memo/result cache, replaying on a miss; the
-/// shared eval path for `/v1/eval` and sweep cells. Returns the
-/// payload and whether it was a cache hit.
+/// Looks a cell up in the memo/result cache, replaying on a miss: the
+/// `/v1/eval` path. A replayed cell is stored on disk before it enters
+/// the memo. Returns the payload and whether it was a cache hit.
 fn cell_result(
     state: &ServeState,
     slug: &str,
     meta: &TraceMeta,
     cell: &CellParams,
-    filter: ccnuma_polsim::TraceFilter,
+    filter: TraceFilter,
 ) -> Result<(Arc<String>, bool), LoadError> {
     let key = ResultCache::key(
         slug,
@@ -553,42 +603,18 @@ fn cell_result(
     Ok((payload, false))
 }
 
-fn load_error_response(state: &ServeState, w: &mut impl Write, e: &LoadError) -> io::Result<()> {
-    match e {
-        LoadError::NotFound => {
-            state.count("errors_4xx", 1);
-            respond_error(
-                state,
-                w,
-                404,
-                "Not Found",
-                "unknown_trace",
-                "trace vanished from the store",
-                &[],
-            )
-        }
+fn load_error_response(state: &ServeState, w: &mut impl Write, e: LoadError) -> io::Result<()> {
+    let bad = match e {
+        LoadError::NotFound => (404, "unknown_trace", "trace vanished from the store".into()),
+        LoadError::Store(err) => (500, "store_error", format!("trace load failed: {err}")),
         LoadError::OverBudget => {
             state.count("shed_over_capacity", 1);
-            respond_error(
-                state,
-                w,
-                503,
-                "Service Unavailable",
-                "shed_over_capacity",
-                "resident-trace byte budget exceeded; retry shortly",
-                &[("Retry-After", "1".to_string())],
-            )
+            let msg = "resident-trace byte budget exceeded; retry shortly";
+            let retry = [("Retry-After", "1".to_string())];
+            return respond_error(state, w, 503, "shed_over_capacity", msg, &retry);
         }
-        LoadError::Store(err) => respond_error(
-            state,
-            w,
-            500,
-            "Internal Server Error",
-            "store_error",
-            &format!("trace load failed: {err}"),
-            &[],
-        ),
-    }
+    };
+    respond_bad(state, w, bad)
 }
 
 fn handle_eval(
@@ -599,34 +625,12 @@ fn handle_eval(
 ) -> io::Result<()> {
     let params = match parse_eval(state, &req.body) {
         Ok(p) => p,
-        Err((status, code, msg)) => {
-            state.count("errors_4xx", 1);
-            let reason = if status == 404 {
-                "Not Found"
-            } else {
-                "Bad Request"
-            };
-            return respond_error(state, w, status, reason, code, &msg, &[]);
-        }
+        Err(e) => return respond_bad(state, w, e),
     };
-    let meta = match state.store.meta(&params.slug) {
-        Ok(m) => m,
-        Err(e) => {
-            return respond_error(
-                state,
-                w,
-                500,
-                "Internal Server Error",
-                "store_error",
-                &format!("sidecar read failed: {e}"),
-                &[],
-            )
-        }
-    };
-    let (payload, hit) = match cell_result(state, &params.slug, &meta, &params.cell, params.filter)
-    {
+    let meta = &params.meta;
+    let (payload, hit) = match cell_result(state, &params.slug, meta, &params.cell, params.filter) {
         Ok(r) => r,
-        Err(e) => return load_error_response(state, w, &e),
+        Err(e) => return load_error_response(state, w, e),
     };
     state.count(
         if hit {
@@ -655,7 +659,6 @@ fn handle_eval(
                 state,
                 w,
                 503,
-                "Service Unavailable",
                 "watchdog_deadline",
                 &format!(
                     "eval exceeded hard deadline ({:.2}s > {:.2}s); result discarded",
@@ -699,99 +702,34 @@ fn handle_eval(
         state,
         w,
         200,
-        "OK",
         &[("X-Cache", cache.to_string())],
         &j.finish(),
     )
 }
 
-/// Parses one sweep axis: an array of JSON values mapped through `f`,
-/// or `default` when the key is absent.
-fn axis<T, F>(
-    v: &JsonValue,
-    key: &str,
-    default: Vec<T>,
-    f: F,
-) -> Result<Vec<T>, (u16, &'static str, String)>
-where
-    F: Fn(&JsonValue) -> Option<T>,
-{
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => {
-            let items = x.as_array().ok_or((
-                400u16,
-                "bad_field",
-                format!("field {key:?} must be an array"),
-            ))?;
-            items
-                .iter()
-                .map(|i| f(i).ok_or((400u16, "bad_field", format!("bad value in {key:?}"))))
-                .collect()
-        }
-    }
-}
-
-fn parse_sweep(
-    state: &ServeState,
-    body: &[u8],
-) -> Result<(String, SweepSpec), (u16, &'static str, String)> {
-    let bad = |code: &'static str, msg: String| (400u16, code, msg);
-    let text =
-        std::str::from_utf8(body).map_err(|_| bad("bad_json", "body is not UTF-8".into()))?;
-    let v =
-        JsonValue::parse(text).map_err(|e| bad("bad_json", format!("unparseable body: {e}")))?;
-    let trace = v
-        .get("trace")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| bad("missing_trace", "field \"trace\" is required".into()))?;
-    let slug = state.resolve_slug(trace).ok_or((
-        404u16,
-        "unknown_trace",
-        format!("no trace named {trace:?} in the store"),
-    ))?;
+fn parse_sweep(state: &ServeState, body: &[u8]) -> Result<(String, TraceMeta, SweepSpec), Bad> {
+    let (v, slug, meta) = parse_body(state, body)?;
     let grid = SweepSpec::default_grid();
-    let policies = axis(&v, "policies", grid.policies, |x| {
-        x.as_str().and_then(SweepPolicy::parse)
-    })?;
-    let triggers = axis(&v, "triggers", grid.triggers, |x| {
-        x.as_u64().and_then(|n| u32::try_from(n).ok())
-    })?;
-    let sample_rates = axis(&v, "sample_rates", grid.sample_rates, |x| {
-        x.as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .filter(|&n| n > 0)
-    })?;
-    let remote_latencies_ns = axis(
-        &v,
-        "remote_latencies_ns",
-        grid.remote_latencies_ns,
-        JsonValue::as_u64,
-    )?;
-    let move_costs_us = axis(&v, "move_costs_us", grid.move_costs_us, JsonValue::as_u64)?;
-    let topologies = axis(&v, "topologies", grid.topologies, |x| {
-        x.as_str().and_then(TopologyPreset::parse)
-    })?;
-    let filter = match v.get("filter") {
-        None => grid.filter,
-        Some(x) => x
-            .as_str()
-            .and_then(parse_filter)
-            .ok_or_else(|| bad("unknown_filter", "bad filter".into()))?,
-    };
     let spec = SweepSpec {
-        policies,
-        triggers,
-        sample_rates,
-        remote_latencies_ns,
-        move_costs_us,
-        topologies,
-        filter,
+        policies: axis(&v, "policies", grid.policies, policy_of)?,
+        triggers: axis(&v, "triggers", grid.triggers, u32_of)?,
+        sample_rates: axis(&v, "sample_rates", grid.sample_rates, |x| {
+            u32_of(x).filter(|&n| n > 0)
+        })?,
+        remote_latencies_ns: axis(
+            &v,
+            "remote_latencies_ns",
+            grid.remote_latencies_ns,
+            JsonValue::as_u64,
+        )?,
+        move_costs_us: axis(&v, "move_costs_us", grid.move_costs_us, JsonValue::as_u64)?,
+        topologies: axis(&v, "topologies", grid.topologies, topology_of)?,
+        filter: filter_of(&v)?,
     };
     if spec.is_empty() {
         return Err(bad("empty_grid", "every axis must be non-empty".into()));
     }
-    Ok((slug, spec))
+    Ok((slug, meta, spec))
 }
 
 /// Renders the sweep-registration body.
@@ -811,17 +749,9 @@ fn sweep_ack(id: &str, cells: usize, status: &str) -> String {
 }
 
 fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write) -> io::Result<()> {
-    let (slug, spec) = match parse_sweep(state, &req.body) {
+    let (slug, meta, spec) = match parse_sweep(state, &req.body) {
         Ok(x) => x,
-        Err((status, code, msg)) => {
-            state.count("errors_4xx", 1);
-            let reason = if status == 404 {
-                "Not Found"
-            } else {
-                "Bad Request"
-            };
-            return respond_error(state, w, status, reason, code, &msg, &[]);
-        }
+        Err(e) => return respond_bad(state, w, e),
     };
     let cells = spec.len();
     if cells > state.cfg.max_cells {
@@ -830,7 +760,6 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
             state,
             w,
             413,
-            "Payload Too Large",
             "cell_budget",
             &format!(
                 "grid has {cells} cells; the per-sweep budget is {}",
@@ -839,20 +768,6 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
             &[],
         );
     }
-    let meta = match state.store.meta(&slug) {
-        Ok(m) => m,
-        Err(e) => {
-            return respond_error(
-                state,
-                w,
-                500,
-                "Internal Server Error",
-                "store_error",
-                &format!("sidecar read failed: {e}"),
-                &[],
-            )
-        }
-    };
     // Content-addressed id: the same grid on the same trace is the
     // same sweep, so POST is idempotent within a daemon's lifetime and
     // cache-warm across restarts.
@@ -865,7 +780,7 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
             JobState::Done(_) => "done",
             JobState::Failed(_) => "failed",
         };
-        return respond(state, w, 200, "OK", &[], &sweep_ack(&id, job.total, status));
+        return respond(state, w, 200, &[], &sweep_ack(&id, job.total, status));
     }
     if state.running_sweeps.load(Ordering::SeqCst) >= state.cfg.max_sweeps {
         drop(sweeps);
@@ -874,7 +789,6 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
             state,
             w,
             429,
-            "Too Many Requests",
             "shed_sweeps_busy",
             &format!(
                 "{} sweeps already running; retry shortly",
@@ -884,8 +798,6 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
         );
     }
     let job = Arc::new(SweepJob {
-        id: id.clone(),
-        trace_label: meta.label.clone(),
         total: cells,
         done: AtomicUsize::new(0),
         state: Mutex::new(JobState::Running),
@@ -898,19 +810,15 @@ fn handle_sweep_post(state: &Arc<ServeState>, req: &Request, w: &mut impl Write)
     let thread_state = Arc::clone(state);
     let thread_job = Arc::clone(&job);
     std::thread::spawn(move || run_sweep_job(&thread_state, &thread_job, &slug, &meta, &spec));
-    respond(
-        state,
-        w,
-        202,
-        "Accepted",
-        &[],
-        &sweep_ack(&id, cells, "running"),
-    )
+    respond(state, w, 202, &[], &sweep_ack(&id, cells, "running"))
 }
 
-/// Executes one sweep: every distinct cell through the shared
-/// memo/result-cache path (so completed cells are stored on disk as
-/// they finish), then the final `ccnuma-sweep/2` document.
+/// Executes one sweep through the sweep engine, the one `repro sweep`
+/// runs: cells stored in the result cache are restored, the rest are
+/// evaluated in the polsim plan's passes over the resident trace (loaded
+/// only if some pass is needed) and stored as each pass finishes. The
+/// progress hook streams the count and stops the sweep between passes
+/// on shutdown.
 fn run_sweep_job(
     state: &Arc<ServeState>,
     job: &Arc<SweepJob>,
@@ -918,82 +826,44 @@ fn run_sweep_job(
     meta: &TraceMeta,
     spec: &SweepSpec,
 ) {
-    let cells = spec.cells();
-    // Distinct memo keys in first-appearance order, with multiplicity
-    // for progress accounting.
-    let mut order: Vec<(String, CellParams, usize)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for cell in &cells {
-        let key = cell.memo_key();
-        match index.get(&key) {
-            Some(&i) => order[i].2 += 1,
+    let resident = OnceLock::new();
+    let open = || {
+        let trace = match resident.get() {
+            Some(trace) => trace,
             None => {
-                index.insert(key.clone(), order.len());
-                order.push((key, *cell, 1));
-            }
-        }
-    }
-    let unique_replays = order.len();
-
-    let mut results: HashMap<String, (ccnuma_polsim::PolsimReport, u64)> = HashMap::new();
-    for (key, cell, multiplicity) in order {
-        if state.shutting_down() {
-            job.finish(JobState::Failed(
-                "shutdown: sweep interrupted; completed cells are stored in the result cache"
-                    .to_string(),
-            ));
-            state.running_sweeps.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        let t0 = Instant::now();
-        let payload = match cell_result(state, slug, meta, &cell, spec.filter) {
-            Ok((payload, _)) => payload,
-            Err(e) => {
-                job.finish(JobState::Failed(format!("cell {key} failed: {e:?}")));
-                state.running_sweeps.fetch_sub(1, Ordering::SeqCst);
-                return;
+                let loaded = state.resident(slug).map_err(|e| match e {
+                    LoadError::Store(e) => e,
+                    e => StoreError::Io(io::Error::other(format!("loading {slug}: {e:?}"))),
+                })?;
+                resident.get_or_init(|| loaded)
             }
         };
-        if let Some(soft) = state.cfg.soft_deadline {
-            if t0.elapsed() > soft {
-                state.count("watchdog_soft", 1);
-                eprintln!(
-                    "serve: watchdog: sweep cell {key} exceeded soft deadline ({:.2}s > {:.2}s)",
-                    t0.elapsed().as_secs_f64(),
-                    soft.as_secs_f64()
-                );
-            }
-        }
-        let parsed = JsonValue::parse(&payload)
-            .ok()
-            .as_ref()
-            .and_then(cell_from_payload);
-        match parsed {
-            Some(r) => {
-                results.insert(key, r);
-            }
-            None => {
-                job.finish(JobState::Failed(format!("cell {key}: malformed payload")));
-                state.running_sweeps.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-        }
-        job.advance(multiplicity);
-    }
-
-    let report = SweepReport {
-        nodes: meta.nodes,
-        records: meta.records,
-        cells: cells
-            .iter()
-            .map(|c| SweepCell {
-                params: *c,
-                report: results[&c.memo_key()].0.clone(),
-            })
-            .collect(),
-        unique_replays,
+        Ok(trace.records().iter().map(|r| Ok(*r)))
     };
-    job.finish(JobState::Done(report.to_json(&meta.label)));
+    let progress = |done: usize| {
+        job.progress(done);
+        !state.shutting_down()
+    };
+    let store = SweepStore {
+        results: &state.results,
+        trace_slug: slug,
+        soft_deadline: state.cfg.soft_deadline,
+        progress: &progress,
+    };
+    let other_time = ccnuma_types::Ns(meta.other_time_ns);
+    let outcome = match run_sweep_cached(spec, meta.nodes, other_time, 1, open, &store) {
+        Ok(run) => {
+            state.count("results_damaged", run.damaged as u64);
+            state.count("watchdog_soft", run.slow_passes as u64);
+            state.count("sweep_passes", run.passes as u64);
+            JobState::Done(run.report.to_json(&meta.label))
+        }
+        Err(StoreError::Interrupted) => JobState::Failed(
+            "shutdown: sweep interrupted; completed cells are stored in the result cache".into(),
+        ),
+        Err(e) => JobState::Failed(format!("sweep failed: {e}")),
+    };
+    job.finish(outcome);
     state.running_sweeps.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -1006,44 +876,34 @@ fn handle_sweep_stream(state: &ServeState, id: &str, w: &mut impl Write) -> io::
     };
     let Some(job) = job else {
         state.count("errors_4xx", 1);
-        return respond_error(
-            state,
-            w,
-            404,
-            "Not Found",
-            "unknown_sweep",
-            "no such sweep id",
-            &[],
-        );
+        return respond_error(state, w, 404, "unknown_sweep", "no such sweep id", &[]);
     };
     state.count("resp_2xx", 1);
     start_chunked(w, 200, "OK", "application/x-ndjson")?;
     loop {
-        let done = job.done.load(Ordering::SeqCst);
-        write_chunk(
-            w,
-            format!("{{\"done\":{done},\"total\":{}}}\n", job.total).as_bytes(),
-        )?;
+        // Read the count under the state lock: a sweep's last progress
+        // call precedes its finish, so the line before the final
+        // document reads done == total.
         let guard = job.state.lock().unwrap_or_else(|e| e.into_inner());
-        match &*guard {
-            JobState::Done(doc) => {
-                let line = format!("{doc}\n");
-                drop(guard);
-                write_chunk(w, line.as_bytes())?;
-                break;
-            }
-            JobState::Failed(msg) => {
-                let line = format!("{}\n", error_body(500, "sweep_failed", msg));
-                drop(guard);
-                write_chunk(w, line.as_bytes())?;
-                break;
-            }
-            JobState::Running => {
-                let (_guard, _) = job
-                    .cv
-                    .wait_timeout(guard, Duration::from_millis(250))
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+        let done = job.done.load(Ordering::SeqCst);
+        let mut lines = format!("{{\"done\":{done},\"total\":{}}}\n", job.total);
+        let end = match &*guard {
+            JobState::Running => None,
+            JobState::Done(doc) => Some(doc.clone()),
+            JobState::Failed(msg) => Some(error_body(500, "sweep_failed", msg)),
+        };
+        drop(guard);
+        if let Some(end) = &end {
+            lines.push_str(end);
+            lines.push('\n');
+        }
+        write_chunk(w, lines.as_bytes())?;
+        if end.is_some() {
+            break;
+        }
+        let guard = job.state.lock().unwrap_or_else(|e| e.into_inner());
+        if matches!(*guard, JobState::Running) && job.done.load(Ordering::SeqCst) == done {
+            let _ = job.cv.wait_timeout(guard, Duration::from_millis(250));
         }
     }
     finish_chunks(w)
@@ -1074,5 +934,5 @@ fn handle_metrics(state: &ServeState, w: &mut impl Write) -> io::Result<()> {
     j.key("metrics");
     j.raw(&metrics_json);
     j.end_obj();
-    respond(state, w, 200, "OK", &[], &j.finish())
+    respond(state, w, 200, &[], &j.finish())
 }

@@ -65,8 +65,6 @@ impl Default for ServeConfig {
 
 /// A trace held resident in memory, shared across requests.
 pub struct ResidentTrace {
-    /// Store slug.
-    pub slug: String,
     /// Decoded records.
     pub trace: Trace,
     /// Sidecar metadata.
@@ -114,10 +112,6 @@ pub enum JobState {
 
 /// A registered sweep: progress counters plus the final document.
 pub struct SweepJob {
-    /// Content-addressed job id.
-    pub id: String,
-    /// Trace label (for the final document).
-    pub trace_label: String,
     /// Grid cells in total.
     pub total: usize,
     /// Grid cells completed so far.
@@ -129,9 +123,9 @@ pub struct SweepJob {
 }
 
 impl SweepJob {
-    /// Marks `n` more grid cells complete and wakes streamers.
-    pub fn advance(&self, n: usize) {
-        self.done.fetch_add(n, Ordering::SeqCst);
+    /// Records `done` grid cells complete and wakes streamers.
+    pub fn progress(&self, done: usize) {
+        self.done.store(done, Ordering::SeqCst);
         let _guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.cv.notify_all();
     }
@@ -248,12 +242,7 @@ impl ServeState {
         // stall warm requests for other traces.
         let (trace, meta) = self.store.load(slug).map_err(LoadError::Store)?;
         let bytes = (trace.len() * std::mem::size_of::<MissRecord>()) as u64;
-        let resident = Arc::new(ResidentTrace {
-            slug: slug.to_string(),
-            trace,
-            meta,
-            bytes,
-        });
+        let resident = Arc::new(ResidentTrace { trace, meta, bytes });
         let mut cache = self.traces.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((t, _)) = cache.map.get(slug) {
             // Another worker raced us to it; use theirs.

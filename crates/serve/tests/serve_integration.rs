@@ -8,7 +8,9 @@
 use ccnuma_polsim::TraceFilter;
 use ccnuma_serve::{run_loadgen, start, HttpClient, LoadgenOptions, ServeConfig};
 use ccnuma_trace::{MissRecord, Trace};
-use ccnuma_tracestore::{cell_payload, eval_cell, CellParams, SweepPolicy, TraceMeta, TraceStore};
+use ccnuma_tracestore::{
+    cell_payload, eval_cell, run_sweep, CellParams, SweepPolicy, SweepSpec, TraceMeta, TraceStore,
+};
 use ccnuma_types::{Ns, Pid, ProcId, TopologyPreset, VirtPage};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -347,6 +349,82 @@ fn sweep_post_streams_progress_then_final_document() {
     let stream = c.request("GET", &format!("/v1/sweeps/{id}"), None).unwrap();
     let text2 = stream.text();
     assert_eq!(text2.lines().last(), Some(last), "restarted sweep differs");
+    drop(c);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One counter of the `/v1/metrics` document.
+fn counter(c: &mut HttpClient, name: &str) -> Option<u64> {
+    use ccnuma_obs::json::JsonValue;
+    let m = JsonValue::parse(&c.request("GET", "/v1/metrics", None).unwrap().text()).unwrap();
+    m.get("metrics")?.get("counters")?.get(name)?.as_u64()
+}
+
+/// POSTs `body` as a sweep and returns its NDJSON stream's lines.
+fn sweep_lines(c: &mut HttpClient, body: &str) -> Vec<String> {
+    use ccnuma_obs::json::JsonValue;
+    let ack = c.request("POST", "/v1/sweeps", Some(body)).unwrap();
+    assert!(ack.status == 202 || ack.status == 200, "{}", ack.text());
+    let v = JsonValue::parse(&ack.text()).unwrap();
+    let id = v.get("id").and_then(JsonValue::as_str).unwrap().to_string();
+    let stream = c.request("GET", &format!("/v1/sweeps/{id}"), None).unwrap();
+    assert_eq!(stream.status, 200);
+    stream.text().lines().map(str::to_string).collect()
+}
+
+#[test]
+fn a_static_sweep_is_one_pass_and_the_document_repro_sweep_writes() {
+    let dir = test_dir("static-sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+    let slug = seed_store(&dir);
+    let body = format!(
+        "{{\"trace\":\"{slug}\",\"policies\":[\"RR\",\"FT\",\"PF\"],\
+         \"remote_latencies_ns\":[300,1200,3000],\
+         \"topologies\":[\"flat\",\"two-socket\",\"cxl-tiered\"]}}"
+    );
+    // The same grid through `repro sweep`'s entry point: 108 grid
+    // cells on 15 distinct static ones, all priced from one pass.
+    let spec = SweepSpec {
+        policies: vec![
+            SweepPolicy::RoundRobin,
+            SweepPolicy::FirstTouch,
+            SweepPolicy::PostFacto,
+        ],
+        remote_latencies_ns: vec![300, 1200, 3000],
+        topologies: vec![
+            TopologyPreset::Flat,
+            TopologyPreset::TwoSocket,
+            TopologyPreset::CxlTiered,
+        ],
+        ..SweepSpec::default_grid()
+    };
+    let store = TraceStore::new(&dir).unwrap();
+    let want = run_sweep(&spec, 8, Ns(50_000), 1, || {
+        store.open(&slug).map(|(reader, _)| reader)
+    })
+    .unwrap();
+    assert_eq!((want.cells.len(), want.unique_replays), (108, 15));
+    let want = want.to_json("itest [FT]");
+
+    let handle = start(cfg(&dir)).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let lines = sweep_lines(&mut c, &body);
+    let (doc, progress) = lines.split_last().unwrap();
+    assert_eq!(doc, &want, "byte for byte");
+    assert_eq!(progress.last().unwrap(), "{\"done\":108,\"total\":108}");
+    assert_eq!(counter(&mut c, "sweep_passes"), Some(1), "one static pass");
+    drop(c);
+    handle.shutdown();
+
+    // After a restart every cell is in the result cache: no pass, and
+    // the trace is never even loaded.
+    let handle = start(cfg(&dir)).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let lines = sweep_lines(&mut c, &body);
+    assert_eq!(lines.last(), Some(&want));
+    assert_eq!(counter(&mut c, "sweep_passes"), Some(0));
+    assert_eq!(handle.state().resident_footprint(), (0, 0));
     drop(c);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

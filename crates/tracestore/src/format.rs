@@ -76,6 +76,9 @@ pub enum StoreError {
         /// Which check failed.
         what: &'static str,
     },
+    /// A sweep's progress hook stopped it before its last pass (see
+    /// [`SweepStore::progress`](crate::SweepStore::progress)).
+    Interrupted,
 }
 
 impl fmt::Display for StoreError {
@@ -93,6 +96,12 @@ impl fmt::Display for StoreError {
             StoreError::BadFlags(b) => write!(f, "record with reserved flag bits {b:#04x}"),
             StoreError::MissingFooter => write!(f, "trace file truncated before its footer"),
             StoreError::DamagedResult { what } => write!(f, "damaged result entry: {what}"),
+            StoreError::Interrupted => {
+                write!(
+                    f,
+                    "sweep interrupted before its last pass; finished cells are stored"
+                )
+            }
         }
     }
 }

@@ -3,28 +3,33 @@
 //! Section 8's methodology — capture a trace once, replay it under many
 //! policies — generalizes to a grid: policies × trigger thresholds ×
 //! sampling rates × remote latencies × move costs × topologies. A
-//! [`SweepSpec`] declares the grid; [`run_sweep`] streams the stored
-//! trace through [`ccnuma_polsim::Replay`] for each *distinct* dynamic
-//! cell on scoped worker threads (cells whose effective inputs coincide
-//! — a static policy ignores triggers and sampling, a non-flat topology
-//! ignores the latency axis — share one replay). The static cells never
-//! move a page, so all of them are priced from one shared
-//! [`ccnuma_polsim::StaticProfile`] pass. The result renders as a
-//! deterministic JSON (`ccnuma-sweep/2`) or CSV artifact whose bytes do
-//! not depend on the worker count.
+//! [`SweepSpec`] declares the grid. [`run_sweep`] collapses it onto its
+//! *distinct* cells (cells whose effective inputs coincide — a static
+//! policy ignores triggers and sampling, a non-flat topology ignores the
+//! latency axis — share one result) and hands them to the polsim
+//! planner, [`ccnuma_polsim::plan`], whose passes it runs on scoped
+//! worker threads, each over its own reopened trace stream: one profile
+//! pass prices every static cell, and each dynamic cell replays in a pass
+//! of its own. [`run_sweep_cached`] adds the result store, a soft
+//! deadline and a progress hook; it is the one engine behind both
+//! `repro sweep` and the serve daemon's `POST /v1/sweeps`. The result
+//! renders as a deterministic JSON (`ccnuma-sweep/2`) or CSV artifact
+//! whose bytes do not depend on the worker count.
 
 use crate::format::StoreError;
 use crate::results::ResultCache;
 use ccnuma_core::{MissMetric, PolicyParams, PolicyStats};
 use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_obs::{Phase, Profiler, SpanProfiler};
-use ccnuma_polsim::{PolsimConfig, PolsimReport, Replay, SimPolicy, StaticProfile, TraceFilter};
+use ccnuma_polsim::{
+    evaluate, plan, Cell, PassOutput, PolsimConfig, PolsimReport, SimPolicy, TraceFilter,
+};
 use ccnuma_trace::MissRecord;
 use ccnuma_types::{Ns, TopologyPreset};
 use core::convert::Infallible;
 use core::fmt;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -245,14 +250,16 @@ impl CellParams {
         }
     }
 
-    fn config(&self, nodes: u16, other_time: Ns) -> PolsimConfig {
+    /// The polsim cell this grid cell evaluates on an `nodes`-node
+    /// machine.
+    fn sim_cell(&self, nodes: u16, other_time: Ns) -> Cell {
         let mut cfg = PolsimConfig::section8(nodes).with_other_time(other_time);
         cfg.remote_latency = Ns(self.remote_ns);
         cfg.move_cost = Ns::from_us(self.move_us);
         if !self.topology.is_flat() {
             cfg = cfg.with_topology(self.topology);
         }
-        cfg
+        (cfg, self.policy.to_sim(self.trigger, self.sample))
     }
 }
 
@@ -281,6 +288,40 @@ pub struct SweepReport {
 /// Schema tag of the JSON artifact (v2 added the `topology` axis).
 pub const SWEEP_SCHEMA: &str = "ccnuma-sweep/2";
 
+/// The artifact columns, in order: the CSV header, and the keys of a
+/// grid cell in the JSON.
+const COLUMNS: &str = "policy,trigger,sample_rate,remote_latency_ns,move_cost_us,topology,\
+                       local_misses,remote_misses,local_stall_ns,remote_stall_ns,\
+                       mig_overhead_ns,rep_overhead_ns,migrations,replications,\
+                       collapses,other_time_ns,total_ns,pct_local";
+
+impl SweepCell {
+    /// The cell's value in each of the [`COLUMNS`].
+    fn row(&self) -> [String; 18] {
+        let (p, r) = (&self.params, &self.report);
+        [
+            p.policy.to_string(),
+            p.trigger.to_string(),
+            p.sample.to_string(),
+            p.remote_ns.to_string(),
+            p.move_us.to_string(),
+            p.topology.to_string(),
+            r.local_misses.to_string(),
+            r.remote_misses.to_string(),
+            r.local_stall.0.to_string(),
+            r.remote_stall.0.to_string(),
+            r.mig_overhead.0.to_string(),
+            r.rep_overhead.0.to_string(),
+            r.migrations.to_string(),
+            r.replications.to_string(),
+            r.collapses.to_string(),
+            r.other_time.0.to_string(),
+            r.total().0.to_string(),
+            format!("{:.3}", r.pct_local_misses()),
+        ]
+    }
+}
+
 impl SweepReport {
     /// Renders the `ccnuma-sweep/2` JSON artifact. Deterministic: same
     /// spec and trace give the same bytes whatever the worker count.
@@ -302,45 +343,14 @@ impl SweepReport {
         j.key("grid");
         j.begin_arr();
         for cell in &self.cells {
-            let p = &cell.params;
-            let r = &cell.report;
             j.begin_obj();
-            j.key("policy");
-            j.str(&p.policy.to_string());
-            j.key("trigger");
-            j.raw(&p.trigger.to_string());
-            j.key("sample_rate");
-            j.raw(&p.sample.to_string());
-            j.key("remote_latency_ns");
-            j.raw(&p.remote_ns.to_string());
-            j.key("move_cost_us");
-            j.raw(&p.move_us.to_string());
-            j.key("topology");
-            j.str(p.topology.label());
-            j.key("local_misses");
-            j.raw(&r.local_misses.to_string());
-            j.key("remote_misses");
-            j.raw(&r.remote_misses.to_string());
-            j.key("local_stall_ns");
-            j.raw(&r.local_stall.0.to_string());
-            j.key("remote_stall_ns");
-            j.raw(&r.remote_stall.0.to_string());
-            j.key("mig_overhead_ns");
-            j.raw(&r.mig_overhead.0.to_string());
-            j.key("rep_overhead_ns");
-            j.raw(&r.rep_overhead.0.to_string());
-            j.key("migrations");
-            j.raw(&r.migrations.to_string());
-            j.key("replications");
-            j.raw(&r.replications.to_string());
-            j.key("collapses");
-            j.raw(&r.collapses.to_string());
-            j.key("other_time_ns");
-            j.raw(&r.other_time.0.to_string());
-            j.key("total_ns");
-            j.raw(&r.total().0.to_string());
-            j.key("pct_local");
-            j.raw(&format!("{:.3}", r.pct_local_misses()));
+            for (key, value) in COLUMNS.split(',').zip(cell.row()) {
+                j.key(key);
+                match key {
+                    "policy" | "topology" => j.str(&value),
+                    _ => j.raw(&value),
+                }
+            }
             j.end_obj();
         }
         j.end_arr();
@@ -350,38 +360,10 @@ impl SweepReport {
 
     /// Renders the same table as CSV (header + one row per cell).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "policy,trigger,sample_rate,remote_latency_ns,move_cost_us,topology,\
-             local_misses,remote_misses,local_stall_ns,remote_stall_ns,\
-             mig_overhead_ns,rep_overhead_ns,migrations,replications,\
-             collapses,other_time_ns,total_ns,pct_local\n",
-        );
-        use std::fmt::Write as _;
+        let mut out = format!("{COLUMNS}\n");
         for cell in &self.cells {
-            let p = &cell.params;
-            let r = &cell.report;
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3}",
-                p.policy,
-                p.trigger,
-                p.sample,
-                p.remote_ns,
-                p.move_us,
-                p.topology,
-                r.local_misses,
-                r.remote_misses,
-                r.local_stall.0,
-                r.remote_stall.0,
-                r.mig_overhead.0,
-                r.rep_overhead.0,
-                r.migrations,
-                r.replications,
-                r.collapses,
-                r.other_time.0,
-                r.total().0,
-                r.pct_local_misses()
-            );
+            out += &cell.row().join(",");
+            out.push('\n');
         }
         out
     }
@@ -480,8 +462,8 @@ pub fn cell_from_payload(v: &JsonValue) -> Option<(PolsimReport, u64)> {
 }
 
 /// Where [`run_sweep_cached`] restores finished cells from and stores
-/// new ones.
-#[derive(Debug, Clone, Copy)]
+/// new ones, and who hears of its progress.
+#[derive(Clone, Copy)]
 pub struct SweepStore<'a> {
     /// The result store.
     pub results: &'a ResultCache,
@@ -489,9 +471,16 @@ pub struct SweepStore<'a> {
     /// traces never share a cell.
     pub trace_slug: &'a str,
     /// Per-pass soft deadline: a pass exceeding it gets a stderr
-    /// warning. Warnings never touch the artifacts, so resumed and
-    /// fresh sweeps stay byte-identical.
+    /// warning and counts in [`CachedSweep::slow_passes`]. Warnings
+    /// never touch the artifacts, so resumed and fresh sweeps stay
+    /// byte-identical.
     pub soft_deadline: Option<Duration>,
+    /// Called with the grid cells finished so far (each distinct cell
+    /// counted with its multiplicity): once after the restore, then after
+    /// each pass. Returning `false` stops the sweep before its next pass
+    /// with [`StoreError::Interrupted`]; the cells finished by then are
+    /// stored.
+    pub progress: &'a (dyn Fn(usize) -> bool + Sync),
 }
 
 impl SweepStore<'_> {
@@ -522,68 +511,19 @@ impl SweepStore<'_> {
     }
 }
 
-/// Profiles one pass of the trace for pricing static cells.
-fn profile_pass<E, I, F>(nodes: u16, filter: TraceFilter, open: &F) -> Result<StaticProfile, E>
-where
-    I: Iterator<Item = Result<MissRecord, E>>,
-    F: Fn() -> Result<I, E>,
-{
-    let mut profile = StaticProfile::new(nodes, filter);
-    for rec in open()? {
-        profile.observe(&rec?);
-    }
-    Ok(profile)
-}
-
-/// Prices one static cell from a profile of its trace.
-fn price_cell(
-    cell: &CellParams,
-    profile: &StaticProfile,
-    nodes: u16,
-    other_time: Ns,
-) -> (PolsimReport, u64) {
-    let SimPolicy::Static(kind) = cell.policy.to_sim(cell.trigger, cell.sample) else {
-        unreachable!("only static cells are priced from a profile");
-    };
-    (
-        profile.price(&cell.config(nodes, other_time), kind),
-        profile.records(),
-    )
-}
-
-/// Evaluates one cell in one pass over a fresh stream: a dynamic policy
-/// is replayed record by record, a static one priced from a profile.
-fn replay_cell<E, I, F>(
-    cell: &CellParams,
-    nodes: u16,
-    other_time: Ns,
-    filter: TraceFilter,
-    open: &F,
-) -> Result<(PolsimReport, u64), E>
-where
-    I: Iterator<Item = Result<MissRecord, E>>,
-    F: Fn() -> Result<I, E>,
-{
-    match cell.policy.to_sim(cell.trigger, cell.sample) {
-        SimPolicy::Static(_) => {
-            let profile = profile_pass(nodes, filter, open)?;
-            Ok(price_cell(cell, &profile, nodes, other_time))
-        }
-        SimPolicy::Dynamic {
-            params,
-            kind,
-            metric,
-        } => {
-            let cfg = cell.config(nodes, other_time);
-            let mut replay = Replay::new(&cfg, params, kind, metric, filter);
-            let mut records = 0u64;
-            for rec in open()? {
-                replay.observe(&rec?);
-                records += 1;
-            }
-            Ok((replay.finish(), records))
-        }
-    }
+/// A finished [`run_sweep_cached`]: the report and what it took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedSweep {
+    /// The sweep's result, identical to a fresh [`run_sweep`].
+    pub report: SweepReport,
+    /// Distinct cells restored from the store.
+    pub resumed: usize,
+    /// Stored cells that were unusable and so evaluated again.
+    pub damaged: usize,
+    /// Passes that exceeded the soft deadline.
+    pub slow_passes: usize,
+    /// Trace passes made.
+    pub passes: usize,
 }
 
 /// Evaluates one cell against an in-memory record slice — the serve
@@ -598,18 +538,17 @@ pub fn eval_cell(
     filter: TraceFilter,
     records: &[MissRecord],
 ) -> (PolsimReport, u64) {
-    let open = || Ok(records.iter().map(|r| Ok::<_, Infallible>(*r)));
-    match replay_cell(cell, nodes, other_time, filter, &open) {
-        Ok(done) => done,
-        Err(never) => match never {},
-    }
+    let open = || Ok::<_, Infallible>(records.iter().map(|r| Ok(*r)));
+    let Ok((mut reports, n)) = evaluate(&[cell.sim_cell(nodes, other_time)], filter, open);
+    (reports.pop().expect("one cell, one report"), n)
 }
 
 /// Runs the sweep on up to `jobs` scoped worker threads, each pass
 /// streaming its own reopened trace (`open` must yield a fresh stream
-/// per call): every distinct dynamic cell is replayed in a pass of its
-/// own, and one more pass profiles the trace for all the static cells.
-/// The output is in grid order regardless of scheduling.
+/// per call). The passes are the polsim [`plan`] of the distinct cells:
+/// one profile pass prices all the static cells, and every dynamic cell
+/// replays in a pass of its own. The output is in grid order regardless
+/// of scheduling.
 ///
 /// # Errors
 ///
@@ -630,7 +569,7 @@ where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
 {
-    run_sweep_inner(spec, nodes, other_time, jobs, open, false, None).map(|(report, _, _)| report)
+    run_sweep_inner(spec, nodes, other_time, jobs, open, false, None).map(|(run, _)| run.report)
 }
 
 /// [`run_sweep`] with crash tolerance: every finished distinct cell is
@@ -639,8 +578,7 @@ where
 /// — the key the serve daemon uses — and cells already stored there are
 /// restored instead of replayed. Static cells are stored one entry per
 /// cell, though they share a pass: only the missing ones are priced,
-/// and when none is missing the sweep makes no profile pass. Returns the
-/// report plus the number of distinct cells restored.
+/// and when none is missing the sweep makes no profile pass.
 ///
 /// The rendered artifacts are byte-identical whether the sweep ran
 /// fresh, resumed partially, or resumed completely — restored payloads
@@ -651,11 +589,13 @@ where
 /// `soft_deadline` warns on stderr (artifacts untouched); sweeps have no
 /// hard deadline — a cell is pure replay arithmetic, so unlike a bench
 /// run it cannot wedge on host state, and killing it would forfeit a
-/// resumable result.
+/// resumable result. The store's `progress` hook hears of every finished
+/// pass and can stop the sweep between passes.
 ///
 /// # Errors
 ///
-/// As [`run_sweep`].
+/// As [`run_sweep`], plus [`StoreError::Interrupted`] when the progress
+/// hook stopped the sweep before its last pass.
 ///
 /// # Panics
 ///
@@ -667,13 +607,12 @@ pub fn run_sweep_cached<I, F>(
     jobs: usize,
     open: F,
     store: &SweepStore<'_>,
-) -> Result<(SweepReport, usize), StoreError>
+) -> Result<CachedSweep, StoreError>
 where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
 {
-    run_sweep_inner(spec, nodes, other_time, jobs, open, false, Some(store))
-        .map(|(report, _, resumed)| (report, resumed))
+    run_sweep_inner(spec, nodes, other_time, jobs, open, false, Some(store)).map(|(run, _)| run)
 }
 
 /// [`run_sweep`] with host-time profiling: each worker thread owns its
@@ -703,29 +642,8 @@ where
     F: Fn() -> Result<I, StoreError> + Sync,
 {
     run_sweep_inner(spec, nodes, other_time, jobs, open, true, None)
-        .map(|(report, prof, _)| (report, prof.expect("profiling was requested")))
+        .map(|(run, prof)| (run.report, prof.expect("profiling was requested")))
 }
-
-/// One trace pass of a sweep.
-enum Pass {
-    /// A dynamic cell's replay (its index among the distinct cells).
-    Replay(usize),
-    /// The profile every listed static cell is priced from.
-    Profile(Vec<usize>),
-}
-
-impl Pass {
-    /// What a soft-deadline warning names.
-    fn describe(&self, cells: &[CellParams]) -> String {
-        match self {
-            Pass::Replay(i) => format!("cell {}", cells[*i].memo_key()),
-            Pass::Profile(of) => format!("profile pass for {} static cell(s)", of.len()),
-        }
-    }
-}
-
-/// A pass's cells, by index among the distinct cells, with results.
-type PassOutcome = Result<Vec<(usize, (PolsimReport, u64))>, StoreError>;
 
 fn run_sweep_inner<I, F>(
     spec: &SweepSpec,
@@ -735,7 +653,7 @@ fn run_sweep_inner<I, F>(
     open: F,
     profile: bool,
     store: Option<&SweepStore<'_>>,
-) -> Result<(SweepReport, Option<SpanProfiler>, usize), StoreError>
+) -> Result<(CachedSweep, Option<SpanProfiler>), StoreError>
 where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
@@ -744,22 +662,25 @@ where
     let cells = spec.cells();
 
     // Collapse cells onto distinct effective inputs, preserving first-
-    // appearance order so the job list is deterministic.
+    // appearance order so the job list is deterministic; each distinct
+    // cell weighs as many grid cells as it stands for.
     let mut job_of_cell = Vec::with_capacity(cells.len());
     let mut job_cells: Vec<CellParams> = Vec::new();
+    let mut weight: Vec<usize> = Vec::new();
     let mut seen: HashMap<String, usize> = HashMap::new();
     for cell in &cells {
-        let key = cell.memo_key();
-        let job = *seen.entry(key).or_insert_with(|| {
+        let job = *seen.entry(cell.memo_key()).or_insert_with(|| {
             job_cells.push(*cell);
+            weight.push(0);
             job_cells.len() - 1
         });
+        weight[job] += 1;
         job_of_cell.push(job);
     }
 
     // Restore stored cells up front; only the rest get a pass.
     let mut done: Vec<Option<(PolsimReport, u64)>> = vec![None; job_cells.len()];
-    let mut resumed = 0usize;
+    let (mut resumed, mut damaged) = (0usize, 0usize);
     if let Some(st) = store {
         for (slot, cell) in done.iter_mut().zip(&job_cells) {
             match st.load(&st.key(nodes, other_time, spec.filter, cell)) {
@@ -768,33 +689,40 @@ where
                     resumed += 1;
                 }
                 Ok(None) => {}
-                Err(e) => eprintln!(
-                    "warning: result store: sweep cell {} unusable ({e}); replaying",
-                    cell.memo_key()
-                ),
+                Err(e) => {
+                    damaged += 1;
+                    eprintln!(
+                        "warning: result store: sweep cell {} unusable ({e}); replaying",
+                        cell.memo_key()
+                    );
+                }
             }
         }
     }
+    let finished = Mutex::new(0usize);
+    let report_progress = |more: usize| {
+        let mut finished = finished.lock().unwrap_or_else(|e| e.into_inner());
+        *finished += more;
+        store.is_none_or(|st| (st.progress)(*finished))
+    };
+    let restored = (0..job_cells.len()).filter(|&i| done[i].is_some());
+    let stop = AtomicBool::new(!report_progress(restored.map(|i| weight[i]).sum()));
 
-    // Every missing static cell is priced from one shared profile pass;
-    // each missing dynamic cell replays in its own.
-    let missing = || (0..job_cells.len()).filter(|&i| done[i].is_none());
-    let statics: Vec<usize> = missing()
-        .filter(|&i| !job_cells[i].policy.is_dynamic())
+    // polsim plans the passes over the missing cells; pass outputs index
+    // into `missing`.
+    let missing: Vec<usize> = (0..job_cells.len())
+        .filter(|&i| done[i].is_none())
         .collect();
-    let mut passes: Vec<Pass> = Vec::new();
-    if !statics.is_empty() {
-        passes.push(Pass::Profile(statics));
-    }
-    passes.extend(
-        missing()
-            .filter(|&i| job_cells[i].policy.is_dynamic())
-            .map(Pass::Replay),
-    );
+    let sim_cells: Vec<Cell> = missing
+        .iter()
+        .map(|&i| job_cells[i].sim_cell(nodes, other_time))
+        .collect();
+    let passes = plan(&sim_cells, spec.filter);
 
-    let outcomes: Vec<Mutex<Option<PassOutcome>>> =
+    let outcomes: Vec<Mutex<Option<Result<PassOutput, StoreError>>>> =
         passes.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let slow_passes = AtomicUsize::new(0);
     let merged_prof: Mutex<SpanProfiler> = Mutex::new(SpanProfiler::new());
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(passes.len()) {
@@ -804,49 +732,46 @@ where
                 // is commutative, so the aggregate is scheduling-
                 // independent.
                 let mut local_prof = profile.then(SpanProfiler::new);
-                loop {
+                while !stop.load(Ordering::SeqCst) {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(pass) = passes.get(k) else {
                         break;
                     };
                     let span = local_prof.as_mut().and_then(|p| p.enter(Phase::Replay));
                     let started = Instant::now();
-                    let outcome = match pass {
-                        Pass::Replay(i) => {
-                            replay_cell(&job_cells[*i], nodes, other_time, spec.filter, &open)
-                                .map(|r| vec![(*i, r)])
-                        }
-                        Pass::Profile(of) => profile_pass(nodes, spec.filter, &open).map(|p| {
-                            of.iter()
-                                .map(|&i| (i, price_cell(&job_cells[i], &p, nodes, other_time)))
-                                .collect()
-                        }),
-                    };
+                    let outcome = open().and_then(|records| pass.run(records));
                     if let Some(p) = local_prof.as_mut() {
                         p.exit(Phase::Replay, span);
                     }
-                    if let (Some(st), Ok(priced)) = (store, &outcome) {
-                        if let Some(soft) = st.soft_deadline {
-                            let wall = started.elapsed();
-                            if wall > soft {
-                                eprintln!(
-                                    "warning: watchdog: sweep {} exceeded soft deadline \
-                                     ({:.2}s > {:.2}s)",
-                                    pass.describe(&job_cells),
-                                    wall.as_secs_f64(),
-                                    soft.as_secs_f64()
-                                );
-                            }
+                    if let (Some(st), Ok(out)) = (store, &outcome) {
+                        let wall = started.elapsed();
+                        if let Some(soft) = st.soft_deadline.filter(|&soft| wall > soft) {
+                            slow_passes.fetch_add(1, Ordering::Relaxed);
+                            let what = match &out.reports[..] {
+                                [(i, _)] => format!("cell {}", job_cells[missing[*i]].memo_key()),
+                                of => format!("profile pass for {} static cell(s)", of.len()),
+                            };
+                            eprintln!(
+                                "warning: watchdog: sweep {what} exceeded soft deadline \
+                                 ({:.2}s > {:.2}s)",
+                                wall.as_secs_f64(),
+                                soft.as_secs_f64()
+                            );
                         }
-                        for (i, (report, n)) in priced {
-                            let cell = &job_cells[*i];
+                        for (i, report) in &out.reports {
+                            let cell = &job_cells[missing[*i]];
                             let key = st.key(nodes, other_time, spec.filter, cell);
-                            if let Err(e) = st.results.store(&key, &cell_payload(report, *n)) {
+                            let payload = cell_payload(report, out.records);
+                            if let Err(e) = st.results.store(&key, &payload) {
                                 eprintln!(
                                     "warning: result store: storing sweep cell {}: {e}",
                                     cell.memo_key()
                                 );
                             }
+                        }
+                        let more = out.reports.iter().map(|(i, _)| weight[missing[*i]]);
+                        if !report_progress(more.sum()) {
+                            stop.store(true, Ordering::SeqCst);
                         }
                     }
                     *outcomes[k].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
@@ -861,15 +786,16 @@ where
         }
     });
 
+    let passes = outcomes.len();
     for outcome in outcomes {
         match outcome.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(priced)) => {
-                for (i, result) in priced {
-                    done[i] = Some(result);
+            Some(Ok(out)) => {
+                for (i, report) in out.reports {
+                    done[missing[i]] = Some((report, out.records));
                 }
             }
             Some(Err(e)) => return Err(e),
-            None => unreachable!("every pass finishes before the scope ends"),
+            None => return Err(StoreError::Interrupted),
         }
     }
     let mut reports = Vec::with_capacity(job_cells.len());
@@ -892,16 +818,19 @@ where
         })
         .collect();
     let prof = profile.then(|| merged_prof.into_inner().unwrap_or_else(|e| e.into_inner()));
-    Ok((
-        SweepReport {
+    let run = CachedSweep {
+        report: SweepReport {
             nodes,
             records,
             cells,
             unique_replays,
         },
-        prof,
         resumed,
-    ))
+        damaged,
+        slow_passes: slow_passes.into_inner(),
+        passes,
+    };
+    Ok((run, prof))
 }
 
 #[cfg(test)]
@@ -1124,8 +1053,13 @@ mod tests {
             results: &results,
             trace_slug: "t",
             soft_deadline: None,
+            progress: &|_| true,
         };
-        let (fresh, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        let CachedSweep {
+            report: fresh,
+            resumed,
+            ..
+        } = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 0, "first run restores nothing");
         assert_eq!(fresh.unique_replays, 3, "FT + MigRep x 2 triggers");
         let opened_fresh = opens.load(Ordering::Relaxed);
@@ -1133,8 +1067,11 @@ mod tests {
 
         // A new invocation over the same store replays nothing and
         // renders the exact same bytes.
-        let (resumed_report, resumed) =
-            run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        let CachedSweep {
+            report: resumed_report,
+            resumed,
+            ..
+        } = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 3, "every distinct cell restored");
         assert_eq!(
             opens.load(Ordering::Relaxed),
@@ -1167,7 +1104,9 @@ mod tests {
             bytes[at] + 1
         };
         std::fs::write(&victim, bytes).unwrap();
-        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        let CachedSweep {
+            report, resumed, ..
+        } = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 2, "the damaged cell is replayed, not restored");
         assert_eq!(report, plain);
 
@@ -1182,7 +1121,9 @@ mod tests {
                 what: "cell payload is incomplete"
             })
         ));
-        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        let CachedSweep {
+            report, resumed, ..
+        } = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 2, "the incomplete cell is replayed, not restored");
         assert_eq!(report, plain);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1200,8 +1141,11 @@ mod tests {
                 results: &results,
                 trace_slug: slug,
                 soft_deadline: None,
+                progress: &|_| true,
             };
-            run_sweep_cached(spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs)), &store).unwrap()
+            let run =
+                run_sweep_cached(spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs)), &store).unwrap();
+            (run.report, run.resumed)
         };
         // Store only some cells, as if the first invocation was killed
         // partway.
@@ -1244,6 +1188,7 @@ mod tests {
             results: &results,
             trace_slug: "t",
             soft_deadline: None,
+            progress: &|_| true,
         };
         let opens = AtomicUsize::new(0);
         let sweep = |spec: &SweepSpec, jobs| {
@@ -1252,7 +1197,9 @@ mod tests {
                 opens.fetch_add(1, Ordering::Relaxed);
                 Ok(open_mem(&recs))
             };
-            let (report, resumed) = run_sweep_cached(spec, 8, Ns(777), jobs, open, &store).unwrap();
+            let CachedSweep {
+                report, resumed, ..
+            } = run_sweep_cached(spec, 8, Ns(777), jobs, open, &store).unwrap();
             (report, resumed, opens.load(Ordering::Relaxed))
         };
         let entries = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
@@ -1324,10 +1271,69 @@ mod tests {
             opens.fetch_add(1, Ordering::Relaxed);
             Ok(open_mem(&recs))
         };
-        let (report, resumed) = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
+        let CachedSweep {
+            report, resumed, ..
+        } = run_sweep_cached(&spec, 8, Ns(777), 2, open, &store).unwrap();
         assert_eq!(resumed, 9);
         assert_eq!(opens.load(Ordering::Relaxed), 3, "dynamic replays only");
         assert_eq!(report.to_json("demo"), fresh.to_json("demo"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_progress_hook_stops_the_sweep_between_passes_and_a_rerun_resumes() {
+        let dir = std::env::temp_dir().join(format!("ccnuma-sweep-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = ResultCache::new(&dir).unwrap();
+        let recs = records();
+        // Six grid cells on four distinct ones: RR and FT (two grid
+        // cells each) share the profile pass; Mig/Rep at two triggers
+        // replays twice.
+        let spec = SweepSpec {
+            policies: vec![
+                SweepPolicy::RoundRobin,
+                SweepPolicy::FirstTouch,
+                SweepPolicy::MigRep,
+            ],
+            triggers: vec![64, 128],
+            sample_rates: vec![1],
+            remote_latencies_ns: vec![1200],
+            move_costs_us: vec![350],
+            topologies: vec![TopologyPreset::Flat],
+            filter: TraceFilter::All,
+        };
+        let seen = Mutex::new(Vec::new());
+        let sweep = |stop_after: usize| {
+            seen.lock().unwrap().clear();
+            let progress = |done: usize| {
+                let mut seen = seen.lock().unwrap();
+                seen.push(done);
+                seen.len() <= stop_after
+            };
+            let store = SweepStore {
+                results: &results,
+                trace_slug: "t",
+                soft_deadline: None,
+                progress: &progress,
+            };
+            let run = run_sweep_cached(&spec, 8, Ns(777), 1, || Ok(open_mem(&recs)), &store);
+            (run, seen.lock().unwrap().clone())
+        };
+
+        // The hook hears of the restore (nothing) and of the first pass
+        // (the four static grid cells), then stops the sweep.
+        let (run, heard) = sweep(1);
+        assert!(matches!(run, Err(StoreError::Interrupted)), "{run:?}");
+        assert_eq!(heard, [0, 4]);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "RR and FT");
+
+        // A rerun restores the first pass's cells and makes the rest.
+        let (run, heard) = sweep(usize::MAX);
+        let run = run.unwrap();
+        assert_eq!((run.resumed, run.passes), (2, 2));
+        assert_eq!(heard, [4, 5, 6], "the last call reads done == total");
+        let plain = run_sweep(&spec, 8, Ns(777), 1, || Ok(open_mem(&recs))).unwrap();
+        assert_eq!(run.report.to_json("demo"), plain.to_json("demo"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

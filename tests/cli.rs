@@ -204,7 +204,7 @@ fn obs_usage_errors_and_full_line() {
     assert_eq!(err("obs rollup a"), CliError::Unexpected("rollup".into()));
     assert!(matches!(
         parsed("obs report d --out r.json"),
-        Command::ObsReport(dir, out) if dir == PathBuf::from("d") && out == path("r.json")
+        Command::ObsReport(dir, out) if dir.as_os_str() == "d" && out == path("r.json")
     ));
 }
 
@@ -232,6 +232,16 @@ fn trace_usage_errors() {
         "--json applies to ls and info only"
     );
     assert_eq!(err("trace ls extra"), CliError::Unexpected("extra".into()));
+    // fsck and gc check or evict the whole store: a name is not a scope.
+    assert_eq!(err("trace fsck SLUG"), CliError::Unexpected("SLUG".into()));
+    assert_eq!(
+        err("trace fsck --repair SLUG"),
+        CliError::Unexpected("SLUG".into())
+    );
+    assert_eq!(
+        err("trace gc --max-bytes 5 SLUG"),
+        CliError::Unexpected("SLUG".into())
+    );
     assert_eq!(err("trace prune"), CliError::Unexpected("prune".into()));
     assert_eq!(err("trace"), CliError::Missing("an action"));
 }

@@ -36,8 +36,9 @@ fn cached(
         results,
         trace_slug: slug,
         soft_deadline: None,
+        progress: &|_| true,
     };
-    run_sweep_cached(
+    let run = run_sweep_cached(
         &SweepSpec::default_grid(),
         nodes,
         Ns::from_ms(5),
@@ -45,7 +46,8 @@ fn cached(
         open,
         &store,
     )
-    .expect("in-memory sweep")
+    .expect("in-memory sweep");
+    (run.report, run.resumed)
 }
 
 fn fresh(records: &[MissRecord]) -> SweepReport {
