@@ -80,7 +80,7 @@
 //!
 //! With `--profile` (requires `--obs-dir`), every computed run is
 //! additionally timed by the host-side span profiler: each run's
-//! directory gains a `profile.json` (`ccnuma-profile/2` phase summary)
+//! directory gains a `profile.json` (`ccnuma-profile/3` phase summary)
 //! and a `host-trace.json` (host-time Chrome trace), and the invocation
 //! writes a merged `DIR/profile.json`. The profiler watches only the
 //! host's wall clock, so profiled stdout stays byte-identical to an
@@ -137,8 +137,8 @@ use ccnuma_bench::{experiments, traced_ft_spec, Executor, RunPlan, TracedRun};
 use ccnuma_faults::{FaultScenario, FaultSpec, FaultStats};
 use ccnuma_obs::Verbosity;
 use ccnuma_tracestore::{
-    fsck, gc, run_sweep, run_sweep_cached, run_sweep_profiled, ChunkIndex, ResultCache, StoreError,
-    StoreListing, SweepStore, TraceStore, RESULTS_DIR,
+    fsck, gc, run_sweep_cached, ChunkIndex, ResultCache, StoreError, StoreListing, SweepStore,
+    TraceStore, RESULTS_DIR,
 };
 use ccnuma_workloads::{Scale, WorkloadKind};
 use std::fs::File;
@@ -423,35 +423,30 @@ fn run_sweep_cmd(o: &Opts) -> i32 {
         }
     };
     let open = || store.open(&slug).map(|(reader, _)| reader);
-    let (spec, jobs) = (&o.spec, o.jobs);
-    let outcome = if let Some(resume_dir) = &o.resume {
-        let results = ResultCache::new(resume_dir.join(RESULTS_DIR)).unwrap_or_else(|e| {
+    let results = o.resume.as_ref().map(|resume_dir| {
+        ResultCache::new(resume_dir.join(RESULTS_DIR)).unwrap_or_else(|e| {
             fail(format!(
                 "opening result store {}: {e}",
                 resume_dir.display()
             ))
-        });
-        let cells = SweepStore {
-            results: &results,
-            trace_slug: &slug,
-            soft_deadline: o.soft_deadline,
-            progress: &|_| true,
-        };
-        run_sweep_cached(spec, nodes, other_time, jobs, open, &cells)
-            .map(|run| (run.report, None, run.resumed))
-    } else if o.profile_out.is_some() {
-        run_sweep_profiled(spec, nodes, other_time, jobs, open).map(|(r, p)| (r, Some(p), 0))
-    } else {
-        run_sweep(spec, nodes, other_time, jobs, open).map(|r| (r, None, 0))
+        })
+    });
+    let cells = SweepStore {
+        results: results.as_ref(),
+        trace_slug: &slug,
+        soft_deadline: o.soft_deadline,
+        progress: &|_| true,
     };
-    let (report, prof, resumed) =
-        outcome.unwrap_or_else(|e| fail(format!("sweep over {slug}: {e}")));
-    if let (Some(path), Some(prof)) = (&o.profile_out, &prof) {
-        write(path, &prof.to_json());
+    let jobs = o.jobs;
+    let run = run_sweep_cached(&o.spec, nodes, other_time, jobs, open, &cells)
+        .unwrap_or_else(|e| fail(format!("sweep over {slug}: {e}")));
+    let (report, resumed) = (&run.report, run.resumed);
+    if let Some(path) = &o.profile_out {
+        write(path, &run.profile.to_json());
         eprintln!(
             "sweep profile -> {} ({} replay span(s))",
             path.display(),
-            prof.spans(ccnuma_obs::Phase::Replay)
+            run.profile.spans(ccnuma_obs::Phase::Replay)
         );
     }
     emit(o.out.as_deref(), &report.to_json(&label), "sweep artifact");

@@ -317,8 +317,6 @@ mod table {
             RESUME, SOFT, POLICIES, TRIGGERS, SAMPLES, LATENCIES, MOVE_COSTS, TOPOLOGIES],
             rules: &[
                 (|o| o.workload.is_some() != o.trace.is_some(), "exactly one of --workload or --trace is required"),
-                (|o| o.soft_deadline.is_none() || o.resume.is_some(), "--soft-deadline requires --resume"),
-                (|o| o.profile_out.is_none() || o.resume.is_none(), "--profile cannot be combined with --resume"),
             ] },
         Sub { name: "repro serve", head: "", flags: &[
             ADDR, TRACE_DIR, RESULTS, WORKERS, QUEUE_DEPTH, PREWARM, TRACE_BUDGET, MAX_CELLS,

@@ -226,16 +226,18 @@ pub fn build_report(dir: &Path) -> Result<ObsReport, String> {
             let doc = JsonValue::parse(&text)
                 .map_err(|e| format!("parsing {}: {e}", profile_path.display()))?;
             report.profile_runs += 1;
-            for (i, row) in doc
+            for row in doc
                 .get("phases")
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| format!("{}: no \"phases\" array", profile_path.display()))?
-                .iter()
-                .enumerate()
             {
-                if i >= PHASES {
-                    break;
-                }
+                // Rows roll up by name: a document from another schema
+                // version may order its phases differently or list ones
+                // this build no longer has (skipped).
+                let name = row.get("phase").and_then(JsonValue::as_str);
+                let Some(i) = Phase::ALL.iter().position(|p| Some(p.name()) == name) else {
+                    continue;
+                };
                 let u = |key: &str| row.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
                 phase_entries[i] += u("entries");
                 phase_spans[i] += u("spans");
@@ -483,6 +485,54 @@ mod tests {
         assert!(json.contains("\"phase\":\"pager\""));
         // Round-trips through the parser.
         ccnuma_obs::JsonValue::parse(&json).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn profile_rows_roll_up_by_name_not_position() {
+        // Rows out of `Phase::ALL` order, plus one phase this build does
+        // not know (an older schema's codec row): each known row lands
+        // under its own name and the unknown one is skipped.
+        let dir = scratch("obsreport-rows");
+        let run = dir.join("runs").join("r");
+        std::fs::create_dir_all(&run).unwrap();
+        let row = |name: &str, n: u64| {
+            format!(
+                r#"{{"phase":"{name}","stride":1,"entries":{n},"spans":{n},"total_ns":{t},"min_ns":10,"max_ns":10,"buckets":{{"8":{n}}}}}"#,
+                t = 10 * n
+            )
+        };
+        let rows = [
+            row("lanes", 7),
+            row("trace_encode", 100),
+            row("replay", 3),
+            row("merge", 5),
+            row("run", 1),
+        ];
+        std::fs::write(
+            run.join("profile.json"),
+            format!(
+                r#"{{"schema":"ccnuma-profile/2","phases":[{}]}}"#,
+                rows.join(",")
+            ),
+        )
+        .unwrap();
+        let rep = build_report(&dir).unwrap();
+        let got: Vec<(&str, u64, u64)> = rep
+            .phases
+            .iter()
+            .filter(|p| p.entries > 0)
+            .map(|p| (p.phase.name(), p.entries, p.hist.count()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("run", 1, 1),
+                ("replay", 3, 3),
+                ("merge", 5, 5),
+                ("lanes", 7, 7)
+            ]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

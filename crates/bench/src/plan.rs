@@ -850,7 +850,7 @@ impl Executor {
     }
 
     /// Writes the merged invocation profile to `<dir>/profile.json`
-    /// (the same `ccnuma-profile/2` document the per-run artifacts
+    /// (the same `ccnuma-profile/3` document the per-run artifacts
     /// use), creating `dir` if needed. Returns the file's path; no-op
     /// `None` when profiling is off.
     ///
@@ -1130,7 +1130,7 @@ mod tests {
             .unwrap()
             .expect("profiling on");
         let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.starts_with("{\"schema\":\"ccnuma-profile/2\""));
+        assert!(text.starts_with("{\"schema\":\"ccnuma-profile/3\""));
         assert_eq!(plain.write_invocation_profile(&dir).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }

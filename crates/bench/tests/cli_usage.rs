@@ -48,17 +48,17 @@ fn an_unknown_flag_renders_nothing() {
 #[test]
 fn a_sweep_rule_is_checked_before_the_capture() {
     refused_before_work(
-        "sweep-deadline",
+        "sweep-one-of",
         &[
             "sweep",
             "--workload",
             "raytrace",
+            "--trace",
+            "s",
             "--scale",
             "quick",
-            "--soft-deadline",
-            "5",
         ],
-        "--soft-deadline requires --resume",
+        "exactly one of --workload or --trace is required",
     );
 }
 

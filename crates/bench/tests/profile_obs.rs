@@ -8,7 +8,9 @@
 //! 2. Every lane window of the windowed engine is one timed `lanes`
 //!    span, while `memory` stays stride-sampled per tail reference.
 //! 3. `repro obs report` aggregates an invocation's artifact tree.
-//! 4. `repro sweep --profile` emits a replay-phase profile.
+//! 4. `repro sweep --profile` emits a replay-phase profile of the
+//!    passes the sweep made, with or without `--resume`, and a soft
+//!    deadline needs no result store.
 //! 5. Host time has one ledger (the perfsuite benchmark): `bench` is an
 //!    unknown name to `repro`, and `repro serve` refuses `--window-us`.
 
@@ -40,7 +42,7 @@ fn stdout_of(out: &std::process::Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
 }
 
-/// The determinism-relevant structure of a `ccnuma-profile/2` document:
+/// The determinism-relevant structure of a `ccnuma-profile/3` document:
 /// per phase `(name, stride, entries, spans)`. Duration fields are host
 /// measurements and deliberately excluded.
 fn profile_structure(path: &Path) -> Vec<(String, u64, u64, u64)> {
@@ -48,7 +50,7 @@ fn profile_structure(path: &Path) -> Vec<(String, u64, u64, u64)> {
     let doc = ccnuma_obs::JsonValue::parse(&text).expect("profile parses");
     assert_eq!(
         doc.get("schema").and_then(|s| s.as_str()),
-        Some("ccnuma-profile/2")
+        Some("ccnuma-profile/3")
     );
     doc.get("phases")
         .and_then(|p| p.as_array())
@@ -241,5 +243,50 @@ fn sweep_profile_counts_replays() {
         replay.2, replay.3,
         "replay is a coarse phase: every entry timed"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_resumed_sweep_profiles_only_the_passes_it_made() {
+    let dir = scratch("sweepresume");
+    let traces = dir.join("traces");
+    let resume = dir.join("resume");
+    let sweep = |tag: &str, extra: &[&str]| {
+        let json = dir.join(format!("{tag}.json"));
+        let prof = dir.join(format!("{tag}-profile.json"));
+        let mut args = vec![
+            "sweep",
+            "--workload",
+            "Raytrace",
+            "--scale",
+            "quick",
+            "--trace-dir",
+            traces.to_str().unwrap(),
+            "--out",
+            json.to_str().unwrap(),
+            "--profile",
+            prof.to_str().unwrap(),
+            "--jobs",
+            "2",
+        ];
+        args.extend(extra);
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{tag}: {stderr}");
+        let replay = profile_structure(&prof)
+            .into_iter()
+            .find(|(n, ..)| n == "replay")
+            .unwrap();
+        (std::fs::read(&json).unwrap(), replay.2, stderr)
+    };
+    let resume_args = ["--resume", resume.to_str().unwrap()];
+    let (fresh, fresh_passes, _) = sweep("fresh", &resume_args);
+    assert_eq!(fresh_passes, 12, "the default grid: 12 dynamic cells");
+    let (resumed, resumed_passes, _) = sweep("resumed", &resume_args);
+    assert_eq!(resumed_passes, 0, "every cell restored, no pass made");
+    assert_eq!(resumed, fresh, "a resumed sweep writes the same JSON");
+    let (warned, _, stderr) = sweep("deadline", &["--soft-deadline", "0.000001"]);
+    assert!(stderr.contains("exceeded soft deadline"), "{stderr}");
+    assert_eq!(warned, fresh, "a soft deadline never touches the JSON");
     std::fs::remove_dir_all(&dir).ok();
 }

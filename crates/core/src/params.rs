@@ -1,5 +1,7 @@
 //! Policy parameters (Table 1) and policy kind selection.
 
+use crate::MissMetric;
+use ccnuma_trace::MissSource;
 use ccnuma_types::Ns;
 use core::fmt;
 
@@ -30,6 +32,17 @@ impl DynamicPolicyKind {
     #[inline]
     pub fn allows_replication(self) -> bool {
         !matches!(self, DynamicPolicyKind::MigrationOnly)
+    }
+
+    /// The label of this kind driven by `metric`, as tables and figures
+    /// print it: the kind, plus ` [metric]` unless the metric is full
+    /// cache-miss information.
+    pub fn label(self, metric: &MissMetric) -> String {
+        if metric.rate() == 1 && metric.source() == MissSource::Cache {
+            self.to_string()
+        } else {
+            format!("{self} [{metric}]")
+        }
     }
 }
 

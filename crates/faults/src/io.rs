@@ -14,7 +14,7 @@
 //!   seeded [`IoFaults`] decision: injected write failure, ENOSPC,
 //!   torn write, silent bit flip, or a slow-I/O delay.
 //!
-//! The decision streams are pure functions of the scenario seed (never
+//! The decision streams are pure functions of the seed (never
 //! wall-clock), one independent stream per fault class, mirroring
 //! [`FaultPlan`](crate::FaultPlan). Consumers pair the trait with
 //! [`retry_io`] for bounded retry-with-backoff on transient failures.
@@ -259,89 +259,6 @@ impl Default for IoFaultConfig {
     }
 }
 
-/// The shipped host-I/O stress scenarios (CLI/docs surface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoScenario {
-    /// Transient write failures a bounded retry should absorb.
-    FlakyDisk,
-    /// ENOSPC on a fraction of writes; permanent, surfaces typed errors.
-    DiskFull,
-    /// Torn writes: prefixes land, the atomic-write discipline must
-    /// keep final paths clean.
-    TornWrites,
-    /// Silent single-bit corruption; only checksums/fsck catch it.
-    BitRot,
-    /// Every operation delayed; watchdog/deadline fodder.
-    SlowDisk,
-    /// A little of everything.
-    IoChaos,
-}
-
-impl IoScenario {
-    /// All scenarios, in CLI listing order.
-    pub const ALL: [IoScenario; 6] = [
-        IoScenario::FlakyDisk,
-        IoScenario::DiskFull,
-        IoScenario::TornWrites,
-        IoScenario::BitRot,
-        IoScenario::SlowDisk,
-        IoScenario::IoChaos,
-    ];
-
-    /// The scenario's CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoScenario::FlakyDisk => "flaky-disk",
-            IoScenario::DiskFull => "disk-full",
-            IoScenario::TornWrites => "torn-writes",
-            IoScenario::BitRot => "bit-rot",
-            IoScenario::SlowDisk => "slow-disk",
-            IoScenario::IoChaos => "io-chaos",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<IoScenario> {
-        IoScenario::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// The scenario's injection rates.
-    pub fn config(self) -> IoFaultConfig {
-        let base = IoFaultConfig::default();
-        match self {
-            IoScenario::FlakyDisk => IoFaultConfig {
-                write_fail_p: 0.30,
-                ..base
-            },
-            IoScenario::DiskFull => IoFaultConfig {
-                disk_full_p: 0.25,
-                ..base
-            },
-            IoScenario::TornWrites => IoFaultConfig {
-                torn_write_p: 0.30,
-                ..base
-            },
-            IoScenario::BitRot => IoFaultConfig {
-                bit_flip_p: 0.30,
-                ..base
-            },
-            IoScenario::SlowDisk => IoFaultConfig {
-                slow_io_p: 1.0,
-                slow_delay: Duration::from_millis(2),
-                ..base
-            },
-            IoScenario::IoChaos => IoFaultConfig {
-                write_fail_p: 0.10,
-                disk_full_p: 0.02,
-                torn_write_p: 0.05,
-                bit_flip_p: 0.05,
-                slow_io_p: 0.10,
-                slow_delay: Duration::from_millis(1),
-            },
-        }
-    }
-}
-
 /// What the injection engine decided for one write operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriteDecision {
@@ -395,8 +312,8 @@ struct IoInner {
 ///
 /// Decision streams are pure functions of the seed and the operation
 /// sequence, one independent [`SmallRng`] per fault class (the
-/// [`FaultPlan`](crate::FaultPlan) salting discipline), so a given
-/// scenario + seed injects the same faults on every run. Clones share
+/// [`FaultPlan`](crate::FaultPlan) salting discipline), so the same
+/// rates and seed inject the same faults on every run. Clones share
 /// state: one engine drives every [`FaultyStorage`] consumer in a
 /// process and the stats accumulate centrally.
 #[derive(Clone)]
@@ -418,11 +335,6 @@ fn injected_error(kind: io::ErrorKind, what: &str) -> io::Error {
 }
 
 impl IoFaults {
-    /// An engine for a named scenario.
-    pub fn from_scenario(scenario: IoScenario, seed: u64) -> IoFaults {
-        IoFaults::new(scenario.config(), seed)
-    }
-
     /// An engine with raw rates.
     pub fn new(cfg: IoFaultConfig, seed: u64) -> IoFaults {
         let salted =
@@ -746,8 +658,16 @@ mod tests {
 
     #[test]
     fn decision_streams_are_deterministic() {
-        let a = IoFaults::from_scenario(IoScenario::IoChaos, 42);
-        let b = IoFaults::from_scenario(IoScenario::IoChaos, 42);
+        let chaos = IoFaultConfig {
+            write_fail_p: 0.10,
+            disk_full_p: 0.02,
+            torn_write_p: 0.05,
+            bit_flip_p: 0.05,
+            slow_io_p: 0.10,
+            slow_delay: Duration::from_millis(1),
+        };
+        let a = IoFaults::new(chaos, 42);
+        let b = IoFaults::new(chaos, 42);
         let da: Vec<_> = (0..200).map(|i| a.on_write(64 + i)).collect();
         let db: Vec<_> = (0..200).map(|i| b.on_write(64 + i)).collect();
         assert_eq!(da, db);
@@ -757,36 +677,51 @@ mod tests {
 
     #[test]
     fn every_scenario_fires_its_class() {
-        let cases = [
-            (IoScenario::FlakyDisk, "write_fails"),
-            (IoScenario::DiskFull, "disk_fulls"),
-            (IoScenario::TornWrites, "torn_writes"),
-            (IoScenario::BitRot, "bit_flips"),
-            (IoScenario::SlowDisk, "delays"),
-        ];
-        for (sc, what) in cases {
-            let f = IoFaults::from_scenario(sc, 7);
+        let base = IoFaultConfig::default();
+        let stats = |cfg| {
+            let f = IoFaults::new(cfg, 7);
             for _ in 0..100 {
                 let _ = f.on_write(128);
             }
-            let s = f.stats();
-            let n = match sc {
-                IoScenario::FlakyDisk => s.write_fails,
-                IoScenario::DiskFull => s.disk_fulls,
-                IoScenario::TornWrites => s.torn_writes,
-                IoScenario::BitRot => s.bit_flips,
-                IoScenario::SlowDisk => s.delays,
-                IoScenario::IoChaos => unreachable!(),
-            };
-            assert!(n > 0, "{} never fired for {}", what, sc.name());
-        }
+            f.stats()
+        };
+        let flaky = stats(IoFaultConfig {
+            write_fail_p: 0.30,
+            ..base
+        });
+        assert!(flaky.write_fails > 0, "write_fails never fired");
+        let full = stats(IoFaultConfig {
+            disk_full_p: 0.25,
+            ..base
+        });
+        assert!(full.disk_fulls > 0, "disk_fulls never fired");
+        let torn = stats(IoFaultConfig {
+            torn_write_p: 0.30,
+            ..base
+        });
+        assert!(torn.torn_writes > 0, "torn_writes never fired");
+        let rot = stats(IoFaultConfig {
+            bit_flip_p: 0.30,
+            ..base
+        });
+        assert!(rot.bit_flips > 0, "bit_flips never fired");
+        let slow = stats(IoFaultConfig {
+            slow_io_p: 1.0,
+            slow_delay: Duration::from_millis(2),
+            ..base
+        });
+        assert!(slow.delays > 0, "delays never fired");
     }
 
     #[test]
     fn retry_absorbs_transient_flaky_writes() {
         let d = tmpdir("retry");
         let p = d.join("out.bin");
-        let storage = FaultyStorage::new(IoFaults::from_scenario(IoScenario::FlakyDisk, 3));
+        let flaky = IoFaultConfig {
+            write_fail_p: 0.30,
+            ..IoFaultConfig::default()
+        };
+        let storage = FaultyStorage::new(IoFaults::new(flaky, 3));
         // Each atomic write rolls twice (write + rename), so an attempt
         // fails with p ≈ 0.51; 16 attempts make failure vanishingly rare.
         let policy = RetryPolicy {
@@ -847,13 +782,5 @@ mod tests {
         assert_eq!(sink.len(), 64);
         let ones: u32 = sink.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1, "exactly one flipped bit");
-    }
-
-    #[test]
-    fn scenario_names_round_trip() {
-        for s in IoScenario::ALL {
-            assert_eq!(IoScenario::from_name(s.name()), Some(s));
-        }
-        assert_eq!(IoScenario::from_name("nope"), None);
     }
 }

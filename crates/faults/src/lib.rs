@@ -60,6 +60,6 @@ pub use event::{FaultEvent, FaultKind, FaultStats};
 pub use injector::{FaultInjector, FaultOp, NullFaults, StormCmd};
 pub use io::{
     atomic_write, is_transient, retry_io, DiskStorage, FaultyStorage, IoFaultConfig, IoFaultKind,
-    IoFaults, IoScenario, IoStats, RetryPolicy, Storage,
+    IoFaults, IoStats, RetryPolicy, Storage,
 };
 pub use plan::{FaultConfig, FaultPlan, FaultScenario, FaultSpec};

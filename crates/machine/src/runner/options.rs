@@ -4,7 +4,6 @@ use super::window::WINDOW;
 use ccnuma_core::{AdaptiveTrigger, DynamicPolicyKind, MissMetric, PolicyParams};
 use ccnuma_faults::FaultSpec;
 use ccnuma_kernel::{LockGranularity, ShootdownMode};
-use ccnuma_trace::MissSource;
 use ccnuma_types::{Ns, ShardPlan};
 use std::fmt;
 
@@ -52,13 +51,7 @@ impl PolicyChoice {
         match self {
             PolicyChoice::FirstTouch => "FT".into(),
             PolicyChoice::RoundRobin => "RR".into(),
-            PolicyChoice::Dynamic { kind, metric, .. } => {
-                if metric.rate() == 1 && metric.source() == MissSource::Cache {
-                    kind.to_string()
-                } else {
-                    format!("{kind} [{metric}]")
-                }
-            }
+            PolicyChoice::Dynamic { kind, metric, .. } => kind.label(metric),
         }
     }
 }

@@ -235,7 +235,7 @@ pub fn write_timeseries_csv<W: Write>(mut w: W, series: &EpochSeries) -> io::Res
 
 /// Nanoseconds rendered as the microsecond timestamps the trace-event
 /// format wants, with fixed sub-microsecond precision (deterministic).
-fn ts_us(ns: u64) -> String {
+pub(crate) fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 

@@ -155,7 +155,7 @@ impl JsonWriter {
 /// assert_eq!(v.get("runs").unwrap().as_array().unwrap().len(), 1);
 /// assert_eq!(v.get("runs").unwrap().as_array().unwrap()[0]
 ///     .get("refs").and_then(JsonValue::as_u64), Some(12));
-/// assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
+/// assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -219,14 +219,6 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }

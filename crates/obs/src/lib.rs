@@ -28,7 +28,7 @@
 //! * [`profile`] — the *host-time* counterpart: a [`Profiler`] hook
 //!   trait with a provably-free [`NullProfiler`] off-path and a
 //!   stride-sampling [`SpanProfiler`] measuring where the wall clock
-//!   goes per runner phase, codec chunk and sweep replay.
+//!   goes per runner phase and sweep pass.
 //!
 //! All recorded data except the [`profile`] module's is keyed by sim
 //! time and spec identity, never wall-clock, so artifacts for the same

@@ -4,8 +4,8 @@
 //! Everything else in this crate records *sim time* and is held
 //! byte-identical across machines and thread counts. This module is the
 //! deliberate exception: it measures where the *host* spends its wall
-//! clock — per phase of the runner (sched / memory / pager / coherence),
-//! the trace codec, and sweep replays — so optimisation work (sharding
+//! clock — per phase of the runner (sched / memory / pager / coherence)
+//! and sweep replays — so optimisation work (sharding
 //! the simulator, the intra-run-parallelism plan) can be judged by
 //! measurement instead of folklore.
 //!
@@ -46,7 +46,7 @@
 //! // Pager is a coarse phase (stride 1): every entry was timed.
 //! assert_eq!(prof.spans(Phase::Pager), 10);
 //! let json = prof.to_json();
-//! assert!(json.starts_with("{\"schema\":\"ccnuma-profile/2\""));
+//! assert!(json.starts_with("{\"schema\":\"ccnuma-profile/3\""));
 //! ```
 //!
 //! The null path is statically off:
@@ -59,6 +59,7 @@
 //! assert!(off.enter(Phase::Memory).is_none());
 //! ```
 
+use crate::export::ts_us;
 use crate::hist::Histogram;
 use crate::json::JsonWriter;
 use std::io::{self, Write};
@@ -66,7 +67,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema tag of the per-run `profile.json` artifact.
-pub const PROFILE_SCHEMA: &str = "ccnuma-profile/2";
+pub const PROFILE_SCHEMA: &str = "ccnuma-profile/3";
 
 /// Instrumented host phases.
 ///
@@ -90,10 +91,6 @@ pub enum Phase {
     Pager,
     /// One observability epoch sample (building the sample view).
     Epoch,
-    /// One trace-store chunk encode (delta encoding + checksum + write).
-    TraceEncode,
-    /// One trace-store chunk decode (read + checksum + delta decoding).
-    TraceDecode,
     /// One policy-simulator pass of a sweep: a dynamic cell's replay, or
     /// the profile pass that prices the static cells.
     Replay,
@@ -110,7 +107,7 @@ pub enum Phase {
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const PHASES: usize = 11;
+pub const PHASES: usize = 9;
 
 impl Phase {
     /// Every phase, in the canonical artifact order.
@@ -121,8 +118,6 @@ impl Phase {
         Phase::Coherence,
         Phase::Pager,
         Phase::Epoch,
-        Phase::TraceEncode,
-        Phase::TraceDecode,
         Phase::Replay,
         Phase::Merge,
         Phase::Lanes,
@@ -137,8 +132,6 @@ impl Phase {
             Phase::Coherence => "coherence",
             Phase::Pager => "pager",
             Phase::Epoch => "epoch",
-            Phase::TraceEncode => "trace_encode",
-            Phase::TraceDecode => "trace_decode",
             Phase::Replay => "replay",
             Phase::Merge => "merge",
             Phase::Lanes => "lanes",
@@ -315,7 +308,7 @@ impl SpanProfiler {
         }
     }
 
-    /// Renders the `ccnuma-profile/2` artifact.
+    /// Renders the `ccnuma-profile/3` artifact.
     ///
     /// Every phase appears, in [`Phase::ALL`] order, with its stride and
     /// its deterministic `entries`/`spans` counts; the `*_ns` fields and
@@ -380,9 +373,6 @@ impl SpanProfiler {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_host_trace<W: Write>(&self, mut w: W) -> io::Result<()> {
-        fn ts_us(ns: u64) -> String {
-            format!("{}.{:03}", ns / 1000, ns % 1000)
-        }
         let mut j = JsonWriter::new();
         j.begin_obj();
         j.key("displayTimeUnit");
@@ -467,7 +457,7 @@ impl Profiler for SpanProfiler {
 }
 
 /// Writes the profile artifact pair for one run under
-/// `<dir>/runs/<slug>/`: `profile.json` (the `ccnuma-profile/2`
+/// `<dir>/runs/<slug>/`: `profile.json` (the `ccnuma-profile/3`
 /// summary) and `host-trace.json` (the host-time Chrome trace). Returns
 /// the run's artifact directory.
 ///
@@ -599,7 +589,7 @@ mod tests {
         let s = p.enter(Phase::Run);
         p.exit(Phase::Run, s);
         let json = p.to_json();
-        assert!(json.starts_with("{\"schema\":\"ccnuma-profile/2\",\"phases\":["));
+        assert!(json.starts_with("{\"schema\":\"ccnuma-profile/3\",\"phases\":["));
         assert!(json.ends_with("}\n"));
         let mut last = 0;
         for phase in Phase::ALL {
@@ -618,13 +608,13 @@ mod tests {
     #[test]
     fn host_trace_has_tracks_and_spans() {
         let mut p = SpanProfiler::new();
-        let s = p.enter(Phase::TraceEncode);
-        p.exit(Phase::TraceEncode, s);
+        let s = p.enter(Phase::Replay);
+        p.exit(Phase::Replay, s);
         let mut buf = Vec::new();
         p.write_host_trace(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(text.contains("\"name\":\"trace_encode\""));
+        assert!(text.contains("\"name\":\"replay\""));
         assert!(text.contains("\"cat\":\"host\""));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
     }

@@ -170,18 +170,8 @@ impl SimPolicy {
     pub fn label(&self) -> String {
         match self {
             SimPolicy::Static(k) => k.to_string(),
-            SimPolicy::Dynamic { kind, metric, .. } => dynamic_label(*kind, metric),
+            SimPolicy::Dynamic { kind, metric, .. } => kind.label(metric),
         }
-    }
-}
-
-/// A dynamic policy's label: its kind, plus its metric unless that is
-/// full cache-miss information.
-fn dynamic_label(kind: DynamicPolicyKind, metric: &MissMetric) -> String {
-    if metric.rate() == 1 && metric.source() == MissSource::Cache {
-        kind.to_string()
-    } else {
-        format!("{kind} [{metric}]")
     }
 }
 
@@ -331,7 +321,7 @@ impl Replay {
         filter: TraceFilter,
     ) -> Replay {
         let machine = MachineConfig::cc_numa().with_nodes(cfg.nodes);
-        let label = dynamic_label(kind, &metric);
+        let label = kind.label(&metric);
         Replay {
             move_cost: cfg.move_cost,
             topo: cfg.topology_model(),

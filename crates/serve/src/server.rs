@@ -845,7 +845,7 @@ fn run_sweep_job(
         !state.shutting_down()
     };
     let store = SweepStore {
-        results: &state.results,
+        results: Some(&state.results),
         trace_slug: slug,
         soft_deadline: state.cfg.soft_deadline,
         progress: &progress,

@@ -34,8 +34,3 @@ pub fn install() {
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
-
-/// Requests shutdown from inside the process (tests, `ServerHandle`).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}

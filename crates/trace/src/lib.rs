@@ -12,7 +12,6 @@
 //!   sampling the paper uses to cut information-gathering cost (§8.3);
 //! * [`read_chains`] — the read-chain analysis behind Figure 4;
 //! * [`io`] — the record codec the stored trace format builds on;
-//! * [`export`] — CSV output for external plotting;
 //! * [`TraceStats`] — miss-composition and page-concentration summaries
 //!   (the §7.1.1 "90 % of misses in 5 % of pages" analysis).
 //!
@@ -41,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod io;
 mod read_chains;
 mod record;

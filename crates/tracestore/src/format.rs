@@ -27,7 +27,7 @@
 //! scanning.
 
 use crate::varint;
-use ccnuma_obs::{fnv1a64, fnv1a64_update, Phase, Profiler, SpanProfiler, FNV1A64_OFFSET};
+use ccnuma_obs::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
 use ccnuma_trace::io::{encode_flags, record_from_parts, ReadTraceError, MAGIC};
 use ccnuma_trace::MissRecord;
 use std::fmt;
@@ -438,9 +438,6 @@ pub struct TraceWriter<W: Write> {
     chunk_records: usize,
     index: Vec<ChunkEntry>,
     total: u64,
-    /// When attached, each chunk encode is timed as a
-    /// [`Phase::TraceEncode`] span.
-    prof: Option<SpanProfiler>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -476,18 +473,7 @@ impl<W: Write> TraceWriter<W> {
             chunk_records,
             index: Vec::new(),
             total: 0,
-            prof: None,
         })
-    }
-
-    /// Attaches a host-time profiler: every chunk encode (delta
-    /// encoding, checksum, write) becomes one [`Phase::TraceEncode`]
-    /// span, recovered via [`TraceWriter::finish_with_profile`]. Purely
-    /// observational — the bytes written are identical either way.
-    #[must_use]
-    pub fn with_profiling(mut self) -> TraceWriter<W> {
-        self.prof = Some(SpanProfiler::new());
-        self
     }
 
     /// Appends one record, flushing a chunk when the buffer fills.
@@ -508,7 +494,6 @@ impl<W: Write> TraceWriter<W> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let span = self.prof.as_mut().and_then(|p| p.enter(Phase::TraceEncode));
         let body = encode_chunk_body(&self.buf);
         self.index.push(ChunkEntry {
             offset: self.written,
@@ -520,9 +505,6 @@ impl<W: Write> TraceWriter<W> {
         self.w.write_all(&body)?;
         self.written += 13 + body.len() as u64;
         self.buf.clear();
-        if let Some(p) = self.prof.as_mut() {
-            p.exit(Phase::TraceEncode, span);
-        }
         Ok(())
     }
 
@@ -531,20 +513,7 @@ impl<W: Write> TraceWriter<W> {
     /// # Errors
     ///
     /// Propagates I/O errors from the final writes.
-    pub fn finish(self) -> Result<WriteSummary, StoreError> {
-        self.finish_with_profile().map(|(summary, _)| summary)
-    }
-
-    /// [`TraceWriter::finish`] that also hands back the profiler
-    /// attached with [`TraceWriter::with_profiling`] (`None` when
-    /// profiling was never enabled).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the final writes.
-    pub fn finish_with_profile(
-        mut self,
-    ) -> Result<(WriteSummary, Option<SpanProfiler>), StoreError> {
+    pub fn finish(mut self) -> Result<WriteSummary, StoreError> {
         self.flush_chunk()?;
         let mut body = Vec::new();
         varint::write_u64(&mut body, self.index.len() as u64);
@@ -561,14 +530,11 @@ impl<W: Write> TraceWriter<W> {
         self.w.write_all(&len)?;
         self.w.write_all(END_MAGIC)?;
         self.w.flush()?;
-        Ok((
-            WriteSummary {
-                records: self.total,
-                chunks: self.index.len(),
-                bytes: self.written + 13 + body.len() as u64 + 8,
-            },
-            self.prof.take(),
-        ))
+        Ok(WriteSummary {
+            records: self.total,
+            chunks: self.index.len(),
+            bytes: self.written + 13 + body.len() as u64 + 8,
+        })
     }
 }
 
@@ -628,10 +594,6 @@ pub struct TraceReader<R: Read> {
     salvage: bool,
     salvaged: Option<SalvageInfo>,
     finished: bool,
-    /// When attached, each chunk decode is timed as a
-    /// [`Phase::TraceDecode`] span. Boxed: the profiler's per-phase
-    /// aggregates are several KB and would dominate the reader's size.
-    prof: Option<Box<SpanProfiler>>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -679,24 +641,7 @@ impl<R: Read> TraceReader<R> {
             salvage,
             salvaged: None,
             finished: false,
-            prof: None,
         })
-    }
-
-    /// Attaches a host-time profiler: every chunk decode (read,
-    /// checksum, delta decoding) becomes one [`Phase::TraceDecode`]
-    /// span, recovered via [`TraceReader::take_profile`].
-    #[must_use]
-    pub fn with_profiling(mut self) -> TraceReader<R> {
-        self.prof = Some(Box::new(SpanProfiler::new()));
-        self
-    }
-
-    /// Takes the profiler attached with
-    /// [`TraceReader::with_profiling`], if any (typically after
-    /// iteration ends).
-    pub fn take_profile(&mut self) -> Option<SpanProfiler> {
-        self.prof.take().map(|p| *p)
     }
 
     /// After iteration: what a salvaging read had to drop, if anything.
@@ -727,11 +672,6 @@ impl<R: Read> TraceReader<R> {
             }
             match marker[0] {
                 CHUNK_MARKER => {
-                    // One TraceDecode span per chunk; error paths drop
-                    // the token (the entry stays counted, the span does
-                    // not — a damaged read is not a representative
-                    // decode timing).
-                    let span = self.prof.as_mut().and_then(|p| p.enter(Phase::TraceDecode));
                     let checksum = match read_frame(&mut self.reader, &mut self.body) {
                         Ok(c) => c,
                         Err(e) => return self.stop_io(e),
@@ -742,9 +682,6 @@ impl<R: Read> TraceReader<R> {
                         return self.stop(SalvageReason::DamagedChunk, e);
                     }
                     self.chunks_done += 1;
-                    if let Some(p) = self.prof.as_mut() {
-                        p.exit(Phase::TraceDecode, span);
-                    }
                     if self.records.is_empty() {
                         continue;
                     }
@@ -997,48 +934,6 @@ mod tests {
         assert!(matches!(res, Err(StoreError::BadMagic(_))));
         let res = TraceReader::new(&b"CCNT\x09\x00\x00\x00"[..]);
         assert!(matches!(res, Err(StoreError::BadVersion(9))));
-    }
-
-    #[test]
-    fn profiled_codec_counts_chunks_and_keeps_bytes_identical() {
-        let t = sample(1000);
-        let plain = encode(&t, 64);
-
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::with_chunk_records(&mut buf, 64)
-            .unwrap()
-            .with_profiling();
-        for r in t.iter() {
-            w.push(r).unwrap();
-        }
-        let (summary, prof) = w.finish_with_profile().unwrap();
-        let prof = prof.expect("profiling was enabled");
-        assert_eq!(buf, plain, "profiling never changes the bytes");
-        assert_eq!(summary.chunks, 16, "1000 records / 64 per chunk");
-        assert_eq!(prof.entries(Phase::TraceEncode), 16);
-        assert_eq!(prof.spans(Phase::TraceEncode), 16);
-
-        let mut r = TraceReader::new(buf.as_slice()).unwrap().with_profiling();
-        let back: Result<Vec<_>, _> = (&mut r).collect();
-        assert_eq!(back.unwrap(), t.as_slice());
-        let rprof = r.take_profile().expect("profiling was enabled");
-        assert_eq!(rprof.entries(Phase::TraceDecode), 16);
-        assert_eq!(rprof.spans(Phase::TraceDecode), 16);
-        assert!(r.take_profile().is_none(), "profile is taken once");
-    }
-
-    #[test]
-    fn unprofiled_codec_reports_no_profile() {
-        let t = sample(10);
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf).unwrap();
-        for r in t.iter() {
-            w.push(r).unwrap();
-        }
-        let (_, prof) = w.finish_with_profile().unwrap();
-        assert!(prof.is_none());
-        let mut r = TraceReader::new(buf.as_slice()).unwrap();
-        assert!(r.take_profile().is_none());
     }
 
     /// Assembles a v2 file from explicit chunk bodies. Unlike the writer

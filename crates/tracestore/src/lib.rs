@@ -68,7 +68,6 @@ pub use listing::{ListingEntry, StoreListing, LISTING_SCHEMA};
 pub use results::{ResultCache, RESULTS_DIR, RESULT_SALT, RUN_RESULT_SALT};
 pub use store::{OpenedEntry, TraceMeta, TraceStore, META_SCHEMA};
 pub use sweep::{
-    cell_from_payload, cell_payload, eval_cell, run_sweep, run_sweep_cached, run_sweep_profiled,
-    CachedSweep, CellParams, SweepCell, SweepPolicy, SweepReport, SweepSpec, SweepStore,
-    SWEEP_SCHEMA,
+    cell_from_payload, cell_payload, eval_cell, run_sweep, run_sweep_cached, CachedSweep,
+    CellParams, SweepCell, SweepPolicy, SweepReport, SweepSpec, SweepStore, SWEEP_SCHEMA,
 };

@@ -12,7 +12,7 @@
 use crate::format::{StoreError, TraceReader, TraceWriter, WriteSummary};
 use ccnuma_faults::io::{is_transient, DiskStorage, RetryPolicy, Storage};
 use ccnuma_obs::artifact_slug;
-use ccnuma_obs::json::JsonWriter;
+use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_trace::{MissRecord, Trace, TraceBuilder};
 use std::fs;
 use std::io::{BufReader, BufWriter};
@@ -68,70 +68,26 @@ impl TraceMeta {
             chunk: usize::MAX,
             what,
         };
-        let schema = json_str_field(text, "schema").ok_or(corrupt("meta: missing schema"))?;
+        // A sidecar that does not parse has no schema to read.
+        let doc = JsonValue::parse(text).ok();
+        let field = |key| doc.as_ref().and_then(|d| d.get(key));
+        let text_of = |key| field(key).and_then(JsonValue::as_str);
+        let u64_of = |key| field(key).and_then(JsonValue::as_u64);
+        let schema = text_of("schema").ok_or(corrupt("meta: missing schema"))?;
         if schema != META_SCHEMA {
             return Err(corrupt("meta: unknown schema"));
         }
         Ok(TraceMeta {
-            label: json_str_field(text, "label").ok_or(corrupt("meta: missing label"))?,
-            records: json_u64_field(text, "records").ok_or(corrupt("meta: missing records"))?,
-            nodes: json_u64_field(text, "nodes")
+            label: text_of("label")
+                .ok_or(corrupt("meta: missing label"))?
+                .to_string(),
+            records: u64_of("records").ok_or(corrupt("meta: missing records"))?,
+            nodes: u64_of("nodes")
                 .and_then(|n| u16::try_from(n).ok())
                 .ok_or(corrupt("meta: missing nodes"))?,
-            other_time_ns: json_u64_field(text, "other_time_ns")
-                .ok_or(corrupt("meta: missing other_time_ns"))?,
+            other_time_ns: u64_of("other_time_ns").ok_or(corrupt("meta: missing other_time_ns"))?,
         })
     }
-}
-
-/// Extracts a top-level string field from flat JSON written by
-/// [`JsonWriter`] (keys are unescaped identifiers; values may contain
-/// standard escapes).
-fn json_str_field(text: &str, key: &str) -> Option<String> {
-    let start = find_value(text, key)?;
-    let rest = &text[start..];
-    if !rest.starts_with('"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a top-level unsigned integer field.
-fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let start = find_value(text, key)?;
-    let digits: String = text[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Byte offset just past `"key":` in `text`.
-fn find_value(text: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)?;
-    Some(at + needle.len())
 }
 
 /// A directory of stored traces, addressed by run-spec slug.
@@ -402,6 +358,17 @@ mod tests {
     fn meta_roundtrips_through_json() {
         let m = meta();
         assert_eq!(TraceMeta::from_json(&m.to_json()).unwrap(), m);
+    }
+
+    #[test]
+    fn meta_parses_with_json_whitespace() {
+        let text = r#"{ "schema": "ccnuma-trace-meta/1", "label": "a \"b\"",
+            "records": 5, "nodes": 8, "other_time_ns": 12 }"#;
+        let m = TraceMeta::from_json(text).unwrap();
+        assert_eq!(
+            (m.label.as_str(), m.records, m.nodes, m.other_time_ns),
+            ("a \"b\"", 5, 8, 12)
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! planner, [`ccnuma_polsim::plan`], whose passes it runs on scoped
 //! worker threads, each over its own reopened trace stream: one profile
 //! pass prices every static cell, and each dynamic cell replays in a pass
-//! of its own. [`run_sweep_cached`] adds the result store, a soft
-//! deadline and a progress hook; it is the one engine behind both
-//! `repro sweep` and the serve daemon's `POST /v1/sweeps`. The result
+//! of its own. [`run_sweep_cached`] adds an optional result store, a
+//! soft deadline, a progress hook and a per-pass host-time profile; it
+//! is the one engine behind [`run_sweep`], `repro sweep` and the serve
+//! daemon's `POST /v1/sweeps`. The result
 //! renders as a deterministic JSON (`ccnuma-sweep/2`) or CSV artifact
 //! whose bytes do not depend on the worker count.
 
@@ -31,7 +32,7 @@ use core::fmt;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A policy axis value in a sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -465,8 +466,8 @@ pub fn cell_from_payload(v: &JsonValue) -> Option<(PolsimReport, u64)> {
 /// new ones, and who hears of its progress.
 #[derive(Clone, Copy)]
 pub struct SweepStore<'a> {
-    /// The result store.
-    pub results: &'a ResultCache,
+    /// The result store; `None` evaluates every cell and stores nothing.
+    pub results: Option<&'a ResultCache>,
     /// The swept trace's slug: part of every cell's result key, so two
     /// traces never share a cell.
     pub trace_slug: &'a str,
@@ -484,6 +485,15 @@ pub struct SweepStore<'a> {
 }
 
 impl SweepStore<'_> {
+    /// No result store, no deadline, no one listening: what [`run_sweep`]
+    /// runs under.
+    const NONE: SweepStore<'static> = SweepStore {
+        results: None,
+        trace_slug: "",
+        soft_deadline: None,
+        progress: &|_| true,
+    };
+
     fn key(&self, nodes: u16, other_time: Ns, filter: TraceFilter, cell: &CellParams) -> String {
         ResultCache::key(
             self.trace_slug,
@@ -493,26 +503,25 @@ impl SweepStore<'_> {
             &cell.memo_key(),
         )
     }
+}
 
-    /// One stored cell result; `Ok(None)` when the cell was never
-    /// stored.
-    fn load(&self, key: &str) -> Result<Option<(PolsimReport, u64)>, StoreError> {
-        let Some(text) = self.results.load(key)? else {
-            return Ok(None);
-        };
-        JsonValue::parse(&text)
-            .ok()
-            .as_ref()
-            .and_then(cell_from_payload)
-            .map(Some)
-            .ok_or(StoreError::DamagedResult {
-                what: "cell payload is incomplete",
-            })
-    }
+/// One stored cell result; `Ok(None)` when the cell was never stored.
+fn load_cell(results: &ResultCache, key: &str) -> Result<Option<(PolsimReport, u64)>, StoreError> {
+    let Some(text) = results.load(key)? else {
+        return Ok(None);
+    };
+    JsonValue::parse(&text)
+        .ok()
+        .as_ref()
+        .and_then(cell_from_payload)
+        .map(Some)
+        .ok_or(StoreError::DamagedResult {
+            what: "cell payload is incomplete",
+        })
 }
 
 /// A finished [`run_sweep_cached`]: the report and what it took.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CachedSweep {
     /// The sweep's result, identical to a fresh [`run_sweep`].
     pub report: SweepReport,
@@ -524,6 +533,11 @@ pub struct CachedSweep {
     pub slow_passes: usize,
     /// Trace passes made.
     pub passes: usize,
+    /// Host time of those passes: one [`Phase::Replay`] span per pass
+    /// (a dynamic cell's replay, or the static cells' shared profile
+    /// pass with their pricing), so its entry and span counts equal
+    /// `passes` whatever the worker count or scheduling.
+    pub profile: SpanProfiler,
 }
 
 /// Evaluates one cell against an in-memory record slice — the serve
@@ -569,11 +583,11 @@ where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
 {
-    run_sweep_inner(spec, nodes, other_time, jobs, open, false, None).map(|(run, _)| run.report)
+    run_sweep_cached(spec, nodes, other_time, jobs, open, &SweepStore::NONE).map(|run| run.report)
 }
 
-/// [`run_sweep`] with crash tolerance: every finished distinct cell is
-/// stored in `store.results` under
+/// [`run_sweep`] with crash tolerance and a host-time profile: every
+/// finished distinct cell is stored in `store.results` (when set) under
 /// [`ResultCache::key`]`(trace_slug, nodes, other_time, filter, memo_key)`
 /// — the key the serve daemon uses — and cells already stored there are
 /// restored instead of replayed. Static cells are stored one entry per
@@ -590,7 +604,9 @@ where
 /// hard deadline — a cell is pure replay arithmetic, so unlike a bench
 /// run it cannot wedge on host state, and killing it would forfeit a
 /// resumable result. The store's `progress` hook hears of every finished
-/// pass and can stop the sweep between passes.
+/// pass and can stop the sweep between passes. Each worker thread times
+/// its passes on its own [`SpanProfiler`] (no shared hot-path state);
+/// they merge commutatively into [`CachedSweep::profile`].
 ///
 /// # Errors
 ///
@@ -608,52 +624,6 @@ pub fn run_sweep_cached<I, F>(
     open: F,
     store: &SweepStore<'_>,
 ) -> Result<CachedSweep, StoreError>
-where
-    I: Iterator<Item = Result<MissRecord, StoreError>>,
-    F: Fn() -> Result<I, StoreError> + Sync,
-{
-    run_sweep_inner(spec, nodes, other_time, jobs, open, false, Some(store)).map(|(run, _)| run)
-}
-
-/// [`run_sweep`] with host-time profiling: each worker thread owns its
-/// own [`SpanProfiler`] (no shared hot-path state) and times every
-/// trace pass — a dynamic cell's replay, or the static cells' shared
-/// profile pass with their pricing — as a [`Phase::Replay`] span; the
-/// per-worker profilers merge commutatively into the returned
-/// aggregate, so its entry/span counts equal the passes made whatever
-/// the worker count or scheduling.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn run_sweep_profiled<I, F>(
-    spec: &SweepSpec,
-    nodes: u16,
-    other_time: Ns,
-    jobs: usize,
-    open: F,
-) -> Result<(SweepReport, SpanProfiler), StoreError>
-where
-    I: Iterator<Item = Result<MissRecord, StoreError>>,
-    F: Fn() -> Result<I, StoreError> + Sync,
-{
-    run_sweep_inner(spec, nodes, other_time, jobs, open, true, None)
-        .map(|(run, prof)| (run.report, prof.expect("profiling was requested")))
-}
-
-fn run_sweep_inner<I, F>(
-    spec: &SweepSpec,
-    nodes: u16,
-    other_time: Ns,
-    jobs: usize,
-    open: F,
-    profile: bool,
-    store: Option<&SweepStore<'_>>,
-) -> Result<(CachedSweep, Option<SpanProfiler>), StoreError>
 where
     I: Iterator<Item = Result<MissRecord, StoreError>>,
     F: Fn() -> Result<I, StoreError> + Sync,
@@ -681,9 +651,9 @@ where
     // Restore stored cells up front; only the rest get a pass.
     let mut done: Vec<Option<(PolsimReport, u64)>> = vec![None; job_cells.len()];
     let (mut resumed, mut damaged) = (0usize, 0usize);
-    if let Some(st) = store {
+    if let Some(results) = store.results {
         for (slot, cell) in done.iter_mut().zip(&job_cells) {
-            match st.load(&st.key(nodes, other_time, spec.filter, cell)) {
+            match load_cell(results, &store.key(nodes, other_time, spec.filter, cell)) {
                 Ok(Some(stored)) => {
                     *slot = Some(stored);
                     resumed += 1;
@@ -703,7 +673,7 @@ where
     let report_progress = |more: usize| {
         let mut finished = finished.lock().unwrap_or_else(|e| e.into_inner());
         *finished += more;
-        store.is_none_or(|st| (st.progress)(*finished))
+        (store.progress)(*finished)
     };
     let restored = (0..job_cells.len()).filter(|&i| done[i].is_some());
     let stop = AtomicBool::new(!report_progress(restored.map(|i| weight[i]).sum()));
@@ -727,25 +697,18 @@ where
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(passes.len()) {
             scope.spawn(|| {
-                // Each worker keeps its own profiler so the replay loop
-                // never contends on shared state; the merge at the end
-                // is commutative, so the aggregate is scheduling-
-                // independent.
-                let mut local_prof = profile.then(SpanProfiler::new);
+                let mut local_prof = SpanProfiler::new();
                 while !stop.load(Ordering::SeqCst) {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(pass) = passes.get(k) else {
                         break;
                     };
-                    let span = local_prof.as_mut().and_then(|p| p.enter(Phase::Replay));
-                    let started = Instant::now();
+                    let span = local_prof.enter(Phase::Replay);
                     let outcome = open().and_then(|records| pass.run(records));
-                    if let Some(p) = local_prof.as_mut() {
-                        p.exit(Phase::Replay, span);
-                    }
-                    if let (Some(st), Ok(out)) = (store, &outcome) {
-                        let wall = started.elapsed();
-                        if let Some(soft) = st.soft_deadline.filter(|&soft| wall > soft) {
+                    let wall = span.map(|t| t.elapsed()).unwrap_or_default();
+                    local_prof.exit(Phase::Replay, span);
+                    if let Ok(out) = &outcome {
+                        if let Some(soft) = store.soft_deadline.filter(|&soft| wall > soft) {
                             slow_passes.fetch_add(1, Ordering::Relaxed);
                             let what = match &out.reports[..] {
                                 [(i, _)] => format!("cell {}", job_cells[missing[*i]].memo_key()),
@@ -758,15 +721,17 @@ where
                                 soft.as_secs_f64()
                             );
                         }
-                        for (i, report) in &out.reports {
-                            let cell = &job_cells[missing[*i]];
-                            let key = st.key(nodes, other_time, spec.filter, cell);
-                            let payload = cell_payload(report, out.records);
-                            if let Err(e) = st.results.store(&key, &payload) {
-                                eprintln!(
-                                    "warning: result store: storing sweep cell {}: {e}",
-                                    cell.memo_key()
-                                );
+                        if let Some(results) = store.results {
+                            for (i, report) in &out.reports {
+                                let cell = &job_cells[missing[*i]];
+                                let key = store.key(nodes, other_time, spec.filter, cell);
+                                let payload = cell_payload(report, out.records);
+                                if let Err(e) = results.store(&key, &payload) {
+                                    eprintln!(
+                                        "warning: result store: storing sweep cell {}: {e}",
+                                        cell.memo_key()
+                                    );
+                                }
                             }
                         }
                         let more = out.reports.iter().map(|(i, _)| weight[missing[*i]]);
@@ -776,12 +741,10 @@ where
                     }
                     *outcomes[k].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
                 }
-                if let Some(p) = local_prof {
-                    merged_prof
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .merge(&p);
-                }
+                merged_prof
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .merge(&local_prof);
             });
         }
     });
@@ -817,8 +780,7 @@ where
             report: reports[job].clone(),
         })
         .collect();
-    let prof = profile.then(|| merged_prof.into_inner().unwrap_or_else(|e| e.into_inner()));
-    let run = CachedSweep {
+    Ok(CachedSweep {
         report: SweepReport {
             nodes,
             records,
@@ -829,8 +791,8 @@ where
         damaged,
         slow_passes: slow_passes.into_inner(),
         passes,
-    };
-    Ok((run, prof))
+        profile: merged_prof.into_inner().unwrap_or_else(|e| e.into_inner()),
+    })
 }
 
 #[cfg(test)]
@@ -1005,14 +967,23 @@ mod tests {
     }
 
     #[test]
-    fn profiled_sweep_matches_plain_and_counts_replays() {
+    fn sweep_profile_counts_one_replay_span_per_pass() {
         let recs = records();
         let spec = SweepSpec::default_grid();
         let plain = run_sweep(&spec, 8, Ns::ZERO, 2, || Ok(open_mem(&recs))).unwrap();
         for jobs in [1, 4] {
-            let (report, prof) =
-                run_sweep_profiled(&spec, 8, Ns::ZERO, jobs, || Ok(open_mem(&recs))).unwrap();
+            let run = run_sweep_cached(
+                &spec,
+                8,
+                Ns::ZERO,
+                jobs,
+                || Ok(open_mem(&recs)),
+                &SweepStore::NONE,
+            )
+            .unwrap();
+            let (report, prof) = (run.report, run.profile);
             assert_eq!(report, plain, "profiling never changes the sweep");
+            assert_eq!(prof.entries(Phase::Replay), run.passes as u64);
             // One Replay span per pass, independent of the worker
             // count (the merge is commutative); the default grid is all
             // dynamic, so that is one per distinct cell.
@@ -1050,7 +1021,7 @@ mod tests {
         };
 
         let store = SweepStore {
-            results: &results,
+            results: Some(&results),
             trace_slug: "t",
             soft_deadline: None,
             progress: &|_| true,
@@ -1116,7 +1087,7 @@ mod tests {
         let key = entry.get("key").and_then(JsonValue::as_str).unwrap();
         results.store(key, "{\"label\":\"FT\"}").unwrap();
         assert!(matches!(
-            store.load(key),
+            load_cell(&results, key),
             Err(StoreError::DamagedResult {
                 what: "cell payload is incomplete"
             })
@@ -1138,7 +1109,7 @@ mod tests {
         let spec = SweepSpec::default_grid();
         let sweep = |spec: &SweepSpec, slug: &str| {
             let store = SweepStore {
-                results: &results,
+                results: Some(&results),
                 trace_slug: slug,
                 soft_deadline: None,
                 progress: &|_| true,
@@ -1185,7 +1156,7 @@ mod tests {
             filter: TraceFilter::All,
         };
         let store = SweepStore {
-            results: &results,
+            results: Some(&results),
             trace_slug: "t",
             soft_deadline: None,
             progress: &|_| true,
@@ -1254,7 +1225,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let results = ResultCache::new(&dir).unwrap();
         let store = SweepStore {
-            results: &results,
+            results: Some(&results),
             ..store
         };
         let statics = SweepSpec {
@@ -1311,7 +1282,7 @@ mod tests {
                 seen.len() <= stop_after
             };
             let store = SweepStore {
-                results: &results,
+                results: Some(&results),
                 trace_slug: "t",
                 soft_deadline: None,
                 progress: &progress,

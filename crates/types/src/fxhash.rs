@@ -22,13 +22,10 @@
 //! ```
 
 use core::hash::{BuildHasherDefault, Hasher};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed through [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Builds [`FxHasher`]s from a fixed (zero) seed — every map built with
 /// it hashes identically in every process, keeping runs reproducible.
@@ -147,13 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_aliases_work() {
+    fn map_alias_works() {
         let mut m: FxHashMap<VirtPage, u32> = FxHashMap::default();
         m.insert(VirtPage(1), 10);
         m.insert(VirtPage(2), 20);
         assert_eq!(m.get(&VirtPage(1)), Some(&10));
-        let mut s: FxHashSet<u16> = FxHashSet::default();
-        s.insert(3);
-        assert!(s.contains(&3));
     }
 }

@@ -35,7 +35,7 @@ mod topology;
 pub use access::{AccessKind, MemAccess, Mode, RefClass};
 pub use config::{MachineConfig, NetworkKind};
 pub use error::{ConfigError, SimError};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ids::{Frame, NodeId, Pid, ProcId, VirtPage};
 pub use procset::{ProcSet, ProcSetIter};
 pub use shard::ShardPlan;

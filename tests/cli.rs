@@ -295,13 +295,21 @@ fn sweep_usage_errors() {
     let one_of = "exactly one of --workload or --trace is required";
     assert_eq!(rule("sweep --scale quick"), one_of);
     assert_eq!(rule("sweep --workload raytrace --trace s"), one_of);
+    // One sweep engine serves every flag mix: a soft deadline needs no
+    // result store, and a profile can cover a resumed sweep.
+    let Command::Sweep(o) = parsed("sweep --trace s --soft-deadline 5") else {
+        panic!("--soft-deadline without --resume");
+    };
     assert_eq!(
-        rule("sweep --trace s --soft-deadline 5"),
-        "--soft-deadline requires --resume"
+        (o.trace.as_deref(), o.soft_deadline, o.resume),
+        (Some("s"), Some(Duration::from_secs(5)), None)
     );
+    let Command::Sweep(o) = parsed("sweep --trace s --profile p --resume r") else {
+        panic!("--profile with --resume");
+    };
     assert_eq!(
-        rule("sweep --trace s --profile p --resume r"),
-        "--profile cannot be combined with --resume"
+        (o.trace.as_deref(), o.profile_out, o.resume),
+        (Some("s"), path("p"), path("r"))
     );
     assert_eq!(
         err("sweep --trace s extra"),

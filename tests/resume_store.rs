@@ -33,7 +33,7 @@ fn cached(
     let nodes = MachineConfig::cc_numa().nodes;
     let open = || Ok(records.iter().map(|r| Ok(*r)));
     let store = SweepStore {
-        results,
+        results: Some(results),
         trace_slug: slug,
         soft_deadline: None,
         progress: &|_| true,
