@@ -107,13 +107,15 @@
 //! fits the byte budget (loads freshen an entry's LRU stamp).
 //!
 //! With `--resume DIR`, the invocation stores every completed run (or
-//! sweep cell) in the content-addressed store at `DIR` — the serve
-//! daemon's layout: v2 trace entries at `DIR`, checksummed results
-//! under `DIR/results` — and restores stored results instead of
-//! recomputing them, so a killed invocation rerun with the same
-//! `--resume DIR` completes only the missing work while printing
-//! byte-identical stdout. A damaged entry is a warning plus a
-//! recomputation. `trace fsck` and `trace gc` cover the results too.
+//! sweep cell) and restores stored results instead of recomputing them,
+//! so a killed invocation rerun with the same `--resume DIR` completes
+//! only the missing work while printing byte-identical stdout. One rule
+//! places the files: results live under `DIR/results` (checksummed),
+//! and traces live in the trace store (v2 entries), which is
+//! `--trace-dir` when given and otherwise `DIR` (experiments) or
+//! `artifacts/traces` (sweep). A damaged entry is a warning plus a
+//! recomputation that rewrites it. `trace fsck` and `trace gc` cover
+//! the results too.
 //! `--soft-deadline SECS` warns on stderr when a run overruns;
 //! `--hard-deadline SECS` converts an overrunning run into a failure
 //! (never stored, plan continues).

@@ -48,7 +48,8 @@ pub struct Opts {
     /// `--trace-dir` (`trace`, `sweep` and `serve` default it to
     /// `artifacts/traces`).
     pub trace_dir: Option<PathBuf>,
-    /// `--resume`.
+    /// `--resume`: results go under `DIR/results`; `DIR` is also the
+    /// experiments' trace store when `--trace-dir` is not given.
     pub resume: Option<PathBuf>,
     /// `--soft-deadline`.
     pub soft_deadline: Option<Duration>,
@@ -141,7 +142,9 @@ impl Opts {
     }
 
     /// The executor these options describe: jobs, verbosity, machine
-    /// overrides, artifacts, faults, deadlines and the two stores.
+    /// overrides, artifacts, faults, deadlines and the two stores. The
+    /// trace store is set before the result cache, so `--resume DIR`
+    /// keeps only results when `--trace-dir` is given.
     ///
     /// # Errors
     ///

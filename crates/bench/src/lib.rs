@@ -43,4 +43,3 @@ pub use helpers::{
 };
 pub use obsreport::{build_report, InvocationMeta, ObsReport, PhaseSummary, OBS_REPORT_SCHEMA};
 pub use plan::{Executor, ExecutorStats, RunFailure, RunPlan, RunTiming, TracedRun};
-pub use resume::ResumeStore;

@@ -21,14 +21,15 @@
 //! the executor's locks guard simple collections that are never left in
 //! a torn state, so a poisoned guard's data is still valid.
 
-use crate::resume::ResumeStore;
+use crate::resume::{report_from_payload, report_payload};
 use ccnuma_faults::{atomic_write, FaultSpec, FaultStats};
 use ccnuma_machine::{RunReport, RunSpec};
 use ccnuma_obs::{
-    artifact_slug, json::JsonWriter, NullRecorder, RunRecorder, SpanProfiler, Verbosity,
+    artifact_slug, json::JsonWriter, JsonValue, NullProfiler, NullRecorder, RunRecorder,
+    SpanProfiler, Verbosity,
 };
 use ccnuma_trace::Trace;
-use ccnuma_tracestore::{StoreError, TraceMeta, TraceStore};
+use ccnuma_tracestore::{ResultCache, StoreError, TraceMeta, TraceStore, RESULTS_DIR};
 use ccnuma_types::{Ns, ShardPlan, TopologyPreset};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -222,7 +223,7 @@ pub struct Executor {
     window_us: Option<u64>,
     trace_store: Option<TraceStore>,
     profiling: bool,
-    resume: Option<ResumeStore>,
+    results: Option<ResultCache>,
     soft_deadline: Option<Duration>,
     hard_deadline: Option<Duration>,
     profile: Mutex<SpanProfiler>,
@@ -249,7 +250,7 @@ impl Executor {
             window_us: None,
             trace_store: None,
             profiling: false,
-            resume: None,
+            results: None,
             soft_deadline: None,
             hard_deadline: None,
             profile: Mutex::new(SpanProfiler::new()),
@@ -344,22 +345,28 @@ impl Executor {
 
     /// Serves and captures traces through `store`: a
     /// [`Executor::traced`] call whose capture is already stored skips
-    /// the machine run entirely, and a fresh capture is saved for next
-    /// time. The store is keyed by the same slug as obs artifacts, so a
-    /// spec change (scale, seed, faults) never serves a stale trace.
+    /// the machine run entirely, and every trace a run captures is saved
+    /// for next time, replacing any damaged entry. The store is keyed by
+    /// the same slug as obs artifacts, so a spec change (scale, seed,
+    /// faults) never serves a stale trace.
     #[must_use]
     pub fn with_trace_store(mut self, store: TraceStore) -> Executor {
         self.trace_store = Some(store);
         self
     }
 
-    /// Resumes from (and stores into) the result store at `dir` (see
-    /// [`ResumeStore`]). On a memo miss, [`Executor::try_run`] restores
-    /// the run's stored report — bit-exact, so renderers re-render
-    /// identical stdout with zero recomputation — and every run computed
-    /// from here on is stored before its result is served. A damaged
-    /// entry is a warning plus a recomputation, never a restored wrong
-    /// report.
+    /// Resumes from (and stores into) the result cache at
+    /// `dir/results`. On a memo miss, [`Executor::try_run`] restores the
+    /// run's stored report — bit-exact (see [`report_payload`]), so
+    /// renderers re-render identical stdout with zero recomputation —
+    /// and every run computed from here on is stored before its result
+    /// is served. A damaged entry is a warning plus a recomputation,
+    /// never a restored wrong report.
+    ///
+    /// A stored run's trace lives in the trace store, not in the result
+    /// cache: `dir` itself becomes the trace store unless
+    /// [`Executor::with_trace_store`] already gave one, so call that
+    /// first.
     ///
     /// Resume never prints to stdout; restored-run counts surface only
     /// through [`Executor::stats`] and `run-metadata.json`, keeping
@@ -369,7 +376,10 @@ impl Executor {
     ///
     /// Fails if the directory cannot be created.
     pub fn with_resume(mut self, dir: &Path) -> Result<Executor, StoreError> {
-        self.resume = Some(ResumeStore::open(dir)?);
+        if self.trace_store.is_none() {
+            self.trace_store = Some(TraceStore::new(dir)?);
+        }
+        self.results = Some(ResultCache::new(dir.join(RESULTS_DIR))?);
         Ok(self)
     }
 
@@ -472,20 +482,18 @@ impl Executor {
         }
         let label = spec.describe();
         let slug = artifact_slug(&label, &key);
-        if let Some(store) = &self.resume {
-            match store.load(&slug, &key) {
-                Ok(Some(report)) => {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    return lock(&self.cache)
-                        .entry(key)
-                        .or_insert(Ok(Arc::new(report)))
-                        .clone();
-                }
-                Ok(None) => {}
-                Err(e) => self.warn(format!(
-                    "resume: stored run {slug} unusable ({e}); recomputing"
-                )),
+        match self.restore(&slug, &key) {
+            Ok(Some(report)) => {
+                self.resumed.fetch_add(1, Ordering::Relaxed);
+                return lock(&self.cache)
+                    .entry(key)
+                    .or_insert(Ok(Arc::new(report)))
+                    .clone();
             }
+            Ok(None) => {}
+            Err(e) => self.warn(format!(
+                "resume: stored run {slug} unusable ({e}); recomputing"
+            )),
         }
         if self.verbosity.verbose() {
             eprintln!("run   {label}");
@@ -509,8 +517,8 @@ impl Executor {
                 let cpus = spec.build_workload().config.procs() as usize;
                 let mut rec = RunRecorder::default();
                 let report = match &mut prof {
-                    Some(p) => spec.try_run_profiled(&mut rec, p)?,
-                    None => spec.try_run_with(&mut rec)?,
+                    Some(p) => spec.try_run_with(&mut rec, p)?,
+                    None => spec.try_run_with(&mut rec, &mut NullProfiler)?,
                 };
                 if let Err(e) = ccnuma_obs::write_run_artifacts(dir, &slug, &rec, cpus) {
                     self.warn(format!("writing obs artifacts for {label}: {e}"));
@@ -523,7 +531,7 @@ impl Executor {
                 Ok(report)
             } else {
                 match &mut prof {
-                    Some(p) => spec.try_run_profiled(&mut NullRecorder, p),
+                    Some(p) => spec.try_run_with(&mut NullRecorder, p),
                     None => spec.try_run(),
                 }
             };
@@ -573,17 +581,11 @@ impl Executor {
                 ));
             }
         }
-        if let (Some(store), Ok(report)) = (&self.resume, &outcome) {
+        if let Ok(report) = &outcome {
             // Store before serving the result: once a caller sees this
             // report, a crash-and-resume must not recompute it.
-            let meta = || TraceMeta {
-                label: label.clone(),
-                records: report.trace.as_ref().map_or(0, |t| t.len() as u64),
-                nodes: spec.build_workload().config.nodes,
-                other_time_ns: crate::helpers::other_time_of(report).0,
-            };
-            if let Err(e) = store.save(&slug, &key, report, meta) {
-                self.warn(format!("resume: storing {label}: {e}"));
+            if let Err(e) = self.save(&spec, &slug, &key, report) {
+                self.warn(format!("storing {slug}: {e}"));
             }
         }
         match &outcome {
@@ -606,9 +608,73 @@ impl Executor {
         lock(&self.cache).entry(key).or_insert(outcome).clone()
     }
 
+    /// The run stored under `key` in the result cache, with its trace
+    /// (if it captured one) loaded from the trace store entry `slug`.
+    /// `Ok(None)` without a result cache (and so without
+    /// [`Executor::with_resume`]) or when the run was never stored.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`StoreError`] when the result entry or its trace fails
+    /// verification, or the two disagree; the caller recomputes.
+    fn restore(&self, slug: &str, key: &str) -> Result<Option<RunReport>, StoreError> {
+        let (Some(results), Some(store)) = (&self.results, &self.trace_store) else {
+            return Ok(None);
+        };
+        let Some(text) = results.load(&ResultCache::run_key(key))? else {
+            return Ok(None);
+        };
+        let incomplete = || StoreError::DamagedResult {
+            what: "run payload is incomplete",
+        };
+        let v = JsonValue::parse(&text).map_err(|_| incomplete())?;
+        let trace = match v.get("trace_records").and_then(JsonValue::as_u64) {
+            Some(n) => {
+                let (trace, _) = store.load(slug)?;
+                if trace.len() as u64 != n {
+                    return Err(StoreError::DamagedResult {
+                        what: "stored trace length disagrees with its run",
+                    });
+                }
+                Some(trace)
+            }
+            None => None,
+        };
+        report_from_payload(&v, trace)
+            .map(Some)
+            .ok_or_else(incomplete)
+    }
+
+    /// Persists one computed run: its trace (if it captured one) as the
+    /// trace store entry `slug`, overwriting whatever is there, then its
+    /// exact [`report_payload`] under `key` in the result cache. The
+    /// trace goes first, so a result entry is never visible without the
+    /// trace it names. This is the only place a trace is saved.
+    fn save(
+        &self,
+        spec: &RunSpec,
+        slug: &str,
+        key: &str,
+        report: &RunReport,
+    ) -> Result<(), StoreError> {
+        if let (Some(store), Some(trace)) = (&self.trace_store, &report.trace) {
+            let meta = TraceMeta {
+                label: spec.describe(),
+                records: trace.len() as u64,
+                nodes: spec.build_workload().config.nodes,
+                other_time_ns: crate::helpers::other_time_of(report).0,
+            };
+            store.save(slug, trace, &meta)?;
+        }
+        match &self.results {
+            Some(results) => results.store(&ResultCache::run_key(key), &report_payload(report)),
+            None => Ok(()),
+        }
+    }
+
     /// Returns the trace-bearing run for `spec` — from the trace store
-    /// when possible (capture-once), from a machine run otherwise. A
-    /// fresh capture is saved to the store for future invocations.
+    /// when possible (capture-once), from [`Executor::try_run`] otherwise,
+    /// which saves the capture to the store for future invocations.
     ///
     /// # Panics
     ///
@@ -620,13 +686,15 @@ impl Executor {
 
     /// Non-panicking form of [`Executor::traced`].
     ///
-    /// An unreadable store entry degrades to a warning plus a fresh
-    /// capture; only a failing machine run is an error.
+    /// A run this executor already holds is served from memory. An
+    /// unreadable store entry degrades to a warning plus a fresh capture,
+    /// which rewrites the entry; only a failing machine run is an error.
     pub fn try_traced(&self, spec: &RunSpec) -> Result<TracedRun, RunFailure> {
         let spec = self.effective_spec(spec);
-        let slug = TraceStore::slug(&spec.describe(), &spec.cache_key());
+        let key = spec.cache_key();
+        let slug = TraceStore::slug(&spec.describe(), &key);
         if let Some(store) = &self.trace_store {
-            if store.contains(&slug) {
+            if store.contains(&slug) && !lock(&self.cache).contains_key(&key) {
                 match store.load(&slug) {
                     Ok((trace, meta)) => {
                         self.store_hits.fetch_add(1, Ordering::Relaxed);
@@ -646,24 +714,9 @@ impl Executor {
             }
         }
         let report = self.try_run(&spec)?;
-        let nodes = spec.build_workload().config.nodes;
-        let other_time = crate::helpers::other_time_of(&report);
-        if let (Some(store), Some(trace)) = (&self.trace_store, report.trace.as_ref()) {
-            if !store.contains(&slug) {
-                let meta = TraceMeta {
-                    label: spec.describe(),
-                    records: trace.len() as u64,
-                    nodes,
-                    other_time_ns: other_time.0,
-                };
-                if let Err(e) = store.save(&slug, trace, &meta) {
-                    self.warn(format!("saving trace {slug}: {e}"));
-                }
-            }
-        }
         Ok(TracedRun {
-            nodes,
-            other_time,
+            nodes: spec.build_workload().config.nodes,
+            other_time: crate::helpers::other_time_of(&report),
             source: TracedSource::Fresh(report),
         })
     }
@@ -1165,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_restores_traced_runs() {
+    fn resume_restores_traced_runs_and_damage_is_typed() {
         let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = crate::traced_ft_spec(WorkloadKind::Database, Scale::quick());
@@ -1180,6 +1233,39 @@ mod tests {
             b.trace.as_ref().unwrap().as_slice(),
             "the v2 trace entry restores the capture exactly"
         );
+        let slug = second.trace_slug(&spec);
+        let key = second.effective_spec(&spec).cache_key();
+        // Another run's key never restores this report.
+        assert!(second.restore(&slug, "other").unwrap().is_none());
+
+        // An entry that passes its checksum but carries an incomplete
+        // (or unparsable) run payload is a typed error, not a report.
+        let results = ResultCache::new(dir.join(RESULTS_DIR)).unwrap();
+        for payload in ["{\"workload\":\"x\"}", "not json"] {
+            results
+                .store(&ResultCache::run_key("partial"), payload)
+                .unwrap();
+            assert!(
+                matches!(
+                    second.restore(&slug, "partial"),
+                    Err(StoreError::DamagedResult {
+                        what: "run payload is incomplete"
+                    })
+                ),
+                "{payload:?} must not restore"
+            );
+        }
+
+        // One flipped byte inside a trace chunk body (past the 8-byte
+        // header and the 13-byte chunk frame) is a typed error, and so
+        // is a missing trace.
+        let path = dir.join(format!("{slug}.trace"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 13 + 4] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(second.restore(&slug, &key).is_err());
+        std::fs::remove_file(&path).unwrap();
+        assert!(second.restore(&slug, &key).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,13 +1,11 @@
-//! The executor's result store — what makes `repro … --resume DIR`
-//! possible — and the exact [`RunReport`] serialization behind it.
+//! The exact [`RunReport`] serialization behind `repro … --resume DIR`:
+//! the run payload an [`Executor`](crate::Executor) stores in its
+//! [`ResultCache`](ccnuma_tracestore::ResultCache) and restores from it.
 //!
-//! A resume directory has the serve daemon's layout: captured traces are
-//! v2 [`TraceStore`] entries at `DIR` (chunk-checksummed, keyed by the
-//! run's [`TraceStore::slug`]), and reports are [`ResultCache`] entries
-//! at `DIR/results`, keyed by [`ResultCache::run_key`] of the run's
-//! cache key. Every completed run is one pair of atomic writes, trace
-//! first, so a SIGKILL at any instant leaves only whole entries behind
-//! and there is no global log to replay or tear.
+//! A payload carries everything but the trace. A run that captured one
+//! records its length as `trace_records`, and the trace itself is the
+//! executor's trace store entry for the run, so a trace is persisted in
+//! exactly one place.
 //!
 //! Exactness is the whole contract: every `u64` is written as a JSON
 //! integer, and every `f64` is written as its IEEE-754 bit pattern
@@ -15,9 +13,9 @@
 //! was stored — formatting a percentage from it cannot produce a
 //! different digit. The serialization surface is pinned by
 //! [`RunBreakdown::to_raw_parts`] and [`CostBook::to_raw_parts`].
-//! Integrity is the store's: a result entry carries its key and an
+//! Integrity is the stores': a result entry carries its key and an
 //! FNV-1a64 checksum, a trace entry checksums every chunk, so damage is
-//! a typed [`StoreError`] and never a restored wrong answer.
+//! a typed error and never a restored wrong answer.
 
 use ccnuma_faults::FaultStats;
 use ccnuma_kernel::CostBook;
@@ -25,87 +23,7 @@ use ccnuma_machine::{ContentionStats, RunReport};
 use ccnuma_obs::{json::JsonWriter, JsonValue};
 use ccnuma_stats::RunBreakdown;
 use ccnuma_trace::Trace;
-use ccnuma_tracestore::{ResultCache, StoreError, TraceMeta, TraceStore, RESULTS_DIR};
 use ccnuma_types::Ns;
-use std::path::Path;
-
-/// A resume directory: trace entries at its root, results under
-/// `results/`.
-#[derive(Debug, Clone)]
-pub struct ResumeStore {
-    traces: TraceStore,
-    results: ResultCache,
-}
-
-impl ResumeStore {
-    /// Opens (creating if needed) the resume directory `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open(dir: &Path) -> Result<ResumeStore, StoreError> {
-        Ok(ResumeStore {
-            traces: TraceStore::new(dir)?,
-            results: ResultCache::new(dir.join(RESULTS_DIR))?,
-        })
-    }
-
-    /// Restores the run stored under `cache_key`, whose trace (if it
-    /// captured one) is the trace entry `slug`. `Ok(None)` when the run
-    /// was never stored.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`StoreError`] when the result entry or its trace fails
-    /// verification, or the two disagree; the caller recomputes.
-    pub fn load(&self, slug: &str, cache_key: &str) -> Result<Option<RunReport>, StoreError> {
-        let Some(text) = self.results.load(&ResultCache::run_key(cache_key))? else {
-            return Ok(None);
-        };
-        let incomplete = || StoreError::DamagedResult {
-            what: "run payload is incomplete",
-        };
-        let v = JsonValue::parse(&text).map_err(|_| incomplete())?;
-        let trace = match v.get("trace_records").and_then(JsonValue::as_u64) {
-            Some(n) => {
-                let (trace, _) = self.traces.load(slug)?;
-                if trace.len() as u64 != n {
-                    return Err(StoreError::DamagedResult {
-                        what: "stored trace length disagrees with its run",
-                    });
-                }
-                Some(trace)
-            }
-            None => None,
-        };
-        report_from_payload(&v, trace)
-            .map(Some)
-            .ok_or_else(incomplete)
-    }
-
-    /// Stores one completed run: its trace (if any) as the trace entry
-    /// `slug` first, then the exact [`report_payload`] under
-    /// `cache_key`. A result entry is therefore never visible without
-    /// the trace it names.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors; a failed save leaves no visible
-    /// result entry.
-    pub fn save(
-        &self,
-        slug: &str,
-        cache_key: &str,
-        report: &RunReport,
-        meta: impl FnOnce() -> TraceMeta,
-    ) -> Result<(), StoreError> {
-        if let Some(trace) = &report.trace {
-            self.traces.save(slug, trace, &meta())?;
-        }
-        self.results
-            .store(&ResultCache::run_key(cache_key), &report_payload(report))
-    }
-}
 
 fn bits_key(j: &mut JsonWriter, key: &str, v: f64) {
     j.key(key);
@@ -313,37 +231,8 @@ pub fn report_from_payload(v: &JsonValue, trace: Option<Trace>) -> Option<RunRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::helpers::{dynamic_spec, traced_ft_spec};
+    use crate::helpers::dynamic_spec;
     use ccnuma_workloads::{Scale, WorkloadKind};
-    use std::fs;
-    use std::path::PathBuf;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ccnuma-resume-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
-
-    fn assert_reports_identical(a: &RunReport, b: &RunReport) {
-        // Debug formatting covers every field (including f64s, which
-        // {:?} prints with shortest-roundtrip precision) except the
-        // trace, compared separately by record count and equality.
-        let strip = |r: &RunReport| format!("{:?}", r).replace(&format!("{:?}", r.trace), "");
-        assert_eq!(strip(a), strip(b));
-        assert_eq!(
-            a.trace.as_ref().map(|t| t.as_slice().to_vec()),
-            b.trace.as_ref().map(|t| t.as_slice().to_vec())
-        );
-    }
-
-    fn meta(report: &RunReport) -> TraceMeta {
-        TraceMeta {
-            label: "db".into(),
-            records: report.trace.as_ref().map_or(0, |t| t.len() as u64),
-            nodes: 8,
-            other_time_ns: 0,
-        }
-    }
 
     #[test]
     fn dynamic_report_round_trips_bit_exactly() {
@@ -353,52 +242,8 @@ mod tests {
         let payload = report_payload(&report);
         let v = JsonValue::parse(&payload).unwrap();
         let rebuilt = report_from_payload(&v, None).unwrap();
-        assert_reports_identical(&report, &rebuilt);
-    }
-
-    #[test]
-    fn traced_report_round_trips_and_damage_is_typed() {
-        let d = tmpdir("traced");
-        let spec = traced_ft_spec(WorkloadKind::Database, Scale::quick());
-        let report = spec.try_run().unwrap();
-        assert!(report.trace.is_some(), "spec must capture a trace");
-        let store = ResumeStore::open(&d).unwrap();
-        assert!(store.load("db-slug", &spec.cache_key()).unwrap().is_none());
-        store
-            .save("db-slug", &spec.cache_key(), &report, || meta(&report))
-            .unwrap();
-        let restored = store.load("db-slug", &spec.cache_key()).unwrap().unwrap();
-        assert_reports_identical(&report, &restored);
-        // Another run's key never restores this report.
-        assert!(store.load("db-slug", "other").unwrap().is_none());
-
-        // An entry that passes its checksum but carries an incomplete
-        // (or unparsable) run payload is a typed error, not a report.
-        let results = ResultCache::new(d.join(RESULTS_DIR)).unwrap();
-        for payload in ["{\"workload\":\"x\"}", "not json"] {
-            results
-                .store(&ResultCache::run_key("partial"), payload)
-                .unwrap();
-            assert!(
-                matches!(
-                    store.load("db-slug", "partial"),
-                    Err(StoreError::DamagedResult {
-                        what: "run payload is incomplete"
-                    })
-                ),
-                "{payload:?} must not restore"
-            );
-        }
-
-        // One flipped byte inside a trace chunk body is a typed error.
-        let path = d.join("db-slug.trace");
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8 + 13 + 4] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load("db-slug", &spec.cache_key()).is_err());
-        // So is a missing trace.
-        fs::remove_file(&path).unwrap();
-        assert!(store.load("db-slug", &spec.cache_key()).is_err());
-        let _ = fs::remove_dir_all(&d);
+        // Debug formatting covers every field, including f64s, which
+        // {:?} prints with shortest-roundtrip precision.
+        assert_eq!(format!("{report:?}"), format!("{rebuilt:?}"));
     }
 }

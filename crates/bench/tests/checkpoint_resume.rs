@@ -2,8 +2,9 @@
 //! mid-plan loses nothing that was stored, the resumed invocation's
 //! stdout is byte-identical to the committed golden capture, a fully
 //! stored plan replays with zero recomputation, a damaged stored trace
-//! is recomputed with a warning instead of rendered, and a store filled
-//! at one window is not restored at another.
+//! is recomputed with a warning instead of rendered, a store filled
+//! at one window is not restored at another, and a resume directory
+//! beside a `--trace-dir` store keeps results only.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -270,4 +271,42 @@ fn a_flipped_byte_in_a_stored_trace_is_recomputed_with_a_warning() {
 
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&obs);
+}
+
+/// With both flags, a captured trace is written once, to the trace
+/// store: the resume directory holds only `results/`, and a rerun with
+/// both flags restores every run.
+#[test]
+fn a_resume_dir_beside_a_trace_store_holds_only_results() {
+    let traces = scratch("both-traces");
+    let ckpt = scratch("both-ckpt");
+    let fig7 = || {
+        let out = repro()
+            .args(["fig7", "--scale", "quick", "--trace-dir"])
+            .arg(&traces)
+            .arg("--resume")
+            .arg(&ckpt)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "fig7 failed: {stderr}");
+        (
+            String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+            stderr,
+        )
+    };
+    let (first, _) = fig7();
+    let names: Vec<_> = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["results"], "no trace in the resume dir");
+    assert!(stored(&ckpt) > 0);
+
+    let (again, stderr) = fig7();
+    assert_eq!(again, first);
+    assert_eq!(computed_count(&stderr), 0, "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&traces);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }

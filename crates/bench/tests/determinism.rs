@@ -4,6 +4,7 @@
 
 use ccnuma_bench::{experiments, Executor, RunPlan};
 use ccnuma_machine::{PolicyChoice, RunOptions, RunSpec};
+use ccnuma_obs::{NullProfiler, NullRecorder};
 use ccnuma_workloads::{Scale, WorkloadKind};
 
 #[test]
@@ -50,10 +51,11 @@ fn recorders_never_perturb_the_report() {
         let traced = spec(RunOptions::new(policy).with_trace());
         let plain = format!("{:?}", untraced.run());
         for spec in [&untraced, &traced] {
-            let mut null = ccnuma_obs::NullRecorder;
-            let with_null = spec.run_with(&mut null);
+            let with_null = spec
+                .try_run_with(&mut NullRecorder, &mut NullProfiler)
+                .unwrap();
             let mut rec = ccnuma_obs::RunRecorder::default();
-            let with_obs = spec.run_with(&mut rec);
+            let with_obs = spec.try_run_with(&mut rec, &mut NullProfiler).unwrap();
             assert!(
                 !rec.series.is_empty(),
                 "{label}: instrumented run recorded data"

@@ -5,7 +5,7 @@
 
 use ccnuma_bench::{Executor, RunPlan};
 use ccnuma_machine::{PolicyChoice, RunOptions, RunSpec};
-use ccnuma_obs::{artifact_slug, RunRecorder};
+use ccnuma_obs::{artifact_slug, NullProfiler, RunRecorder};
 use ccnuma_workloads::{Scale, WorkloadKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,7 +26,7 @@ fn audit_totals_equal_policy_stats() {
     for kind in [WorkloadKind::Raytrace, WorkloadKind::Splash] {
         let spec = dynamic_spec(kind);
         let mut rec = RunRecorder::default();
-        let report = spec.run_with(&mut rec);
+        let report = spec.try_run_with(&mut rec, &mut NullProfiler).unwrap();
         let stats = report.policy_stats.expect("dynamic run has stats");
         let totals = rec.audit.totals();
         assert_eq!(totals.migrations, stats.migrations, "{kind:?} migrations");
@@ -48,7 +48,7 @@ fn audit_totals_equal_policy_stats() {
 fn time_series_covers_the_run() {
     let spec = dynamic_spec(WorkloadKind::Raytrace);
     let mut rec = RunRecorder::default();
-    let report = spec.run_with(&mut rec);
+    let report = spec.try_run_with(&mut rec, &mut NullProfiler).unwrap();
     assert!(
         rec.series.len() >= 10,
         "quick runs must yield at least 10 epochs, got {}",

@@ -11,6 +11,9 @@
 //! 4. A stored capture is never served at another window: the window
 //!    changes results, so a non-default window captures under its own
 //!    slug.
+//! 5. A damaged store entry heals: the run after the damage warns once
+//!    and rewrites the entry, and the run after that is served from the
+//!    store without a warning.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -215,4 +218,56 @@ fn a_stored_capture_is_not_served_at_another_window() {
     // The default window keys like an unset one, so existing stores
     // stay valid.
     assert_eq!(sweep(&["--window-us", "100"]), (default_slug, true));
+}
+
+#[test]
+fn a_damaged_trace_entry_is_rewritten_and_then_served() {
+    let dir = scratch("heal");
+    let fig7 = || {
+        let out = repro(&[
+            "fig7",
+            "--scale",
+            "quick",
+            "--trace-dir",
+            dir.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (stdout_of(&out), stderr)
+    };
+    let (first, _) = fig7();
+
+    // Flip one byte inside the first chunk body of the stored trace:
+    // past the 8-byte header and the 13-byte chunk frame.
+    let trace = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "trace"))
+        .expect("fig7 stores its trace");
+    let mut bytes = std::fs::read(&trace).unwrap();
+    bytes[8 + 13 + 100] ^= 0x01;
+    std::fs::write(&trace, bytes).unwrap();
+
+    let (damaged, stderr) = fig7();
+    assert_eq!(
+        damaged, first,
+        "a damaged trace must never reach a renderer"
+    );
+    assert_eq!(
+        stderr.matches("unreadable").count(),
+        1,
+        "the damage is reported once: {stderr}"
+    );
+
+    let (healed, stderr) = fig7();
+    assert_eq!(healed, first);
+    assert!(
+        !stderr.contains("unreadable"),
+        "the recapture rewrote the entry: {stderr}"
+    );
+    assert!(
+        stderr.contains("0 distinct run(s) computed"),
+        "the healed entry is served from the store: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -67,47 +67,26 @@ impl Machine {
     /// on genuine exhaustion (machine out of memory after reclaim), so
     /// existing callers keep their infallible API.
     pub fn run(self) -> RunReport {
-        self.run_with(&mut NullRecorder)
-    }
-
-    /// Runs the workload with an observability [`Recorder`] attached.
-    ///
-    /// The simulator is monomorphized over the recorder type, so
-    /// `run_with(&mut NullRecorder)` compiles to exactly the
-    /// uninstrumented run path and [`Machine::run`]'s results are
-    /// byte-identical to a build without observability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation fails; use [`Machine::try_run_with`] to
-    /// handle failure as a value.
-    pub fn run_with<R: Recorder>(self, obs: &mut R) -> RunReport {
-        self.try_run_with(obs)
+        self.try_run()
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
     /// Runs the workload to completion, returning a typed error instead
     /// of panicking when the simulation cannot continue.
     pub fn try_run(self) -> Result<RunReport, SimError> {
-        self.try_run_with(&mut NullRecorder)
+        self.try_run_with(&mut NullRecorder, &mut NullProfiler)
     }
 
-    /// The fallible, instrumented run: drives the run with the recorder
-    /// attached and, when [`RunOptions::faults`] is set, with the
-    /// scenario's deterministic [`FaultPlan`] injected. The fault-free
-    /// path is monomorphized over [`NullFaults`] and stays byte-identical
-    /// to a build without fault injection.
-    pub fn try_run_with<R: Recorder>(self, obs: &mut R) -> Result<RunReport, SimError> {
-        self.try_run_profiled(obs, &mut NullProfiler)
-    }
-
-    /// [`Machine::try_run_with`] with a host-time [`Profiler`] attached
-    /// as well. The simulator is monomorphized over all three hook
-    /// types; `try_run_profiled(obs, &mut NullProfiler)` compiles to
-    /// exactly the unprofiled path, so every other entry point keeps its
-    /// byte-identical results. The profiler only measures host wall
-    /// time — it never influences the run.
-    pub fn try_run_profiled<R: Recorder, P: Profiler>(
+    /// The fallible, instrumented run: drives the run with an
+    /// observability [`Recorder`] and a host-time [`Profiler`] attached
+    /// and, when [`RunOptions::faults`] is set, with the scenario's
+    /// deterministic [`FaultPlan`] injected. The simulator is
+    /// monomorphized over all three hook types, so
+    /// `try_run_with(&mut NullRecorder, &mut NullProfiler)` on a
+    /// fault-free spec compiles to exactly the uninstrumented path and
+    /// every entry point keeps byte-identical results. The profiler only
+    /// measures host wall time — it never influences the run.
+    pub fn try_run_with<R: Recorder, P: Profiler>(
         self,
         obs: &mut R,
         prof: &mut P,

@@ -129,13 +129,6 @@ impl RunSpec {
         Machine::new(self.build_workload(), self.opts.clone()).run()
     }
 
-    /// Runs the spec with an observability recorder attached. The report
-    /// is identical to [`RunSpec::run`]'s; the recorder fills with the
-    /// run's timelines, metrics and audit log as a side effect.
-    pub fn run_with<R: ccnuma_obs::Recorder>(&self, obs: &mut R) -> RunReport {
-        Machine::new(self.build_workload(), self.opts.clone()).run_with(obs)
-    }
-
     /// Like [`RunSpec::run`], but failures (exhaustion, broken kernel
     /// invariants under fault injection) come back as a typed
     /// [`SimError`] instead of a panic.
@@ -143,24 +136,16 @@ impl RunSpec {
         Machine::new(self.build_workload(), self.opts.clone()).try_run()
     }
 
-    /// Fallible, instrumented run: [`RunSpec::run_with`] returning
-    /// [`SimError`] instead of panicking.
-    pub fn try_run_with<R: ccnuma_obs::Recorder>(
-        &self,
-        obs: &mut R,
-    ) -> Result<RunReport, SimError> {
-        Machine::new(self.build_workload(), self.opts.clone()).try_run_with(obs)
-    }
-
-    /// [`RunSpec::try_run_with`] with a host-time profiler attached as
-    /// well. The report is identical — the profiler only measures where
-    /// the host's wall clock goes.
-    pub fn try_run_profiled<R: ccnuma_obs::Recorder, P: ccnuma_obs::Profiler>(
+    /// Fallible, instrumented run (see [`Machine::try_run_with`]). The
+    /// report is identical to [`RunSpec::try_run`]'s: the recorder fills
+    /// with the run's timelines, metrics and audit log as a side effect,
+    /// and the profiler only measures where the host's wall clock goes.
+    pub fn try_run_with<R: ccnuma_obs::Recorder, P: ccnuma_obs::Profiler>(
         &self,
         obs: &mut R,
         prof: &mut P,
     ) -> Result<RunReport, SimError> {
-        Machine::new(self.build_workload(), self.opts.clone()).try_run_profiled(obs, prof)
+        Machine::new(self.build_workload(), self.opts.clone()).try_run_with(obs, prof)
     }
 
     /// A short human-readable description for logs and timing summaries
@@ -283,7 +268,7 @@ mod tests {
         let spec = ft(WorkloadKind::Raytrace);
         let plain = spec.try_run().unwrap();
         let mut prof = SpanProfiler::new();
-        let profiled = spec.try_run_profiled(&mut NullRecorder, &mut prof).unwrap();
+        let profiled = spec.try_run_with(&mut NullRecorder, &mut prof).unwrap();
         assert_eq!(plain.breakdown, profiled.breakdown);
         assert_eq!(plain.sim_time, profiled.sim_time);
         assert_eq!(plain.cpu_time, profiled.cpu_time);
@@ -308,8 +293,7 @@ mod tests {
         assert!(prof.entries(Phase::Merge) > 0, "windows merged");
         assert!(prof.entries(Phase::Sched) > 0, "quantum boundaries fire");
         let mut prof2 = SpanProfiler::new();
-        spec.try_run_profiled(&mut NullRecorder, &mut prof2)
-            .unwrap();
+        spec.try_run_with(&mut NullRecorder, &mut prof2).unwrap();
         for phase in Phase::ALL {
             assert_eq!(prof.entries(phase), prof2.entries(phase), "{phase:?}");
             assert_eq!(prof.spans(phase), prof2.spans(phase), "{phase:?}");

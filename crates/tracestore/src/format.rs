@@ -14,11 +14,11 @@
 //!
 //! A chunk body is `varint(record_count)` followed by delta-encoded
 //! records; the delta baseline resets to zero at every chunk boundary,
-//! so any chunk decodes on its own — that is what makes parallel decode
-//! and tail salvage possible. Each record is four zigzag varints (time,
-//! page, pid and processor deltas) plus the one-byte record flags, which
-//! for the simulator's sorted, page-local traces comes to ~3–8 bytes
-//! instead of the 24 a fixed-width record needs.
+//! so any chunk decodes on its own — that is what makes tail salvage
+//! possible. Each record is four zigzag varints (time, page, pid and
+//! processor deltas) plus the one-byte record flags, which for the
+//! simulator's sorted, page-local traces comes to ~3–8 bytes instead of
+//! the 24 a fixed-width record needs.
 //!
 //! The footer body is `varint(chunk_count)`, then per chunk
 //! `varint(file_offset) varint(record_count)`, then
@@ -775,39 +775,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-/// Decodes the chunk at `entry` from a seekable reader — the unit of
-/// parallel decode.
-///
-/// # Errors
-///
-/// Checksum, structure, or I/O errors for that chunk.
-pub fn read_chunk_at<R: Read + Seek>(
-    r: &mut R,
-    chunk_no: usize,
-    entry: ChunkEntry,
-) -> Result<Vec<MissRecord>, StoreError> {
-    r.seek(SeekFrom::Start(entry.offset))?;
-    let mut marker = [0u8; 1];
-    r.read_exact(&mut marker)?;
-    if marker[0] != CHUNK_MARKER {
-        return Err(StoreError::Corrupt {
-            chunk: chunk_no,
-            what: "index points at a non-chunk",
-        });
-    }
-    let mut body = Vec::new();
-    let checksum = read_frame(r, &mut body)?;
-    let mut records = Vec::new();
-    decode_chunk(&body, checksum, chunk_no, &mut records)?;
-    if records.len() as u64 != entry.records {
-        return Err(StoreError::Corrupt {
-            chunk: chunk_no,
-            what: "chunk record count disagrees with index",
-        });
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,9 +841,9 @@ mod tests {
         let index = ChunkIndex::read_from(&mut cur).unwrap();
         assert_eq!(index.chunks.len(), 3);
         assert_eq!(index.total_records, 300);
-        // Decode the middle chunk alone.
-        let mid = read_chunk_at(&mut cur, 1, index.chunks[1]).unwrap();
-        assert_eq!(mid, &t.as_slice()[100..200]);
+        let counts: Vec<u64> = index.chunks.iter().map(|c| c.records).collect();
+        assert_eq!(counts, [100, 100, 100]);
+        assert_index_lands_on_chunks(&buf);
     }
 
     #[test]
@@ -967,6 +934,19 @@ mod tests {
 
     fn bodies(chunks: &[&[MissRecord]]) -> Vec<Vec<u8>> {
         chunks.iter().map(|c| encode_chunk_body(c)).collect()
+    }
+
+    /// Reads `buf`'s footer index and checks that every entry's offset
+    /// lands on a chunk marker and that the entries' record counts sum
+    /// to the footer total.
+    fn assert_index_lands_on_chunks(buf: &[u8]) -> ChunkIndex {
+        let index = ChunkIndex::read_from(&mut Cursor::new(buf)).unwrap();
+        for entry in &index.chunks {
+            assert_eq!(buf[entry.offset as usize], CHUNK_MARKER, "{entry:?}");
+        }
+        let sum: u64 = index.chunks.iter().map(|c| c.records).sum();
+        assert_eq!(sum, index.total_records);
+        index
     }
 
     fn offsets(buf: &[u8]) -> Vec<usize> {
@@ -1073,9 +1053,8 @@ mod tests {
         );
         assert!(body_capacity(&lenient) <= 2 * buf.len());
 
-        let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
-        let err = read_chunk_at(&mut Cursor::new(&buf), 1, index.chunks[1]).unwrap_err();
-        assert!(is_eof(&err), "expected a truncated chunk, got {err:?}");
+        // The footer index is intact: it still points at every chunk.
+        assert_index_lands_on_chunks(&buf);
     }
 
     #[test]
@@ -1231,11 +1210,10 @@ mod tests {
             assert_eq!(back, r);
             assert_eq!(reader.records_read(), 700);
             assert!(reader.salvaged().is_none());
-            let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
-            for (i, entry) in index.chunks.iter().enumerate() {
-                let chunk = read_chunk_at(&mut Cursor::new(&buf), i, *entry).unwrap();
-                assert_eq!(chunk.len() as u64, entry.records);
-            }
+            let index = assert_index_lands_on_chunks(&buf);
+            let counts: Vec<u64> = index.chunks.iter().map(|c| c.records).collect();
+            let lens: Vec<u64> = layout.iter().map(|c| c.len() as u64).collect();
+            assert_eq!(counts, lens);
         }
         let buf = assemble(&bodies(&[&r[..0]]));
         let (back, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());

@@ -6,8 +6,8 @@
 //!
 //! * [`format`] — the chunked trace format v2: varint + delta encoding
 //!   (~3–8 bytes per record instead of a fixed-width 24), an FNV
-//!   checksum per chunk, a chunk-index footer for seeks and parallel
-//!   decode, a bounded-memory streaming [`TraceWriter`]/[`TraceReader`]
+//!   checksum per chunk, a chunk-index footer that lists the chunks
+//!   without decoding them, a bounded-memory streaming [`TraceWriter`]/[`TraceReader`]
 //!   pair, and salvage of complete chunks from a truncated tail.
 //! * [`store`] — a content-addressed [`TraceStore`] directory keyed by
 //!   run-spec slug, with a JSON sidecar per trace so experiments render
@@ -58,8 +58,8 @@ pub mod sweep;
 pub mod varint;
 
 pub use format::{
-    read_chunk_at, ChunkEntry, ChunkIndex, SalvageInfo, SalvageReason, StoreError, TraceReader,
-    TraceWriter, WriteSummary, DEFAULT_CHUNK_RECORDS, VERSION_V2,
+    ChunkEntry, ChunkIndex, SalvageInfo, SalvageReason, StoreError, TraceReader, TraceWriter,
+    WriteSummary, DEFAULT_CHUNK_RECORDS, VERSION_V2,
 };
 pub use fsck::{
     fsck, gc, EntryStatus, FsckEntry, FsckReport, GcReport, RepairAction, QUARANTINE_DIR,
