@@ -92,17 +92,18 @@
 //! `ccnuma-obs-report/1` JSON document.
 //!
 //! With `--trace-dir DIR`, captured miss traces are stored under `DIR`
-//! in the chunked v2 format and served from there on later invocations
+//! in the chunked v3 format and served from there on later invocations
 //! — the Section 8 experiments (fig4/6/7/8/9, sharing, counters,
 //! characterize) then render without re-running the machine simulator.
 //! The `trace` subcommand manages the store directly (`capture` fills
-//! it, `info` lists it, `verify` re-decodes every chunk against its
-//! checksum), and `sweep` replays a policy-parameter grid over a stored
+//! it, `info` lists it, `verify` checks every byte of each entry: each
+//! chunk and the footer against their checksums, and the trailer), and
+//! `sweep` replays a policy-parameter grid over a stored
 //! trace, writing a `ccnuma-sweep/2` JSON (and optionally CSV)
 //! artifact. Both default to the `artifacts/traces` store directory.
 //! `trace fsck` verifies every store entry (exit 1 on damage); with
-//! `--repair` it salvages what the format's truncation-salvage path can
-//! recover and quarantines the rest under `quarantine/`. `trace gc
+//! `--repair` it moves each damaged entry whole into `quarantine/`, and
+//! the next run that needs a quarantined trace captures it again. `trace gc
 //! --max-bytes N` evicts least-recently-used entries until the store
 //! fits the byte budget (loads freshen an entry's LRU stamp).
 //!
@@ -111,7 +112,7 @@
 //! so a killed invocation rerun with the same `--resume DIR` completes
 //! only the missing work while printing byte-identical stdout. One rule
 //! places the files: results live under `DIR/results` (checksummed),
-//! and traces live in the trace store (v2 entries), which is
+//! and traces live in the trace store (v3 entries), which is
 //! `--trace-dir` when given and otherwise `DIR` (experiments) or
 //! `artifacts/traces` (sweep). A damaged entry is a warning plus a
 //! recomputation that rewrites it. `trace fsck` and `trace gc` cover
@@ -139,7 +140,7 @@ use ccnuma_bench::{experiments, traced_ft_spec, Executor, RunPlan, TracedRun};
 use ccnuma_faults::{FaultScenario, FaultSpec, FaultStats};
 use ccnuma_obs::Verbosity;
 use ccnuma_tracestore::{
-    fsck, gc, run_sweep_cached, ChunkIndex, ResultCache, StoreError, StoreListing, SweepStore,
+    fsck, gc, run_sweep_cached, Footer, ResultCache, StoreError, StoreListing, SweepStore,
     TraceStore, RESULTS_DIR,
 };
 use ccnuma_workloads::{Scale, WorkloadKind};
@@ -346,38 +347,29 @@ fn run_trace(action: &TraceAction, o: &Opts) -> i32 {
     0
 }
 
-/// One `trace info` line: sidecar fields plus the chunk index.
+/// One `trace info` line, from one read of the entry's footer.
 fn trace_info(store: &TraceStore, slug: &str) -> Result<(), StoreError> {
-    let meta = store.meta(slug)?;
-    let path = store.trace_path(slug);
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let index = ChunkIndex::read_from(&mut File::open(&path)?)?;
+    let mut file = File::open(store.trace_path(slug))?;
+    let bytes = file.metadata()?.len();
+    let Footer { chunks, meta } = Footer::read_from(&mut file)?;
     println!(
-        "{slug}: label=\"{}\" records={} nodes={} other_time_ns={} chunks={} bytes={}",
+        "{slug}: label=\"{}\" records={} nodes={} other_time_ns={} chunks={} bytes={bytes}",
         meta.label,
         meta.records,
         meta.nodes,
         meta.other_time_ns,
-        index.chunks.len(),
-        bytes
+        chunks.len(),
     );
     Ok(())
 }
 
-/// One `trace verify` line: full strict decode of every chunk, with the
-/// record count cross-checked against the sidecar and the footer.
+/// One `trace verify` line: a strict read of the whole entry.
 fn trace_verify(store: &TraceStore, slug: &str) -> Result<(), StoreError> {
-    let (reader, meta) = store.open(slug)?;
+    let (reader, _) = store.open(slug)?;
     let mut records = 0u64;
     for rec in reader {
         rec?;
         records += 1;
-    }
-    if records != meta.records {
-        return Err(StoreError::Corrupt {
-            chunk: usize::MAX,
-            what: "record count disagrees with sidecar",
-        });
     }
     println!("ok {slug}: {records} records");
     Ok(())
@@ -566,24 +558,18 @@ fn run_experiments(names: &[String], mut o: Opts) -> i32 {
         // Byte footprints ride along with the hit counts whenever a
         // store is in play, so capacity pressure is visible from the
         // same line operators already watch.
-        let footprints = exec.trace_store().map_or(String::new(), |store| {
-            let mut s = String::new();
-            if let Ok(listing) = StoreListing::scan(store) {
-                s.push_str(&format!(
-                    ", trace store {} B in {} trace(s)",
-                    listing.total_bytes,
-                    listing.entries.len()
-                ));
-            }
-            let results = store.dir().join(RESULTS_DIR);
-            if results.is_dir() {
-                if let Ok(cache) = ResultCache::new(&results) {
-                    let (n, b) = cache.footprint();
-                    s.push_str(&format!(", result cache {b} B in {n} result(s)"));
-                }
-            }
-            s
-        });
+        let mut footprints = String::new();
+        if let Some(Ok(listing)) = exec.trace_store().map(StoreListing::scan) {
+            footprints.push_str(&format!(
+                ", trace store {} B in {} trace(s)",
+                listing.total_bytes,
+                listing.entries.len()
+            ));
+        }
+        if let Some(cache) = exec.result_cache() {
+            let (n, b) = cache.footprint();
+            footprints.push_str(&format!(", result cache {b} B in {n} result(s)"));
+        }
         eprintln!(
             "{} experiment(s), {} distinct run(s) computed, {} cache hit(s){}{}{}{}, jobs={}, wall {:.2}s",
             selected.len(),

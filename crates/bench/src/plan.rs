@@ -151,21 +151,21 @@ pub struct ExecutorStats {
 /// A trace-bearing run fetched through [`Executor::traced`]: either a
 /// fresh machine run carrying its captured trace, or — when the
 /// executor has a trace store and the store already holds this spec's
-/// capture — the stored trace plus its sidecar, with no machine run at
-/// all. Either way the handle exposes exactly what the Section 8
+/// capture — the stored trace plus its footer's meta, with no machine
+/// run at all. Either way the handle exposes exactly what the Section 8
 /// policy-simulator experiments need: the records, the machine's node
 /// count, and the run's constant non-miss time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TracedRun {
     source: TracedSource,
     nodes: u16,
     other_time: Ns,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum TracedSource {
     Fresh(Arc<RunReport>),
-    Stored(Trace),
+    Stored(Arc<Trace>),
 }
 
 impl TracedRun {
@@ -228,6 +228,9 @@ pub struct Executor {
     hard_deadline: Option<Duration>,
     profile: Mutex<SpanProfiler>,
     cache: Mutex<HashMap<String, Result<Arc<RunReport>, RunFailure>>>,
+    /// Store entries [`Executor::try_traced`] has read, by slug: the
+    /// run it served, or `None` for an entry found damaged.
+    stored: Mutex<HashMap<String, Option<TracedRun>>>,
     hits: AtomicU64,
     computed: AtomicU64,
     store_hits: AtomicU64,
@@ -255,6 +258,7 @@ impl Executor {
             hard_deadline: None,
             profile: Mutex::new(SpanProfiler::new()),
             cache: Mutex::new(HashMap::new()),
+            stored: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -402,6 +406,12 @@ impl Executor {
     /// The configured trace store, if any.
     pub fn trace_store(&self) -> Option<&TraceStore> {
         self.trace_store.as_ref()
+    }
+
+    /// The result cache runs are stored in and restored from, if any
+    /// (see [`Executor::with_resume`]).
+    pub fn result_cache(&self) -> Option<&ResultCache> {
+        self.results.as_ref()
     }
 
     /// The trace-store slug for `spec` (after fault defaulting) — the
@@ -629,6 +639,8 @@ impl Executor {
         };
         let v = JsonValue::parse(&text).map_err(|_| incomplete())?;
         let trace = match v.get("trace_records").and_then(JsonValue::as_u64) {
+            // `try_traced` found this capture damaged and has warned.
+            Some(_) if matches!(lock(&self.stored).get(slug), Some(None)) => return Ok(None),
             Some(n) => {
                 let (trace, _) = store.load(slug)?;
                 if trace.len() as u64 != n {
@@ -686,31 +698,18 @@ impl Executor {
 
     /// Non-panicking form of [`Executor::traced`].
     ///
-    /// A run this executor already holds is served from memory. An
-    /// unreadable store entry degrades to a warning plus a fresh capture,
-    /// which rewrites the entry; only a failing machine run is an error.
+    /// A run this executor already holds is served from memory, and so
+    /// is a store entry it already read: each entry is decoded at most
+    /// once. An unreadable store entry degrades to one warning plus a
+    /// fresh capture, which rewrites the entry; only a failing machine
+    /// run is an error.
     pub fn try_traced(&self, spec: &RunSpec) -> Result<TracedRun, RunFailure> {
         let spec = self.effective_spec(spec);
         let key = spec.cache_key();
         let slug = TraceStore::slug(&spec.describe(), &key);
-        if let Some(store) = &self.trace_store {
-            if store.contains(&slug) && !lock(&self.cache).contains_key(&key) {
-                match store.load(&slug) {
-                    Ok((trace, meta)) => {
-                        self.store_hits.fetch_add(1, Ordering::Relaxed);
-                        if self.verbosity.verbose() {
-                            eprintln!("trace {} served from store", meta.label);
-                        }
-                        return Ok(TracedRun {
-                            nodes: meta.nodes,
-                            other_time: Ns(meta.other_time_ns),
-                            source: TracedSource::Stored(trace),
-                        });
-                    }
-                    Err(e) => {
-                        self.warn(format!("stored trace {slug} unreadable ({e}); recapturing"))
-                    }
-                }
+        if !lock(&self.cache).contains_key(&key) {
+            if let Some(run) = self.serve_stored(&slug) {
+                return Ok(run);
             }
         }
         let report = self.try_run(&spec)?;
@@ -719,6 +718,42 @@ impl Executor {
             other_time: crate::helpers::other_time_of(&report),
             source: TracedSource::Fresh(report),
         })
+    }
+
+    /// The store's capture `slug`, read on the first call and then
+    /// served from memory. `None` when there is no store or no entry,
+    /// or when the entry is damaged (warned about on the first call).
+    fn serve_stored(&self, slug: &str) -> Option<TracedRun> {
+        let store = self.trace_store.as_ref()?;
+        let mut stored = lock(&self.stored);
+        if let Some(run) = stored.get(slug) {
+            if run.is_some() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return run.clone();
+        }
+        if !store.contains(slug) {
+            return None;
+        }
+        let run = match store.load(slug) {
+            Ok((trace, meta)) => {
+                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                if self.verbosity.verbose() {
+                    eprintln!("trace {} served from store", meta.label);
+                }
+                Some(TracedRun {
+                    nodes: meta.nodes,
+                    other_time: Ns(meta.other_time_ns),
+                    source: TracedSource::Stored(Arc::new(trace)),
+                })
+            }
+            Err(e) => {
+                self.warn(format!("stored trace {slug} unreadable ({e}); recapturing"));
+                None
+            }
+        };
+        stored.insert(slug.to_string(), run.clone());
+        run
     }
 
     /// Computes every spec of `plan` that is not yet cached, using up to
@@ -1231,7 +1266,7 @@ mod tests {
         assert_eq!(
             a.trace.as_ref().unwrap().as_slice(),
             b.trace.as_ref().unwrap().as_slice(),
-            "the v2 trace entry restores the capture exactly"
+            "the trace store entry restores the capture exactly"
         );
         let slug = second.trace_slug(&spec);
         let key = second.effective_spec(&spec).cache_key();

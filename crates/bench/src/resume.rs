@@ -23,6 +23,7 @@ use ccnuma_machine::{ContentionStats, RunReport};
 use ccnuma_obs::{json::JsonWriter, JsonValue};
 use ccnuma_stats::RunBreakdown;
 use ccnuma_trace::Trace;
+use ccnuma_tracestore::{read_policy_stats, write_policy_stats};
 use ccnuma_types::Ns;
 
 fn bits_key(j: &mut JsonWriter, key: &str, v: f64) {
@@ -56,26 +57,7 @@ pub fn report_payload(report: &RunReport) -> String {
     j.str(&report.policy_label);
     u64_arr(&mut j, "breakdown", &report.breakdown.to_raw_parts());
     j.key("policy_stats");
-    match &report.policy_stats {
-        None => j.raw("null"),
-        Some(p) => {
-            j.begin_obj();
-            u64_key(&mut j, "misses_observed", p.misses_observed);
-            u64_key(&mut j, "hot_events", p.hot_events);
-            u64_key(&mut j, "migrations", p.migrations);
-            u64_key(&mut j, "replications", p.replications);
-            u64_key(&mut j, "remaps", p.remaps);
-            u64_key(&mut j, "collapses", p.collapses);
-            u64_key(&mut j, "no_action", p.no_action);
-            u64_key(&mut j, "no_action_write_shared", p.no_action_write_shared);
-            u64_key(&mut j, "no_action_migrate_limit", p.no_action_migrate_limit);
-            u64_key(&mut j, "no_action_pressure", p.no_action_pressure);
-            u64_key(&mut j, "no_action_disabled", p.no_action_disabled);
-            u64_key(&mut j, "no_action_frozen", p.no_action_frozen);
-            u64_key(&mut j, "no_page", p.no_page);
-            j.end_obj();
-        }
-    }
+    write_policy_stats(&mut j, report.policy_stats);
     u64_arr(&mut j, "cost_book", &report.cost_book.to_raw_parts());
     j.key("contention");
     j.begin_obj();
@@ -158,24 +140,7 @@ fn get_u64_arr<const N: usize>(v: &JsonValue, key: &str) -> Option<[u64; N]> {
 /// trace. `None` if the payload is malformed or incomplete — the caller
 /// recomputes that run.
 pub fn report_from_payload(v: &JsonValue, trace: Option<Trace>) -> Option<RunReport> {
-    let policy_stats = match v.get("policy_stats")? {
-        JsonValue::Null => None,
-        p => Some(ccnuma_core::PolicyStats {
-            misses_observed: get_u64(p, "misses_observed")?,
-            hot_events: get_u64(p, "hot_events")?,
-            migrations: get_u64(p, "migrations")?,
-            replications: get_u64(p, "replications")?,
-            remaps: get_u64(p, "remaps")?,
-            collapses: get_u64(p, "collapses")?,
-            no_action: get_u64(p, "no_action")?,
-            no_action_write_shared: get_u64(p, "no_action_write_shared")?,
-            no_action_migrate_limit: get_u64(p, "no_action_migrate_limit")?,
-            no_action_pressure: get_u64(p, "no_action_pressure")?,
-            no_action_disabled: get_u64(p, "no_action_disabled")?,
-            no_action_frozen: get_u64(p, "no_action_frozen")?,
-            no_page: get_u64(p, "no_page")?,
-        }),
-    };
+    let policy_stats = read_policy_stats(v.get("policy_stats")?)?;
     let c = v.get("contention")?;
     let contention = ContentionStats {
         remote_requests: get_u64(c, "remote_requests")?,

@@ -14,6 +14,10 @@
 //! 5. A damaged store entry heals: the run after the damage warns once
 //!    and rewrites the entry, and the run after that is served from the
 //!    store without a warning.
+//! 6. Each stored trace is decoded once per invocation, however many
+//!    experiments replay it.
+//! 7. A truncated entry repaired by `trace fsck --repair` is captured
+//!    again in full, never served as the prefix its intact chunks hold.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -269,5 +273,72 @@ fn a_damaged_trace_entry_is_rewritten_and_then_served() {
         stderr.contains("0 distinct run(s) computed"),
         "the healed entry is served from the store: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `N trace-store hit(s)` count of a summary line (0 when absent).
+fn store_hits(stderr: &str) -> usize {
+    stderr
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" trace-store hit(s)")?.parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn a_stored_trace_is_decoded_once_per_invocation() {
+    let dir = scratch("once");
+    let line = ["fig4", "fig6", "--scale", "quick", "--trace-dir"];
+    let run = || {
+        let mut args = line.to_vec();
+        args.push(dir.to_str().unwrap());
+        let out = repro(&args);
+        (
+            stdout_of(&out),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (cold, _) = run();
+    let traces = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "trace"))
+        .count();
+    let (warm, stderr) = run();
+    assert_eq!(warm, cold);
+    assert!(traces > 0 && stderr.contains("0 distinct run(s) computed"));
+    // fig4 and fig6 replay the same traces: each is read from the store
+    // once, and the second use is served from memory.
+    assert_eq!(store_hits(&stderr), traces, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_repaired_truncation_is_recaptured_not_served_as_a_prefix() {
+    let dir = scratch("prefix");
+    let dir_arg = dir.to_str().unwrap();
+    let fig7 = || {
+        let out = repro(&["fig7", "--scale", "quick", "--trace-dir", dir_arg]);
+        (
+            stdout_of(&out),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (first, _) = fig7();
+    let trace = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "trace"))
+        .expect("fig7 stores its trace");
+    let bytes = std::fs::read(&trace).unwrap();
+    std::fs::write(&trace, &bytes[..bytes.len() * 2 / 3]).unwrap();
+
+    let fsck = repro(&["trace", "fsck", "--repair", "--trace-dir", dir_arg]);
+    assert!(stdout_of(&fsck).contains("quarantined"));
+    assert!(!trace.exists(), "the damaged entry leaves the store whole");
+
+    let (again, stderr) = fig7();
+    assert_eq!(again, first, "the figure must come from the whole trace");
+    assert!(stderr.contains("1 distinct run(s) computed"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

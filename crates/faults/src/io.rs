@@ -20,7 +20,7 @@
 //! [`retry_io`] for bounded retry-with-backoff on transient failures.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -51,8 +51,9 @@ pub trait Storage: Clone + Send + Sync + 'static {
     /// Streaming write handle (what chunked writers wrap in a
     /// `BufWriter`).
     type File: Write + Send;
-    /// Streaming read handle.
-    type ReadFile: Read + Send;
+    /// Streaming read handle; seekable, so a reader can check a file's
+    /// footer from its end before streaming it from the start.
+    type ReadFile: Read + Seek + Send;
 
     /// True when fault hooks are live. Lets cold paths skip
     /// fault-bookkeeping entirely; `DiskStorage` reports `false`.
@@ -531,6 +532,12 @@ impl Write for FaultyFile {
 pub struct FaultyReadFile {
     inner: File,
     faults: IoFaults,
+}
+
+impl Seek for FaultyReadFile {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.inner.seek(pos)
+    }
 }
 
 impl Read for FaultyReadFile {

@@ -8,8 +8,8 @@
 //!
 //! [`JsonValue`] is the matching reader: a small recursive-descent
 //! parser for the artifacts this workspace writes (`metrics.json`,
-//! `run-metadata.json`, `profile.json`, result-store entries, trace
-//! sidecars) and for request bodies, used by the fleet aggregation
+//! `run-metadata.json`, `profile.json`, result-store entries) and for
+//! request bodies, used by the fleet aggregation
 //! (`repro obs report`), `--resume` and the sweep service.
 //! Numbers keep their raw text so `u64` counters survive without a
 //! float round-trip.

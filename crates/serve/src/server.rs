@@ -434,7 +434,7 @@ fn respond_bad(state: &ServeState, w: &mut impl Write, (status, code, msg): Bad)
 }
 
 /// Reads a JSON body that names a stored trace: the document, the
-/// trace's slug and its sidecar.
+/// trace's slug and the meta from its footer.
 fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, TraceMeta), Bad> {
     let text =
         std::str::from_utf8(body).map_err(|_| bad("bad_json", "body is not UTF-8".into()))?;
@@ -450,7 +450,7 @@ fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, Tra
         format!("no trace named {trace:?} in the store"),
     ))?;
     let meta = state.store.meta(&slug).map_err(|e| {
-        let msg = format!("sidecar read failed: {e}");
+        let msg = format!("stored trace unreadable: {e}");
         (500, "store_error", msg)
     })?;
     Ok((v, slug, meta))

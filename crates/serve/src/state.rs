@@ -67,7 +67,7 @@ impl Default for ServeConfig {
 pub struct ResidentTrace {
     /// Decoded records.
     pub trace: Trace,
-    /// Sidecar metadata.
+    /// The meta from the trace's footer.
     pub meta: TraceMeta,
     /// In-memory footprint charged against the byte budget.
     pub bytes: u64,
@@ -203,7 +203,7 @@ impl ServeState {
     }
 
     /// Resolves a slug-or-label to a store slug: an exact slug match
-    /// wins; otherwise the first (slug-sorted) entry whose sidecar
+    /// wins; otherwise the first (slug-sorted) entry whose stored
     /// label matches.
     pub fn resolve_slug(&self, name: &str) -> Option<String> {
         if self.store.contains(name) {

@@ -3,7 +3,7 @@
 //! A record's four booleans pack into one flag byte ([`encode_flags`]),
 //! and [`record_from_parts`] rebuilds a record from its serialized
 //! fields, rejecting reserved flag bits. The chunked, checksummed
-//! on-disk format (v2) lives in the `ccnuma-tracestore` crate, which
+//! on-disk format (v3) lives in the `ccnuma-tracestore` crate, which
 //! builds on this codec and on the shared [`MAGIC`].
 //!
 //! # Examples

@@ -1,12 +1,12 @@
-//! The chunked on-disk trace format, version 2.
+//! The chunked on-disk trace format, version 3.
 //!
 //! A stream opens with the `CCNT` magic followed by a little-endian
-//! `u32` version; any version but 2 is refused with
+//! `u32` version; any version but 3 is refused with
 //! [`StoreError::BadVersion`]. After the header come self-contained
-//! chunks and a chunk-index footer:
+//! chunks and a footer:
 //!
 //! ```text
-//! header := "CCNT" u32(version = 2)
+//! header := "CCNT" u32(version = 3)
 //! chunk  := 0x01 u32(body_len) u64(fnv1a64 of body) body
 //! footer := 0x00 u32(body_len) u64(fnv1a64 of body) body
 //!           u32(body_len again) "CCNX"
@@ -14,17 +14,23 @@
 //!
 //! A chunk body is `varint(record_count)` followed by delta-encoded
 //! records; the delta baseline resets to zero at every chunk boundary,
-//! so any chunk decodes on its own — that is what makes tail salvage
-//! possible. Each record is four zigzag varints (time, page, pid and
-//! processor deltas) plus the one-byte record flags, which for the
-//! simulator's sorted, page-local traces comes to ~3–8 bytes instead of
-//! the 24 a fixed-width record needs.
+//! so any chunk decodes on its own. Each record is four zigzag varints
+//! (time, page, pid and processor deltas) plus the one-byte record
+//! flags, which for the simulator's sorted, page-local traces comes to
+//! ~3–8 bytes instead of the 24 a fixed-width record needs.
 //!
 //! The footer body is `varint(chunk_count)`, then per chunk
 //! `varint(file_offset) varint(record_count)`, then
-//! `varint(total_records)`. The trailing length + `CCNX` magic let a
-//! seekable reader find the index from the end of the file without
-//! scanning.
+//! `varint(total_records)`, then the trace's [`TraceMeta`]:
+//! `varint(label_len) label varint(nodes) varint(other_time_ns)`. The
+//! trailing length + `CCNX` magic let a seekable reader find the footer
+//! from the end of the file without scanning ([`Footer::read_from`]).
+//!
+//! Every byte is checked. The strict [`TraceReader`] is the only reader:
+//! it verifies each chunk and the footer against their checksums, the
+//! footer's counts against the chunks it read, the trailer, and that no
+//! byte follows it. Damage anywhere is a typed [`StoreError`]; no
+//! reader yields a prefix of a damaged file as if it were the whole.
 
 use crate::varint;
 use ccnuma_obs::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
@@ -34,12 +40,12 @@ use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Format version written by [`TraceWriter`].
-pub const VERSION_V2: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Marker byte that opens every chunk.
 pub const CHUNK_MARKER: u8 = 0x01;
 /// Marker byte that opens the footer.
 pub const FOOTER_MARKER: u8 = 0x00;
-/// Magic that ends a complete v2 file.
+/// Magic that ends a complete file.
 pub const END_MAGIC: &[u8; 4] = b"CCNX";
 /// Default records per chunk: bounds writer and reader memory to a few
 /// hundred KB while keeping per-chunk overhead (13 bytes) negligible.
@@ -61,7 +67,8 @@ pub enum StoreError {
     },
     /// A structural problem inside a chunk or the footer.
     Corrupt {
-        /// Zero-based chunk index (chunk count for the footer).
+        /// Zero-based chunk index; `usize::MAX` for the footer and
+        /// trailer.
         chunk: usize,
         /// What was malformed.
         what: &'static str,
@@ -90,6 +97,10 @@ impl fmt::Display for StoreError {
             StoreError::ChecksumMismatch { chunk } => {
                 write!(f, "checksum mismatch in chunk {chunk}")
             }
+            StoreError::Corrupt {
+                chunk: usize::MAX,
+                what,
+            } => write!(f, "corrupt trace footer: {what}"),
             StoreError::Corrupt { chunk, what } => {
                 write!(f, "corrupt trace file at chunk {chunk}: {what}")
             }
@@ -129,7 +140,7 @@ impl From<ReadTraceError> for StoreError {
     }
 }
 
-/// One entry of the chunk-index footer.
+/// One entry of the footer's chunk index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Byte offset of the chunk's marker byte from the start of the file.
@@ -138,25 +149,44 @@ pub struct ChunkEntry {
     pub records: u64,
 }
 
-/// The decoded chunk-index footer of a v2 file.
+/// What a stored trace carries besides its records: everything a
+/// replay needs to price them. It is written into the footer, under the
+/// footer's checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkIndex {
-    /// Per-chunk offsets and record counts, in file order.
-    pub chunks: Vec<ChunkEntry>,
-    /// Total records across all chunks.
-    pub total_records: u64,
+pub struct TraceMeta {
+    /// Human-readable run description (e.g. `raytrace [FT] +trace`).
+    pub label: String,
+    /// Records in the trace. On read it is the footer's total; on write
+    /// it is ignored, as the writer counts the records it is given.
+    pub records: u64,
+    /// NUMA nodes of the captured machine.
+    pub nodes: u16,
+    /// The run's constant "all other time" component, in nanoseconds.
+    pub other_time_ns: u64,
 }
 
-impl ChunkIndex {
-    /// Reads the index from the end of a seekable v2 file without
-    /// scanning the chunks.
+/// The decoded footer of a trace file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Footer {
+    /// Per-chunk offsets and record counts, in file order.
+    pub chunks: Vec<ChunkEntry>,
+    /// The trace's meta; `meta.records` is the total across all chunks.
+    pub meta: TraceMeta,
+}
+
+impl Footer {
+    /// Reads the header and then the footer from the end of a seekable
+    /// file, without scanning the chunks.
     ///
     /// # Errors
     ///
-    /// [`StoreError::MissingFooter`] when the trailer is absent or
-    /// damaged, [`StoreError::Corrupt`]/[`StoreError::ChecksumMismatch`]
-    /// when the footer body does not validate, or an I/O error.
-    pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<ChunkIndex, StoreError> {
+    /// [`StoreError::BadMagic`]/[`StoreError::BadVersion`] for a foreign
+    /// header, [`StoreError::MissingFooter`] when the trailer is absent
+    /// or damaged, [`StoreError::Corrupt`] when the footer body does not
+    /// validate, or an I/O error.
+    pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<Footer, StoreError> {
+        r.seek(SeekFrom::Start(0))?;
+        read_header(r)?;
         let file_len = r.seek(SeekFrom::End(0))?;
         // Trailer: u32 body_len + 4-byte end magic.
         if file_len < 8 {
@@ -175,56 +205,90 @@ impl ChunkIndex {
             return Err(StoreError::MissingFooter);
         }
         r.seek(SeekFrom::Start(file_len - footer_total))?;
-        let mut head = [0u8; 13];
-        r.read_exact(&mut head)?;
-        if head[0] != FOOTER_MARKER {
+        let mut marker = [0u8; 1];
+        r.read_exact(&mut marker)?;
+        if marker[0] != FOOTER_MARKER {
             return Err(StoreError::MissingFooter);
         }
-        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as u64;
-        if len != body_len {
+        let mut body = Vec::new();
+        let checksum = read_frame(r, &mut body)?;
+        if body.len() as u64 != body_len {
             return Err(StoreError::MissingFooter);
         }
-        let checksum = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
-        let mut body = vec![0u8; body_len as usize];
-        r.read_exact(&mut body)?;
         decode_footer_body(&body, checksum)
     }
 }
 
-fn decode_footer_body(body: &[u8], checksum: u64) -> Result<ChunkIndex, StoreError> {
-    if fnv1a64(body) != checksum {
-        return Err(StoreError::Corrupt {
-            chunk: usize::MAX,
-            what: "footer checksum mismatch",
-        });
+/// Reads and checks the 8-byte header.
+fn read_header<R: Read>(r: &mut R) -> Result<(), StoreError> {
+    let mut header = [0u8; 8];
+    r.read_exact(&mut header)?;
+    let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
+    if &magic != MAGIC {
+        return Err(StoreError::BadMagic(magic));
     }
-    let corrupt = |what| StoreError::Corrupt {
+    match u32::from_le_bytes(header[4..].try_into().expect("4 bytes")) {
+        VERSION => Ok(()),
+        version => Err(StoreError::BadVersion(version)),
+    }
+}
+
+/// A [`StoreError::Corrupt`] in the footer or trailer.
+fn corrupt_footer(what: &'static str) -> StoreError {
+    StoreError::Corrupt {
         chunk: usize::MAX,
         what,
-    };
+    }
+}
+
+fn decode_footer_body(body: &[u8], checksum: u64) -> Result<Footer, StoreError> {
+    if fnv1a64(body) != checksum {
+        return Err(corrupt_footer("footer checksum mismatch"));
+    }
     let mut pos = 0;
-    let count = varint::read_u64(body, &mut pos).ok_or(corrupt("footer chunk count"))?;
+    let count = varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer chunk count"))?;
     // Each entry takes at least two bytes, so a count past half the
     // remaining body is garbage and must not drive an allocation.
     if count > ((body.len() - pos) / 2) as u64 {
-        return Err(corrupt("footer chunk count out of range"));
+        return Err(corrupt_footer("footer chunk count out of range"));
     }
     let mut chunks = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let offset = varint::read_u64(body, &mut pos).ok_or(corrupt("footer chunk offset"))?;
-        let records = varint::read_u64(body, &mut pos).ok_or(corrupt("footer record count"))?;
+        let offset =
+            varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer chunk offset"))?;
+        let records =
+            varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer record count"))?;
         chunks.push(ChunkEntry { offset, records });
     }
-    let total_records = varint::read_u64(body, &mut pos).ok_or(corrupt("footer total"))?;
+    let records = varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer total"))?;
+    if records != chunks.iter().map(|c| c.records).sum::<u64>() {
+        return Err(corrupt_footer("footer total disagrees with entries"));
+    }
+    let label_len =
+        varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer label length"))?;
+    let label = usize::try_from(label_len)
+        .ok()
+        .and_then(|n| body.get(pos..pos.checked_add(n)?))
+        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+        .ok_or(corrupt_footer("footer label"))?
+        .to_string();
+    pos += label.len();
+    let nodes = varint::read_u64(body, &mut pos)
+        .and_then(|n| u16::try_from(n).ok())
+        .ok_or(corrupt_footer("footer nodes"))?;
+    let other_time_ns =
+        varint::read_u64(body, &mut pos).ok_or(corrupt_footer("footer other time"))?;
     if pos != body.len() {
-        return Err(corrupt("trailing bytes in footer"));
+        return Err(corrupt_footer("trailing bytes in footer"));
     }
-    if total_records != chunks.iter().map(|c| c.records).sum::<u64>() {
-        return Err(corrupt("footer total disagrees with entries"));
-    }
-    Ok(ChunkIndex {
+    Ok(Footer {
         chunks,
-        total_records,
+        meta: TraceMeta {
+            label,
+            records,
+            nodes,
+            other_time_ns,
+        },
     })
 }
 
@@ -404,19 +468,20 @@ pub struct WriteSummary {
     pub bytes: u64,
 }
 
-/// Bounded-memory streaming writer for format v2.
+/// Bounded-memory streaming writer for the trace format.
 ///
 /// Push records one at a time; the writer buffers at most one chunk
 /// (default [`DEFAULT_CHUNK_RECORDS`] records) before flushing it with
-/// its checksum, and [`finish`](TraceWriter::finish) appends the
-/// chunk-index footer.
+/// its checksum, and [`finish`](TraceWriter::finish) appends the footer:
+/// the chunk index and the trace's [`TraceMeta`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ccnuma_tracestore::{TraceReader, TraceWriter};
+/// use ccnuma_tracestore::{TraceMeta, TraceReader, TraceWriter};
 /// use ccnuma_trace::MissRecord;
 /// use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
+/// use std::io::Cursor;
 ///
 /// # fn main() -> Result<(), ccnuma_tracestore::StoreError> {
 /// let mut buf = Vec::new();
@@ -424,9 +489,10 @@ pub struct WriteSummary {
 /// for i in 0..100u64 {
 ///     w.push(&MissRecord::user_data_read(Ns(i * 500), ProcId(0), Pid(0), VirtPage(i / 8)))?;
 /// }
-/// let summary = w.finish()?;
+/// let meta = TraceMeta { label: "demo".into(), records: 0, nodes: 8, other_time_ns: 0 };
+/// let summary = w.finish(&meta)?;
 /// assert_eq!(summary.records, 100);
-/// let back: Result<Vec<_>, _> = TraceReader::new(buf.as_slice())?.collect();
+/// let back: Result<Vec<_>, _> = TraceReader::new(Cursor::new(buf))?.collect();
 /// assert_eq!(back?.len(), 100);
 /// # Ok(())
 /// # }
@@ -441,7 +507,7 @@ pub struct TraceWriter<W: Write> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts a v2 stream on `w` with the default chunk size.
+    /// Starts a stream on `w` with the default chunk size.
     ///
     /// # Errors
     ///
@@ -450,7 +516,7 @@ impl<W: Write> TraceWriter<W> {
         TraceWriter::with_chunk_records(w, DEFAULT_CHUNK_RECORDS)
     }
 
-    /// Starts a v2 stream flushing every `chunk_records` records.
+    /// Starts a stream flushing every `chunk_records` records.
     ///
     /// # Errors
     ///
@@ -465,7 +531,7 @@ impl<W: Write> TraceWriter<W> {
     ) -> Result<TraceWriter<W>, StoreError> {
         assert!(chunk_records > 0, "chunks must hold at least one record");
         w.write_all(MAGIC)?;
-        w.write_all(&VERSION_V2.to_le_bytes())?;
+        w.write_all(&VERSION.to_le_bytes())?;
         Ok(TraceWriter {
             w,
             written: 8,
@@ -508,12 +574,14 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Flushes the last chunk, writes the footer, and returns totals.
+    /// Flushes the last chunk, writes the footer with `meta`'s label,
+    /// nodes and other time (the record count is the writer's own), and
+    /// returns totals.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the final writes.
-    pub fn finish(mut self) -> Result<WriteSummary, StoreError> {
+    pub fn finish(mut self, meta: &TraceMeta) -> Result<WriteSummary, StoreError> {
         self.flush_chunk()?;
         let mut body = Vec::new();
         varint::write_u64(&mut body, self.index.len() as u64);
@@ -522,6 +590,10 @@ impl<W: Write> TraceWriter<W> {
             varint::write_u64(&mut body, entry.records);
         }
         varint::write_u64(&mut body, self.total);
+        varint::write_u64(&mut body, meta.label.len() as u64);
+        body.extend_from_slice(meta.label.as_bytes());
+        varint::write_u64(&mut body, u64::from(meta.nodes));
+        varint::write_u64(&mut body, meta.other_time_ns);
         self.w.write_all(&[FOOTER_MARKER])?;
         let len = (body.len() as u32).to_le_bytes();
         self.w.write_all(&len)?;
@@ -538,34 +610,16 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// What a salvaging reader recovered from a damaged file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SalvageInfo {
-    /// Complete chunks recovered before the damage.
-    pub chunks_kept: usize,
-    /// Records in those chunks.
-    pub records_kept: u64,
-    /// Why the scan stopped.
-    pub reason: SalvageReason,
-}
-
-/// Why a salvage scan stopped accepting chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SalvageReason {
-    /// The file ended mid-chunk (e.g. an interrupted capture).
-    TruncatedChunk,
-    /// A chunk's checksum or structure did not validate.
-    DamagedChunk,
-    /// All chunks were fine but the footer was missing or damaged.
-    MissingFooter,
-}
-
 /// Streaming reader for stored traces: decodes chunk by chunk with
-/// bounded memory.
+/// bounded memory and checks every byte of the file.
 ///
-/// Iterate it (`Iterator<Item = Result<MissRecord, StoreError>>`); after
-/// a salvaging read finishes, [`salvaged`](TraceReader::salvaged)
-/// reports what was dropped.
+/// Opening reads the footer from the end of the input first, so the
+/// trace's [`TraceMeta`] is known before a chunk is decoded. Iterate the
+/// reader (`Iterator<Item = Result<MissRecord, StoreError>>`): each
+/// chunk must sit where the footer's index lists it and hold the records
+/// it lists, and the stream ends with `None` only after the footer it
+/// reaches equals the one read at open, the trailer validates, and no
+/// byte follows it. Any damage ends the stream with one `Err`.
 ///
 /// # Examples
 ///
@@ -573,15 +627,18 @@ pub enum SalvageReason {
 ///
 /// ```
 /// use ccnuma_tracestore::{StoreError, TraceReader};
+/// use std::io::Cursor;
 ///
-/// let v1_header = b"CCNT\x01\0\0\0";
+/// let v2_header = b"CCNT\x02\0\0\0";
 /// assert!(matches!(
-///     TraceReader::new(&v1_header[..]),
-///     Err(StoreError::BadVersion(1))
+///     TraceReader::new(Cursor::new(&v2_header[..])),
+///     Err(StoreError::BadVersion(2))
 /// ));
 /// ```
-pub struct TraceReader<R: Read> {
+pub struct TraceReader<R: Read + Seek> {
     reader: R,
+    /// The footer read from the end of the input at open.
+    footer: Footer,
     /// The current chunk's bytes and decoded records. Both buffers are
     /// reused for every chunk, so a steady-state read allocates nothing.
     body: Vec<u8>,
@@ -589,188 +646,125 @@ pub struct TraceReader<R: Read> {
     /// Index in `records` of the next record to yield.
     next: usize,
     chunks_done: usize,
-    records_done: u64,
-    footer_seen: bool,
-    salvage: bool,
-    salvaged: Option<SalvageInfo>,
-    finished: bool,
+    /// File offset of the next marker byte.
+    offset: u64,
+    done: bool,
 }
 
-impl<R: Read> TraceReader<R> {
-    /// Opens a stored trace, checking the header's magic and version.
+impl<R: Read + Seek> TraceReader<R> {
+    /// Opens a stored trace: checks the header, reads the footer (see
+    /// [`Footer::read_from`]), and positions the stream at the first
+    /// chunk.
     ///
     /// # Errors
     ///
     /// [`StoreError::BadMagic`] / [`StoreError::BadVersion`] for foreign
-    /// input, or an I/O error reading the header.
-    pub fn new(reader: R) -> Result<TraceReader<R>, StoreError> {
-        TraceReader::open(reader, false)
-    }
-
-    /// Like [`new`](TraceReader::new), but a damaged or truncated v2
-    /// tail ends the stream cleanly (recording [`SalvageInfo`]) instead
-    /// of yielding an error. Header problems still fail: there is
-    /// nothing to salvage from a file of the wrong format.
-    ///
-    /// # Errors
-    ///
-    /// Same header errors as [`new`](TraceReader::new).
-    pub fn with_salvage(reader: R) -> Result<TraceReader<R>, StoreError> {
-        TraceReader::open(reader, true)
-    }
-
-    fn open(mut reader: R, salvage: bool) -> Result<TraceReader<R>, StoreError> {
-        let mut header = [0u8; 8];
-        reader.read_exact(&mut header)?;
-        let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
-        if &magic != MAGIC {
-            return Err(StoreError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if version != VERSION_V2 {
-            return Err(StoreError::BadVersion(version));
-        }
+    /// input, [`StoreError::MissingFooter`] / [`StoreError::Corrupt`]
+    /// for a damaged footer or trailer, or an I/O error.
+    pub fn new(mut reader: R) -> Result<TraceReader<R>, StoreError> {
+        let footer = Footer::read_from(&mut reader)?;
+        reader.seek(SeekFrom::Start(8))?;
         Ok(TraceReader {
             reader,
+            footer,
             body: Vec::new(),
             records: Vec::new(),
             next: 0,
             chunks_done: 0,
-            records_done: 0,
-            footer_seen: false,
-            salvage,
-            salvaged: None,
-            finished: false,
+            offset: 8,
+            done: false,
         })
     }
 
-    /// After iteration: what a salvaging read had to drop, if anything.
-    pub fn salvaged(&self) -> Option<SalvageInfo> {
-        self.salvaged
-    }
-
-    /// Records yielded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_done
+    /// The footer read at open: the chunk index and the trace's meta.
+    pub fn footer(&self) -> &Footer {
+        &self.footer
     }
 
     /// Loads the next non-empty chunk into `records`. Returns `Ok(false)`
-    /// at a clean end of stream (footer validated, or salvage stop). A
-    /// chunk's records become visible only after its checksum and its
-    /// whole body validate.
+    /// at the end of a stream whose footer, trailer and end all
+    /// validated. A chunk's records become visible only after its
+    /// checksum, its whole body and its index entry validate.
     fn refill(&mut self) -> Result<bool, StoreError> {
         self.records.clear();
         self.next = 0;
         loop {
+            let corrupt = |what| StoreError::Corrupt {
+                chunk: self.chunks_done,
+                what,
+            };
             let mut marker = [0u8; 1];
             match self.reader.read_exact(&mut marker) {
-                Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                    return self.stop(SalvageReason::MissingFooter, StoreError::MissingFooter);
+                    return Err(StoreError::MissingFooter);
                 }
-                Err(e) => return self.stop(SalvageReason::TruncatedChunk, e.into()),
+                other => other?,
             }
-            match marker[0] {
-                CHUNK_MARKER => {
-                    let checksum = match read_frame(&mut self.reader, &mut self.body) {
-                        Ok(c) => c,
-                        Err(e) => return self.stop_io(e),
-                    };
-                    if let Err(e) =
-                        decode_chunk(&self.body, checksum, self.chunks_done, &mut self.records)
-                    {
-                        return self.stop(SalvageReason::DamagedChunk, e);
-                    }
-                    self.chunks_done += 1;
-                    if self.records.is_empty() {
-                        continue;
-                    }
-                    return Ok(true);
-                }
-                FOOTER_MARKER => {
-                    let checksum = match read_frame(&mut self.reader, &mut self.body) {
-                        Ok(c) => c,
-                        Err(e) => return self.stop_io(e),
-                    };
-                    let index = match decode_footer_body(&self.body, checksum) {
-                        Ok(i) => i,
-                        Err(e) => return self.stop(SalvageReason::MissingFooter, e),
-                    };
-                    if index.chunks.len() != self.chunks_done
-                        || index.total_records != self.records_done
-                    {
-                        return self.stop(
-                            SalvageReason::MissingFooter,
-                            StoreError::Corrupt {
-                                chunk: self.chunks_done,
-                                what: "footer disagrees with chunks read",
-                            },
-                        );
-                    }
-                    self.footer_seen = true;
-                    return Ok(false);
-                }
-                _ => {
-                    return self.stop(
-                        SalvageReason::DamagedChunk,
-                        StoreError::Corrupt {
-                            chunk: self.chunks_done,
-                            what: "unknown marker byte",
-                        },
-                    );
-                }
+            if ![CHUNK_MARKER, FOOTER_MARKER].contains(&marker[0]) {
+                return Err(corrupt("unknown marker byte"));
             }
-        }
-    }
-
-    fn stop_io(&mut self, e: io::Error) -> Result<bool, StoreError> {
-        let reason = if e.kind() == io::ErrorKind::UnexpectedEof {
-            SalvageReason::TruncatedChunk
-        } else {
-            SalvageReason::DamagedChunk
-        };
-        self.stop(reason, e.into())
-    }
-
-    /// In salvage mode, record the reason and end cleanly; otherwise
-    /// surface the error. Either way nothing of the failing chunk is
-    /// yielded.
-    fn stop(&mut self, reason: SalvageReason, err: StoreError) -> Result<bool, StoreError> {
-        self.finished = true;
-        self.records.clear();
-        if self.salvage {
-            self.salvaged = Some(SalvageInfo {
-                chunks_kept: self.chunks_done,
-                records_kept: self.records_done,
-                reason,
-            });
-            Ok(false)
-        } else {
-            Err(err)
+            let checksum = read_frame(&mut self.reader, &mut self.body)?;
+            let start = self.offset;
+            self.offset += 13 + self.body.len() as u64;
+            if marker[0] == FOOTER_MARKER {
+                if decode_footer_body(&self.body, checksum)? != self.footer
+                    || self.chunks_done != self.footer.chunks.len()
+                {
+                    return Err(corrupt_footer("footer disagrees with the stream"));
+                }
+                let mut trailer = [0u8; 8];
+                self.reader.read_exact(&mut trailer)?;
+                if trailer[..4] != (self.body.len() as u32).to_le_bytes()
+                    || &trailer[4..] != END_MAGIC
+                {
+                    return Err(corrupt_footer("damaged trailer"));
+                }
+                if self.reader.read(&mut [0u8; 1])? != 0 {
+                    return Err(corrupt_footer("bytes after the trailer"));
+                }
+                return Ok(false);
+            }
+            decode_chunk(&self.body, checksum, self.chunks_done, &mut self.records)?;
+            let entry = ChunkEntry {
+                offset: start,
+                records: self.records.len() as u64,
+            };
+            if self.footer.chunks.get(self.chunks_done) != Some(&entry) {
+                return Err(corrupt("chunk disagrees with the footer index"));
+            }
+            self.chunks_done += 1;
+            if !self.records.is_empty() {
+                return Ok(true);
+            }
         }
     }
 }
 
-impl<R: Read> Iterator for TraceReader<R> {
+impl<R: Read + Seek> Iterator for TraceReader<R> {
     type Item = Result<MissRecord, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.next == self.records.len() {
-            if self.finished || self.footer_seen {
+            if self.done {
                 return None;
             }
             match self.refill() {
                 Ok(true) => {}
-                Ok(false) => return None,
+                Ok(false) => {
+                    self.done = true;
+                    return None;
+                }
                 Err(e) => {
-                    self.finished = true;
+                    // Nothing of the failing chunk is yielded.
+                    self.done = true;
+                    self.records.clear();
+                    self.next = 0;
                     return Some(Err(e));
                 }
             }
         }
         let rec = self.records[self.next];
         self.next += 1;
-        self.records_done += 1;
         Some(Ok(rec))
     }
 }
@@ -781,6 +775,20 @@ mod tests {
     use ccnuma_trace::{Trace, TraceBuilder};
     use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
     use std::io::Cursor;
+
+    fn meta(records: u64) -> TraceMeta {
+        TraceMeta {
+            label: "sample [FT] +trace".into(),
+            records,
+            nodes: 8,
+            other_time_ns: 171_352_770,
+        }
+    }
+
+    /// A reader over an in-memory file.
+    fn reader(buf: &[u8]) -> Result<TraceReader<Cursor<&[u8]>>, StoreError> {
+        TraceReader::new(Cursor::new(buf))
+    }
 
     fn sample(n: u64) -> Trace {
         let mut b = TraceBuilder::new();
@@ -801,7 +809,7 @@ mod tests {
         for r in trace.iter() {
             w.push(r).unwrap();
         }
-        w.finish().unwrap();
+        w.finish(&meta(trace.len() as u64)).unwrap();
         buf
     }
 
@@ -809,102 +817,127 @@ mod tests {
     fn roundtrip_across_chunk_boundaries() {
         let t = sample(1000);
         let buf = encode(&t, 64);
-        let back: Result<Vec<_>, _> = TraceReader::new(buf.as_slice()).unwrap().collect();
+        let back: Result<Vec<_>, _> = reader(&buf).unwrap().collect();
         assert_eq!(back.unwrap(), t.as_slice());
     }
 
     #[test]
-    fn v2_is_under_half_of_fixed_24_byte_records() {
+    fn encoding_is_under_half_of_fixed_24_byte_records() {
         let t = sample(4000);
-        let v2 = encode(&t, DEFAULT_CHUNK_RECORDS);
+        let encoded = encode(&t, DEFAULT_CHUNK_RECORDS);
         let fixed = 24 * t.len();
         assert!(
-            v2.len() * 2 <= fixed,
-            "v2 {} bytes vs {fixed} bytes at 24 per record",
-            v2.len()
+            encoded.len() * 2 <= fixed,
+            "{} bytes vs {fixed} bytes at 24 per record",
+            encoded.len()
         );
     }
 
     #[test]
     fn empty_trace_roundtrips() {
         let buf = encode(&Trace::new(), 16);
-        let mut r = TraceReader::new(buf.as_slice()).unwrap();
+        let mut r = reader(&buf).unwrap();
+        assert_eq!(r.footer().meta, meta(0));
         assert!(r.next().is_none());
-        assert!(r.salvaged().is_none());
     }
 
     #[test]
-    fn index_reads_from_the_end_and_seeks_chunks() {
+    fn footer_reads_from_the_end_and_seeks_chunks() {
         let t = sample(300);
         let buf = encode(&t, 100);
-        let mut cur = Cursor::new(&buf);
-        let index = ChunkIndex::read_from(&mut cur).unwrap();
-        assert_eq!(index.chunks.len(), 3);
-        assert_eq!(index.total_records, 300);
-        let counts: Vec<u64> = index.chunks.iter().map(|c| c.records).collect();
+        let footer = Footer::read_from(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(footer.chunks.len(), 3);
+        assert_eq!(footer.meta, meta(300));
+        let counts: Vec<u64> = footer.chunks.iter().map(|c| c.records).collect();
         assert_eq!(counts, [100, 100, 100]);
         assert_index_lands_on_chunks(&buf);
     }
 
     #[test]
-    fn truncated_tail_errors_strictly_and_salvages_leniently() {
+    fn a_truncated_file_is_a_typed_error() {
         let t = sample(300);
         let full = encode(&t, 100);
-        // Cut into the middle of the last chunk (before the footer).
-        let mut cur = Cursor::new(&full);
-        let index = ChunkIndex::read_from(&mut cur).unwrap();
-        let cut = (index.chunks[2].offset + 20) as usize;
-        let buf = &full[..cut];
-
-        let strict: Result<Vec<_>, _> = TraceReader::new(buf).unwrap().collect();
-        assert!(strict.is_err(), "strict read must surface truncation");
-
-        let mut lenient = TraceReader::with_salvage(buf).unwrap();
-        let recovered: Result<Vec<_>, _> = (&mut lenient).collect();
-        assert_eq!(recovered.unwrap(), &t.as_slice()[..200]);
-        let info = lenient.salvaged().unwrap();
-        assert_eq!(info.chunks_kept, 2);
-        assert_eq!(info.records_kept, 200);
-        assert_eq!(info.reason, SalvageReason::TruncatedChunk);
+        let footer = Footer::read_from(&mut Cursor::new(&full)).unwrap();
+        // Cut into the last chunk, at the footer, and inside the trailer.
+        for cut in [
+            footer.chunks[2].offset as usize + 20,
+            footer_start(&full),
+            full.len() - 1,
+        ] {
+            assert!(
+                matches!(reader(&full[..cut]), Err(StoreError::MissingFooter)),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
-    fn missing_footer_is_detected() {
-        let t = sample(50);
+    fn damage_after_the_footer_is_a_typed_error() {
+        let t = sample(300);
         let full = encode(&t, 100);
-        // Drop the whole footer (marker through end magic).
-        let mut cur = Cursor::new(&full);
-        let index = ChunkIndex::read_from(&mut cur).unwrap();
-        let footer_start = (index.chunks[0].offset + 13) as usize + {
-            // chunk body length
-            u32::from_le_bytes(
-                full[(index.chunks[0].offset + 1) as usize..][..4]
-                    .try_into()
-                    .unwrap(),
-            ) as usize
-        };
-        let buf = &full[..footer_start];
-        let strict: Result<Vec<_>, _> = TraceReader::new(buf).unwrap().collect();
-        assert!(matches!(strict, Err(StoreError::MissingFooter)));
-        let mut lenient = TraceReader::with_salvage(buf).unwrap();
-        let recovered: Result<Vec<_>, _> = (&mut lenient).collect();
-        assert_eq!(recovered.unwrap().len(), 50, "all chunks were intact");
-        assert_eq!(
-            lenient.salvaged().unwrap().reason,
-            SalvageReason::MissingFooter
+        // "CCNX" -> "CCNZ": the last byte of the file.
+        let mut trailer = full.clone();
+        *trailer.last_mut().unwrap() = b'Z';
+        assert!(matches!(reader(&trailer), Err(StoreError::MissingFooter)));
+        // A byte after the trailer.
+        let mut appended = full.clone();
+        appended.push(0);
+        assert!(matches!(reader(&appended), Err(StoreError::MissingFooter)));
+    }
+
+    #[test]
+    fn the_footer_carries_the_meta_under_its_checksum() {
+        let t = sample(300);
+        let full = encode(&t, 100);
+        // The last byte of the footer body is `other_time_ns`'s varint.
+        let at = full.len() - 9;
+        let mut buf = full.clone();
+        buf[at] ^= 0x01;
+        assert!(matches!(
+            reader(&buf),
+            Err(StoreError::Corrupt {
+                what: "footer checksum mismatch",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_stream_whose_footer_differs_from_the_one_opened_fails() {
+        // Two files alike up to their footers: the stream of one read
+        // against the footer of the other must not end cleanly.
+        let t = sample(300);
+        let full = encode(&t, 100);
+        let mut r = reader(&full).unwrap();
+        r.footer.meta.other_time_ns += 1;
+        let (ok, err) = drain(&mut r);
+        assert_eq!(ok, t.as_slice());
+        assert!(
+            matches!(
+                err,
+                Some(StoreError::Corrupt {
+                    what: "footer disagrees with the stream",
+                    ..
+                })
+            ),
+            "{err:?}"
         );
     }
 
     #[test]
     fn foreign_bytes_are_bad_magic() {
-        let res = TraceReader::new(&b"not a trace file"[..]);
+        let res = reader(b"not a trace file");
         assert!(matches!(res, Err(StoreError::BadMagic(_))));
-        let res = TraceReader::new(&b"CCNT\x09\x00\x00\x00"[..]);
+        let res = reader(b"CCNT\x09\x00\x00\x00");
         assert!(matches!(res, Err(StoreError::BadVersion(9))));
+        // A complete file of the previous version, header aside.
+        let mut v2 = encode(&sample(10), 4);
+        v2[4] = 2;
+        assert!(matches!(reader(&v2), Err(StoreError::BadVersion(2))));
     }
 
-    /// Assembles a v2 file from explicit chunk bodies. Unlike the writer
-    /// it can emit empty, uneven or forged chunks; every frame still
+    /// Assembles a file from explicit chunk bodies. Unlike the writer it
+    /// can emit empty, uneven or forged chunks; every frame still
     /// carries a valid checksum and the footer indexes every chunk.
     fn assemble(bodies: &[Vec<u8>]) -> Vec<u8> {
         fn frame(out: &mut Vec<u8>, marker: u8, body: &[u8]) {
@@ -914,7 +947,7 @@ mod tests {
             out.extend_from_slice(body);
         }
         let mut out = MAGIC.to_vec();
-        out.extend_from_slice(&VERSION_V2.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         let mut footer = Vec::new();
         varint::write_u64(&mut footer, bodies.len() as u64);
         let mut total = 0;
@@ -926,6 +959,11 @@ mod tests {
             frame(&mut out, CHUNK_MARKER, body);
         }
         varint::write_u64(&mut footer, total);
+        let meta = meta(total);
+        varint::write_u64(&mut footer, meta.label.len() as u64);
+        footer.extend_from_slice(meta.label.as_bytes());
+        varint::write_u64(&mut footer, u64::from(meta.nodes));
+        varint::write_u64(&mut footer, meta.other_time_ns);
         frame(&mut out, FOOTER_MARKER, &footer);
         out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
         out.extend_from_slice(END_MAGIC);
@@ -936,27 +974,33 @@ mod tests {
         chunks.iter().map(|c| encode_chunk_body(c)).collect()
     }
 
-    /// Reads `buf`'s footer index and checks that every entry's offset
+    /// Reads `buf`'s footer and checks that every index entry's offset
     /// lands on a chunk marker and that the entries' record counts sum
     /// to the footer total.
-    fn assert_index_lands_on_chunks(buf: &[u8]) -> ChunkIndex {
-        let index = ChunkIndex::read_from(&mut Cursor::new(buf)).unwrap();
-        for entry in &index.chunks {
+    fn assert_index_lands_on_chunks(buf: &[u8]) -> Footer {
+        let footer = Footer::read_from(&mut Cursor::new(buf)).unwrap();
+        for entry in &footer.chunks {
             assert_eq!(buf[entry.offset as usize], CHUNK_MARKER, "{entry:?}");
         }
-        let sum: u64 = index.chunks.iter().map(|c| c.records).sum();
-        assert_eq!(sum, index.total_records);
-        index
+        let sum: u64 = footer.chunks.iter().map(|c| c.records).sum();
+        assert_eq!(sum, footer.meta.records);
+        footer
     }
 
     fn offsets(buf: &[u8]) -> Vec<usize> {
-        let index = ChunkIndex::read_from(&mut Cursor::new(buf)).unwrap();
-        index.chunks.iter().map(|c| c.offset as usize).collect()
+        let footer = Footer::read_from(&mut Cursor::new(buf)).unwrap();
+        footer.chunks.iter().map(|c| c.offset as usize).collect()
+    }
+
+    /// Offset of the footer's marker byte: the end of the last chunk.
+    fn footer_start(buf: &[u8]) -> usize {
+        let last = *offsets(buf).last().unwrap();
+        last + 13 + u32::from_le_bytes(buf[last + 1..last + 5].try_into().unwrap()) as usize
     }
 
     /// Every record a reader yields before it stops, and its error. A
     /// stopped reader must stay stopped.
-    fn drain(r: &mut TraceReader<&[u8]>) -> (Vec<MissRecord>, Option<StoreError>) {
+    fn drain(r: &mut TraceReader<Cursor<&[u8]>>) -> (Vec<MissRecord>, Option<StoreError>) {
         let mut ok = Vec::new();
         let mut err = None;
         for rec in &mut *r {
@@ -973,7 +1017,7 @@ mod tests {
     }
 
     /// Capacity of the reader's reused body buffer.
-    fn body_capacity(r: &TraceReader<&[u8]>) -> usize {
+    fn body_capacity(r: &TraceReader<Cursor<&[u8]>>) -> usize {
         r.body.capacity()
     }
 
@@ -1031,54 +1075,28 @@ mod tests {
         // over 2 GiB, far past the end of the file.
         buf[chunk1 + 4] ^= 0x80;
 
-        let mut strict = TraceReader::new(buf.as_slice()).unwrap();
+        // The footer index is intact: it still points at every chunk.
+        assert_index_lands_on_chunks(&buf);
+
+        let mut strict = reader(&buf).unwrap();
         let (ok, err) = drain(&mut strict);
         assert_eq!(ok, &t.as_slice()[..100]);
         let err = err.expect("strict read must fail");
         assert!(is_eof(&err), "expected a truncated chunk, got {err:?}");
         // The body buffer grew only as far as the bytes present.
         assert!(body_capacity(&strict) <= 2 * buf.len());
-
-        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
-        let (kept, err) = drain(&mut lenient);
-        assert!(err.is_none());
-        assert_eq!(kept, &t.as_slice()[..100]);
-        assert_eq!(
-            lenient.salvaged(),
-            Some(SalvageInfo {
-                chunks_kept: 1,
-                records_kept: 100,
-                reason: SalvageReason::TruncatedChunk,
-            })
-        );
-        assert!(body_capacity(&lenient) <= 2 * buf.len());
-
-        // The footer index is intact: it still points at every chunk.
-        assert_index_lands_on_chunks(&buf);
     }
 
     #[test]
     fn flipped_high_bit_in_the_footer_length_is_a_typed_error() {
         let t = sample(300);
         let mut buf = encode(&t, 100);
-        let index = ChunkIndex::read_from(&mut Cursor::new(&buf)).unwrap();
-        let last = index.chunks[2].offset as usize;
-        let last_len = u32::from_le_bytes(buf[last + 1..last + 5].try_into().unwrap()) as usize;
-        let footer = last + 13 + last_len;
+        let footer = footer_start(&buf);
         assert_eq!(buf[footer], FOOTER_MARKER);
         buf[footer + 4] ^= 0x80;
-
-        let mut strict = TraceReader::new(buf.as_slice()).unwrap();
-        let (ok, err) = drain(&mut strict);
-        assert_eq!(ok, t.as_slice());
-        assert!(is_eof(&err.expect("strict read must fail")));
-        assert!(body_capacity(&strict) <= 2 * buf.len());
-
-        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
-        let (kept, err) = drain(&mut lenient);
-        assert!(err.is_none());
-        assert_eq!(kept, t.as_slice());
-        assert_eq!(lenient.salvaged().unwrap().chunks_kept, 3);
+        // The footer read stops at the end of the file.
+        let err = reader(&buf).err().expect("open must fail");
+        assert!(is_eof(&err), "expected a truncated footer, got {err:?}");
     }
 
     #[test]
@@ -1105,12 +1123,12 @@ mod tests {
 
     #[test]
     fn forged_footer_count_is_rejected() {
-        // Nine bytes after the count hold at most four two-byte entries
-        // (and the one-byte total).
-        for (count, ok) in [(4u64, true), (5, false)] {
+        // Twelve bytes after the count hold four two-byte entries, the
+        // total and a three-byte empty meta; no count past six can fit.
+        for (count, ok) in [(4u64, true), (7, false)] {
             let mut body = Vec::new();
             varint::write_u64(&mut body, count);
-            body.extend_from_slice(&[0; 9]);
+            body.extend_from_slice(&[0; 12]);
             let res = decode_footer_body(&body, fnv1a64(&body));
             match res {
                 Ok(index) => {
@@ -1143,25 +1161,12 @@ mod tests {
             let mut buf = clean.clone();
             buf[at] ^= damage;
 
-            let (ok, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+            let (ok, err) = drain(&mut reader(&buf).unwrap());
             assert_eq!(ok, &r[..400]);
             match err {
                 Some(StoreError::ChecksumMismatch { chunk: 2 }) => {}
                 other => panic!("expected checksum mismatch in chunk 2, got {other:?}"),
             }
-
-            let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
-            let (kept, err) = drain(&mut lenient);
-            assert!(err.is_none());
-            assert_eq!(kept, &r[..400]);
-            assert_eq!(
-                lenient.salvaged(),
-                Some(SalvageInfo {
-                    chunks_kept: 2,
-                    records_kept: 400,
-                    reason: SalvageReason::DamagedChunk,
-                })
-            );
         }
     }
 
@@ -1176,18 +1181,9 @@ mod tests {
         *chunks[2].last_mut().unwrap() = 0xf0;
         let buf = assemble(&chunks);
 
-        let (ok, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+        let (ok, err) = drain(&mut reader(&buf).unwrap());
         assert_eq!(ok, &r[..400]);
         assert!(matches!(err, Some(StoreError::BadFlags(0xf0))), "{err:?}");
-
-        let mut lenient = TraceReader::with_salvage(buf.as_slice()).unwrap();
-        let (kept, err) = drain(&mut lenient);
-        assert!(err.is_none());
-        assert_eq!(kept, &r[..400]);
-        assert_eq!(
-            lenient.salvaged().unwrap().reason,
-            SalvageReason::DamagedChunk
-        );
     }
 
     #[test]
@@ -1204,19 +1200,16 @@ mod tests {
         ];
         for layout in layouts {
             let buf = assemble(&bodies(layout));
-            let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-            let (back, err) = drain(&mut reader);
+            let (back, err) = drain(&mut reader(&buf).unwrap());
             assert!(err.is_none(), "{err:?}");
             assert_eq!(back, r);
-            assert_eq!(reader.records_read(), 700);
-            assert!(reader.salvaged().is_none());
             let index = assert_index_lands_on_chunks(&buf);
             let counts: Vec<u64> = index.chunks.iter().map(|c| c.records).collect();
             let lens: Vec<u64> = layout.iter().map(|c| c.len() as u64).collect();
             assert_eq!(counts, lens);
         }
         let buf = assemble(&bodies(&[&r[..0]]));
-        let (back, err) = drain(&mut TraceReader::new(buf.as_slice()).unwrap());
+        let (back, err) = drain(&mut reader(&buf).unwrap());
         assert!(back.is_empty() && err.is_none());
     }
 }

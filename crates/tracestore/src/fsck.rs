@@ -1,27 +1,27 @@
-//! Store-wide verification (`fsck`), quarantine/salvage repair, and
+//! Store-wide verification (`fsck`), quarantine repair, and
 //! byte-budget garbage collection for a [`TraceStore`] and the result
 //! entries under its `results/` directory.
 //!
 //! A trace store accretes entries across many invocations, and the
-//! paper pipeline trusts it blindly on the capture-once fast path — a
-//! flipped bit or a truncated tail would otherwise surface as a wrong
-//! replay deep inside an experiment. [`fsck`] walks every trace with
-//! the strict reader and every result entry through its key and
-//! checksum check, classifies the damage, and (with repair enabled)
-//! moves damaged files into a `quarantine/` subdirectory, salvaging
-//! every complete trace chunk through the format's existing
-//! truncation-salvage path first. [`gc`] evicts least-recently-used
-//! entries, traces and results alike, until the store fits a byte
-//! budget; [`TraceStore::open`] and [`ResultCache::load`] freshen
-//! mtimes, so "recently used" means used, not just captured.
+//! paper pipeline trusts it on the capture-once fast path — a flipped
+//! bit or a truncated tail would otherwise surface as a wrong replay
+//! deep inside an experiment. [`fsck`] walks every trace with the
+//! strict reader (every byte of the file is checked) and every result
+//! entry through its key and checksum check, and with repair enabled
+//! moves each damaged file whole into a `quarantine/` subdirectory; the
+//! next capture of a quarantined trace recomputes it. [`gc`] evicts
+//! least-recently-used entries, traces and results alike, until the
+//! store fits a byte budget; [`TraceStore::open`] and
+//! [`ResultCache::load`] freshen mtimes, so "recently used" means used,
+//! not just captured.
 
-use crate::format::{SalvageReason, StoreError, TraceReader};
+use crate::format::{StoreError, TraceReader};
 use crate::results::{ResultCache, RESULTS_DIR};
-use crate::store::{TraceMeta, TraceStore};
+use crate::store::TraceStore;
 use ccnuma_faults::io::Storage;
-use ccnuma_trace::MissRecord;
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 /// Subdirectory of the store that repair moves damaged files into.
@@ -30,39 +30,15 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// The verdict on one store entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryStatus {
-    /// Strict read succeeded and the record count matches the sidecar.
+    /// The strict read of the whole trace file succeeded.
     Clean {
         /// Records in the trace.
         records: u64,
     },
-    /// The tail is damaged but complete chunks are recoverable through
-    /// the salvage path.
-    Salvageable {
-        /// Records recoverable from intact chunks.
-        records_kept: u64,
-        /// Records the sidecar claims.
-        records_expected: u64,
-        /// What stopped the scan.
-        reason: SalvageReason,
-    },
-    /// Nothing recoverable: bad header, or no intact leading chunk.
+    /// The strict read failed: the file is damaged somewhere.
     Unreadable {
         /// The strict reader's error rendering.
         detail: String,
-    },
-    /// The meta sidecar is missing a field, malformed, or of an
-    /// unknown schema.
-    CorruptMeta {
-        /// The parse error rendering.
-        detail: String,
-    },
-    /// The trace reads cleanly but its record count disagrees with the
-    /// sidecar — one of the two is lying.
-    MetaMismatch {
-        /// Records actually in the trace.
-        records: u64,
-        /// Records the sidecar claims.
-        records_expected: u64,
     },
     /// A result entry that passed its key and checksum checks.
     ResultOk,
@@ -89,35 +65,18 @@ pub struct FsckEntry {
     pub status: EntryStatus,
 }
 
-/// What one repair action did to an entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RepairAction {
-    /// The entry's files moved to `quarantine/`; nothing was
-    /// recoverable.
-    Quarantined,
-    /// Damaged original quarantined and the salvageable records
-    /// rewritten as a fresh entry (sidecar updated to the kept count).
-    Salvaged {
-        /// Records in the rewritten entry.
-        records_kept: u64,
-    },
-    /// Sidecar rewritten to match the (clean) trace's record count.
-    MetaRewritten,
-}
-
 /// The result of an [`fsck`] walk.
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
     /// Every entry examined: traces sorted by slug, then result
     /// entries sorted by name.
     pub entries: Vec<FsckEntry>,
-    /// Files that are not part of a complete entry: traces without a
-    /// sidecar, sidecars without a trace, stale `*.tmp` leftovers
-    /// (under `results/` too). Sorted.
+    /// Stale `*.tmp` leftovers of interrupted saves (under `results/`
+    /// too). Sorted.
     pub orphans: Vec<String>,
-    /// Repairs performed (empty unless repair was requested), in slug
-    /// order.
-    pub repaired: Vec<(String, RepairAction)>,
+    /// Entries moved to `quarantine/` (empty unless repair was
+    /// requested), in slug order.
+    pub quarantined: Vec<String>,
 }
 
 impl FsckReport {
@@ -136,57 +95,24 @@ impl FsckReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            match &e.status {
+            let _ = match &e.status {
                 EntryStatus::Clean { records } => {
-                    let _ = writeln!(out, "ok        {} ({records} records)", e.slug);
-                }
-                EntryStatus::Salvageable {
-                    records_kept,
-                    records_expected,
-                    reason,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "damaged   {} ({records_kept}/{records_expected} records salvageable, {reason:?})",
-                        e.slug
-                    );
+                    writeln!(out, "ok        {} ({records} records)", e.slug)
                 }
                 EntryStatus::Unreadable { detail } => {
-                    let _ = writeln!(out, "unreadable {} ({detail})", e.slug);
+                    writeln!(out, "unreadable {} ({detail})", e.slug)
                 }
-                EntryStatus::CorruptMeta { detail } => {
-                    let _ = writeln!(out, "bad-meta  {} ({detail})", e.slug);
-                }
-                EntryStatus::MetaMismatch {
-                    records,
-                    records_expected,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "mismatch  {} (trace has {records}, sidecar claims {records_expected})",
-                        e.slug
-                    );
-                }
-                EntryStatus::ResultOk => {
-                    let _ = writeln!(out, "ok        {} (result)", e.slug);
-                }
+                EntryStatus::ResultOk => writeln!(out, "ok        {} (result)", e.slug),
                 EntryStatus::DamagedResult { detail } => {
-                    let _ = writeln!(out, "damaged   {} ({detail})", e.slug);
+                    writeln!(out, "damaged   {} ({detail})", e.slug)
                 }
-            }
+            };
         }
         for o in &self.orphans {
             let _ = writeln!(out, "orphan    {o}");
         }
-        for (slug, action) in &self.repaired {
-            let what = match action {
-                RepairAction::Quarantined => "quarantined".to_string(),
-                RepairAction::Salvaged { records_kept } => {
-                    format!("salvaged {records_kept} records, original quarantined")
-                }
-                RepairAction::MetaRewritten => "sidecar rewritten".to_string(),
-            };
-            let _ = writeln!(out, "repaired  {slug}: {what}");
+        for slug in &self.quarantined {
+            let _ = writeln!(out, "repaired  {slug}: quarantined");
         }
         let damaged = self.damaged().count();
         let _ = writeln!(
@@ -201,61 +127,25 @@ impl FsckReport {
     }
 }
 
-/// Classifies one trace file by strict read, falling back to a salvage
-/// scan to measure what is recoverable.
-fn verify_entry<S: Storage>(
-    store: &TraceStore<S>,
-    slug: &str,
-    meta: &TraceMeta,
-) -> Result<EntryStatus, StoreError> {
+/// Classifies one trace file by a strict read of all of it.
+fn verify_entry<S: Storage>(store: &TraceStore<S>, slug: &str) -> Result<EntryStatus, StoreError> {
+    // Reading the bytes is the environment's business (an error here
+    // aborts the walk); everything after it is the entry's.
     let bytes = store.storage().read(&store.trace_path(slug))?;
-    let strict = TraceReader::new(&bytes[..]).and_then(|r| {
+    let strict = TraceReader::new(Cursor::new(&bytes[..])).and_then(|reader| {
         let mut n = 0u64;
-        for rec in r {
+        for rec in reader {
             rec?;
             n += 1;
         }
         Ok(n)
     });
-    match strict {
-        Ok(records) if records == meta.records => Ok(EntryStatus::Clean { records }),
-        Ok(records) => Ok(EntryStatus::MetaMismatch {
-            records,
-            records_expected: meta.records,
-        }),
-        Err(e) => {
-            // Damaged: measure what the salvage path would keep.
-            let mut lenient = match TraceReader::with_salvage(&bytes[..]) {
-                Ok(r) => r,
-                Err(_) => {
-                    return Ok(EntryStatus::Unreadable {
-                        detail: e.to_string(),
-                    })
-                }
-            };
-            let mut kept = 0u64;
-            for rec in &mut lenient {
-                if rec.is_err() {
-                    break;
-                }
-                kept += 1;
-            }
-            if kept == 0 {
-                Ok(EntryStatus::Unreadable {
-                    detail: e.to_string(),
-                })
-            } else {
-                let reason = lenient
-                    .salvaged()
-                    .map_or(SalvageReason::DamagedChunk, |s| s.reason);
-                Ok(EntryStatus::Salvageable {
-                    records_kept: kept,
-                    records_expected: meta.records,
-                    reason,
-                })
-            }
-        }
-    }
+    Ok(match strict {
+        Ok(records) => EntryStatus::Clean { records },
+        Err(e) => EntryStatus::Unreadable {
+            detail: e.to_string(),
+        },
+    })
 }
 
 /// Moves `path` into the store's quarantine directory (best-effort
@@ -268,25 +158,8 @@ fn quarantine<S: Storage>(store: &TraceStore<S>, path: &Path) -> Result<(), Stor
     Ok(())
 }
 
-/// Reads the salvageable prefix of a damaged entry.
-fn salvage_records<S: Storage>(
-    store: &TraceStore<S>,
-    slug: &str,
-) -> Result<Vec<MissRecord>, StoreError> {
-    let bytes = store.storage().read(&store.trace_path(slug))?;
-    let mut out = Vec::new();
-    for rec in TraceReader::with_salvage(&bytes[..])? {
-        match rec {
-            Ok(r) => out.push(r),
-            Err(_) => break,
-        }
-    }
-    Ok(out)
-}
-
-/// Verifies every entry of `store`; with `repair`, quarantines damaged
-/// files (salvaging complete chunks into a fresh entry first) and
-/// removes stale `*.tmp` leftovers.
+/// Verifies every entry of `store`; with `repair`, moves each damaged
+/// file whole into quarantine and removes stale `*.tmp` leftovers.
 ///
 /// Never panics on damaged input: corruption is reported (and with
 /// `repair`, contained), not propagated as a torn replay.
@@ -297,48 +170,14 @@ fn salvage_records<S: Storage>(
 /// move that fails. Damage inside entries is a report, not an error.
 pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckReport, StoreError> {
     let mut report = FsckReport::default();
-    let mut traces = Vec::new();
-    let mut metas = Vec::new();
-    for entry in fs::read_dir(store.dir())? {
-        let entry = entry?;
-        if !entry.file_type()?.is_file() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
+    for (name, _) in sorted_files(store.dir())? {
         if name.ends_with(".tmp") {
             report.orphans.push(name);
-        } else if let Some(slug) = name.strip_suffix(".trace") {
-            traces.push(slug.to_string());
-        } else if let Some(slug) = name.strip_suffix(".meta.json") {
-            metas.push(slug.to_string());
         }
     }
-    traces.sort();
-    metas.sort();
-    for slug in &traces {
-        if !metas.contains(slug) {
-            report.orphans.push(format!("{slug}.trace"));
-        }
-    }
-    for slug in &metas {
-        if !traces.contains(slug) {
-            report.orphans.push(format!("{slug}.meta.json"));
-        }
-    }
-    report.orphans.sort();
-
-    for slug in traces.iter().filter(|s| metas.contains(s)) {
-        let status = match store.meta(slug) {
-            Ok(meta) => verify_entry(store, slug, &meta)?,
-            Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-            Err(e) => EntryStatus::CorruptMeta {
-                detail: e.to_string(),
-            },
-        };
-        report.entries.push(FsckEntry {
-            slug: slug.clone(),
-            status,
-        });
+    for slug in store.list()? {
+        let status = verify_entry(store, &slug)?;
+        report.entries.push(FsckEntry { slug, status });
     }
     let results_dir = store.dir().join(RESULTS_DIR);
     if results_dir.is_dir() {
@@ -365,63 +204,20 @@ pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckRepor
     }
 
     if repair {
-        for entry in &report.entries {
-            match &entry.status {
-                EntryStatus::Clean { .. } | EntryStatus::ResultOk => {}
+        for entry in report.entries.iter().filter(|e| !e.status.is_clean()) {
+            let path = match entry.status {
                 EntryStatus::DamagedResult { .. } => {
-                    quarantine(store, &store.dir().join(format!("{}.json", entry.slug)))?;
-                    report
-                        .repaired
-                        .push((entry.slug.clone(), RepairAction::Quarantined));
+                    store.dir().join(format!("{}.json", entry.slug))
                 }
-                EntryStatus::Salvageable { .. } => {
-                    let records = salvage_records(store, &entry.slug)?;
-                    let meta = store.meta(&entry.slug)?;
-                    quarantine(store, &store.trace_path(&entry.slug))?;
-                    let kept = records.len() as u64;
-                    store.save_records(
-                        &entry.slug,
-                        records,
-                        &TraceMeta {
-                            records: kept,
-                            ..meta
-                        },
-                    )?;
-                    report.repaired.push((
-                        entry.slug.clone(),
-                        RepairAction::Salvaged { records_kept: kept },
-                    ));
-                }
-                EntryStatus::MetaMismatch { records, .. } => {
-                    let meta = store.meta(&entry.slug)?;
-                    store.storage().write_atomic(
-                        &store.meta_path(&entry.slug),
-                        TraceMeta {
-                            records: *records,
-                            ..meta
-                        }
-                        .to_json()
-                        .as_bytes(),
-                    )?;
-                    report
-                        .repaired
-                        .push((entry.slug.clone(), RepairAction::MetaRewritten));
-                }
-                EntryStatus::Unreadable { .. } | EntryStatus::CorruptMeta { .. } => {
-                    quarantine(store, &store.trace_path(&entry.slug))?;
-                    quarantine(store, &store.meta_path(&entry.slug))?;
-                    report
-                        .repaired
-                        .push((entry.slug.clone(), RepairAction::Quarantined));
-                }
-            }
+                _ => store.trace_path(&entry.slug),
+            };
+            quarantine(store, &path)?;
+            report.quarantined.push(entry.slug.clone());
         }
         // Stale temporaries are droppings from an interrupted save;
         // with repair on they are deleted, not quarantined.
         for orphan in &report.orphans {
-            if orphan.ends_with(".tmp") {
-                let _ = store.storage().remove_file(&store.dir().join(orphan));
-            }
+            let _ = store.storage().remove_file(&store.dir().join(orphan));
         }
     }
     Ok(report)
@@ -432,15 +228,14 @@ pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckRepor
 pub struct Evicted {
     /// The entry's slug (`results/<file stem>` for a result entry).
     pub slug: String,
-    /// Bytes freed (trace + sidecar).
+    /// Bytes freed.
     pub bytes: u64,
 }
 
 /// The result of a [`gc`] pass.
 #[derive(Debug, Clone, Default)]
 pub struct GcReport {
-    /// Store size (complete trace entries, trace + sidecar, plus result
-    /// entries) before eviction.
+    /// Store size (trace files plus result entries) before eviction.
     pub bytes_before: u64,
     /// Store size after eviction.
     pub bytes_after: u64,
@@ -469,8 +264,8 @@ impl GcReport {
     }
 }
 
-/// Evicts least-recently-used entries until the store's complete trace
-/// entries and its result entries together total at most `max_bytes`.
+/// Evicts least-recently-used entries until the store's trace files and
+/// its result entries together total at most `max_bytes`.
 /// Use order is file mtime — [`TraceStore::open`] freshens a trace's on
 /// every successful open (and so every load), [`ResultCache::load`] a
 /// result's on every hit. Ties break by name so the eviction order is
@@ -499,40 +294,34 @@ fn gc_with_hook<S: Storage>(
     max_bytes: u64,
     mut before_unlink: impl FnMut(&str),
 ) -> Result<GcReport, StoreError> {
-    // Each entry's first file is the one whose mtime marks its use: the
-    // trace (its sidecar rides along), or a result entry's only file.
-    let mut entries: Vec<(std::time::SystemTime, String, Vec<PathBuf>, u64)> = Vec::new();
-    let mut candidates: Vec<(String, Vec<PathBuf>)> = store
+    // Every entry is one file, whose mtime marks its use.
+    let mut candidates: Vec<(String, PathBuf)> = store
         .list()?
         .into_iter()
         .map(|slug| {
-            let files = vec![store.trace_path(&slug), store.meta_path(&slug)];
-            (slug, files)
+            let path = store.trace_path(&slug);
+            (slug, path)
         })
         .collect();
     let results_dir = store.dir().join(RESULTS_DIR);
     if results_dir.is_dir() {
         for (name, path) in sorted_files(&results_dir)? {
             if let Some(stem) = name.strip_suffix(".json") {
-                candidates.push((format!("{RESULTS_DIR}/{stem}"), vec![path]));
+                candidates.push((format!("{RESULTS_DIR}/{stem}"), path));
             }
         }
     }
-    for (name, files) in candidates {
+    let mut entries = Vec::new();
+    for (name, path) in candidates {
         // An entry may vanish between the listing and here (a racing
         // collector): it holds no bytes, so it is simply not a victim.
-        let head = match fs::metadata(&files[0]) {
+        let md = match fs::metadata(&path) {
             Ok(md) => md,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e.into()),
         };
-        let bytes = head.len()
-            + files[1..]
-                .iter()
-                .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
-                .sum::<u64>();
-        let used = head.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        entries.push((used, name, files, bytes));
+        let used = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+        entries.push((used, name, path, md.len()));
     }
     let mut report = GcReport {
         bytes_before: entries.iter().map(|e| e.3).sum(),
@@ -544,14 +333,14 @@ fn gc_with_hook<S: Storage>(
     let mut vanished = 0usize;
     let mut next = 0;
     while report.bytes_after > max_bytes && next < entries.len() {
-        let (seen, name, files, bytes) = &entries[next];
+        let (seen, name, path, bytes) = &entries[next];
         next += 1;
         before_unlink(name);
         // Re-stat before unlinking. A fresher mtime means a load used
         // the entry after our scan — it is hot now, so evicting it
         // would throw away exactly the bytes most worth keeping; skip
         // to the next-oldest victim instead.
-        match fs::metadata(&files[0]) {
+        match fs::metadata(path) {
             Ok(md) => {
                 let now = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
                 if now > *seen {
@@ -562,16 +351,11 @@ fn gc_with_hook<S: Storage>(
                 // A racing collector won: the bytes are already gone.
                 report.bytes_after -= bytes;
                 vanished += 1;
-                for f in &files[1..] {
-                    let _ = remove_if_present(store, f);
-                }
                 continue;
             }
             Err(e) => return Err(e.into()),
         }
-        for f in files {
-            remove_if_present(store, f)?;
-        }
+        remove_if_present(store, path)?;
         report.bytes_after -= bytes;
         report.evicted.push(Evicted {
             slug: name.clone(),
@@ -612,8 +396,8 @@ fn remove_if_present<S: Storage>(store: &TraceStore<S>, path: &Path) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceWriter;
-    use ccnuma_trace::Trace;
+    use crate::format::TraceMeta;
+    use ccnuma_trace::{MissRecord, Trace};
     use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
     use std::path::PathBuf;
 
@@ -659,29 +443,34 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_salvageable_and_repair_rewrites() {
+    fn truncation_is_quarantined_whole() {
         let (store, dir) = store_with("trunc", &[("a", 10_000)]);
-        // Chop the tail mid-chunk.
+        // Chop the tail mid-chunk: two whole chunks stay intact.
         let path = store.trace_path("a");
         let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        fs::write(&path, &bytes[..bytes.len() * 3 / 4]).unwrap();
 
         let report = fsck(&store, false).unwrap();
         assert!(!report.is_clean());
-        let FsckEntry { status, .. } = &report.entries[0];
-        let EntryStatus::Salvageable { records_kept, .. } = status else {
-            panic!("expected salvageable, got {status:?}");
-        };
-        assert!(*records_kept > 0 && *records_kept < 10_000);
+        assert!(
+            matches!(report.entries[0].status, EntryStatus::Unreadable { .. }),
+            "{}",
+            report.render()
+        );
+        assert!(report.quarantined.is_empty(), "a dry run moves nothing");
 
         let repaired = fsck(&store, true).unwrap();
-        assert_eq!(repaired.repaired.len(), 1);
-        // The store now holds the salvaged entry and passes fsck.
+        assert_eq!(repaired.quarantined, ["a"]);
+        // No prefix is kept: the entry is gone, so the next capture
+        // recomputes it.
+        assert!(store.list().unwrap().is_empty());
+        assert!(store.load("a").is_err());
         let after = fsck(&store, false).unwrap();
         assert!(after.is_clean(), "{}", after.render());
-        let (t, m) = store.load("a").unwrap();
-        assert_eq!(t.len() as u64, m.records);
-        assert!(dir.join(QUARANTINE_DIR).join("a.trace").is_file());
+        assert_eq!(
+            fs::read(dir.join(QUARANTINE_DIR).join("a.trace")).unwrap(),
+            &bytes[..bytes.len() * 3 / 4]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -694,60 +483,58 @@ mod tests {
             report.entries[0].status,
             EntryStatus::Unreadable { .. }
         ));
-        assert_eq!(report.repaired[0].1, RepairAction::Quarantined);
+        assert_eq!(report.quarantined, ["a"]);
         assert!(store.list().unwrap().is_empty());
         assert!(dir.join(QUARANTINE_DIR).join("a.trace").is_file());
-        assert!(dir.join(QUARANTINE_DIR).join("a.meta.json").is_file());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_meta_and_mismatch_are_detected() {
-        let (store, dir) = store_with("meta", &[("a", 100), ("b", 100)]);
-        fs::write(store.meta_path("a"), "{ not json").unwrap();
-        let good = store.meta("b").unwrap();
-        fs::write(
-            store.meta_path("b"),
-            TraceMeta {
-                records: 999,
-                ..good
-            }
-            .to_json(),
-        )
-        .unwrap();
+    fn damage_to_the_footer_meta_or_trailer_is_detected() {
+        let (store, dir) = store_with("meta", &[("a", 100), ("b", 100), ("c", 100)]);
+        // `a`: the label's first byte, inside the checksummed footer.
+        let path = store.trace_path("a");
+        let mut bytes = fs::read(&path).unwrap();
+        let label = bytes.windows(6).rposition(|w| w == b"sample").unwrap();
+        bytes[label] ^= 0x20;
+        fs::write(&path, bytes).unwrap();
+        // `b`: "CCNX" -> "CCNZ", the last byte of the file.
+        let path = store.trace_path("b");
+        let mut bytes = fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() = b'Z';
+        fs::write(&path, bytes).unwrap();
+        assert!(store.meta("a").is_err() && store.meta("b").is_err());
+
         let report = fsck(&store, false).unwrap();
-        assert!(matches!(
-            report.entries[0].status,
-            EntryStatus::CorruptMeta { .. }
-        ));
-        assert!(matches!(
-            report.entries[1].status,
-            EntryStatus::MetaMismatch {
-                records: 100,
-                records_expected: 999
-            }
-        ));
-        // Repair rewrites the lying sidecar in place.
+        let statuses: Vec<_> = report.entries.iter().map(|e| &e.status).collect();
+        assert!(
+            matches!(
+                statuses[..],
+                [
+                    EntryStatus::Unreadable { .. },
+                    EntryStatus::Unreadable { .. },
+                    EntryStatus::Clean { records: 100 }
+                ]
+            ),
+            "{}",
+            report.render()
+        );
         let repaired = fsck(&store, true).unwrap();
-        assert!(repaired
-            .repaired
-            .iter()
-            .any(|(s, a)| s == "b" && *a == RepairAction::MetaRewritten));
-        assert_eq!(store.meta("b").unwrap().records, 100);
+        assert_eq!(repaired.quarantined, ["a", "b"]);
+        assert_eq!(store.list().unwrap(), ["c"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn orphans_and_stale_tmps_are_reported_and_cleaned() {
+    fn stale_tmps_are_reported_and_cleaned() {
         let (store, dir) = store_with("orphan", &[("a", 10)]);
-        fs::write(dir.join("lonely.trace"), b"x").unwrap();
         fs::write(dir.join("b.trace.tmp"), b"y").unwrap();
         let report = fsck(&store, false).unwrap();
-        assert_eq!(report.orphans, vec!["b.trace.tmp", "lonely.trace"]);
+        assert_eq!(report.orphans, vec!["b.trace.tmp"]);
         assert!(dir.join("b.trace.tmp").is_file(), "dry run deletes nothing");
         fsck(&store, true).unwrap();
         assert!(!dir.join("b.trace.tmp").is_file(), "repair removes tmps");
-        assert!(dir.join("lonely.trace").is_file(), "orphans are kept");
+        assert!(fsck(&store, false).unwrap().is_clean());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -777,7 +564,7 @@ mod tests {
         assert!(report.render().contains("checksum"));
 
         let repaired = fsck(&store, true).unwrap();
-        assert_eq!(repaired.repaired.len(), 1);
+        assert_eq!(repaired.quarantined.len(), 1);
         assert!(!bad_path.exists());
         let name = bad_path.file_name().unwrap();
         assert!(dir.join(QUARANTINE_DIR).join(name).is_file());
@@ -794,8 +581,7 @@ mod tests {
         let key = ResultCache::run_key("k");
         cache.store(&key, "{\"n\":1}").unwrap();
         let result_bytes = fs::metadata(cache.path(&key)).unwrap().len();
-        let trace_bytes = fs::metadata(store.trace_path("a")).unwrap().len()
-            + fs::metadata(store.meta_path("a")).unwrap().len();
+        let trace_bytes = fs::metadata(store.trace_path("a")).unwrap().len();
         let report = gc(&store, u64::MAX).unwrap();
         assert_eq!(report.bytes_before, trace_bytes + result_bytes);
         assert_eq!(report.kept, 2);
@@ -827,10 +613,7 @@ mod tests {
             .list()
             .unwrap()
             .iter()
-            .map(|s| {
-                fs::metadata(store.trace_path(s)).unwrap().len()
-                    + fs::metadata(store.meta_path(s)).unwrap().len()
-            })
+            .map(|s| fs::metadata(store.trace_path(s)).unwrap().len())
             .sum();
         // Budget for roughly two entries: the oldest goes.
         let report = gc(&store, total * 2 / 3).unwrap();
@@ -907,7 +690,6 @@ mod tests {
             if slug == "old" {
                 // The racing collector wins the unlink.
                 fs::remove_file(store.trace_path("old")).unwrap();
-                fs::remove_file(store.meta_path("old")).unwrap();
             }
         })
         .unwrap();
@@ -972,41 +754,5 @@ mod tests {
             "the used result outlives the aged trace"
         );
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fsck_never_panics_on_random_corruption() {
-        // A cheap deterministic sweep: flip one byte at a range of
-        // offsets and truncate at a range of lengths; fsck must always
-        // classify, never panic, and repair must always converge.
-        let t = sample(2000);
-        let mut encoded = Vec::new();
-        let mut w = TraceWriter::new(&mut encoded).unwrap();
-        for r in t.iter() {
-            w.push(r).unwrap();
-        }
-        w.finish().unwrap();
-        for step in 0..24usize {
-            let dir = tmpdir(&format!("sweep-{step}"));
-            let store = TraceStore::new(&dir).unwrap();
-            store.save("x", &t, &meta_for(&t)).unwrap();
-            let path = store.trace_path("x");
-            let mut bytes = encoded.clone();
-            if step % 2 == 0 {
-                let at = (step / 2) * bytes.len() / 12;
-                let at = at.min(bytes.len() - 1);
-                bytes[at] ^= 0x10;
-            } else {
-                let keep = (step / 2 + 1) * bytes.len() / 13;
-                bytes.truncate(keep.min(bytes.len()));
-            }
-            fs::write(&path, &bytes).unwrap();
-            let report = fsck(&store, true).unwrap();
-            assert_eq!(report.entries.len(), 1);
-            // After repair the store must verify clean (possibly empty).
-            let after = fsck(&store, false).unwrap();
-            assert!(after.is_clean(), "step {step}: {}", after.render());
-            fs::remove_dir_all(&dir).unwrap();
-        }
     }
 }

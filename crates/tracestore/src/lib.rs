@@ -4,14 +4,15 @@
 //! trace once and replays it through a cheap contentionless policy
 //! simulator many times. This crate makes that literal on disk:
 //!
-//! * [`format`] — the chunked trace format v2: varint + delta encoding
+//! * [`format`] — the chunked trace format v3: varint + delta encoding
 //!   (~3–8 bytes per record instead of a fixed-width 24), an FNV
-//!   checksum per chunk, a chunk-index footer that lists the chunks
-//!   without decoding them, a bounded-memory streaming [`TraceWriter`]/[`TraceReader`]
-//!   pair, and salvage of complete chunks from a truncated tail.
+//!   checksum per chunk, a checksummed footer holding the chunk index
+//!   and the trace's [`TraceMeta`], and a bounded-memory streaming
+//!   [`TraceWriter`]/[`TraceReader`] pair whose reader checks every
+//!   byte of the file.
 //! * [`store`] — a content-addressed [`TraceStore`] directory keyed by
-//!   run-spec slug, with a JSON sidecar per trace so experiments render
-//!   from storage without re-running the machine simulator.
+//!   run-spec slug, one self-checking file per trace, so experiments
+//!   render from storage without re-running the machine simulator.
 //! * [`sweep`] — a declarative [`SweepSpec`] grid (policies × triggers ×
 //!   sampling × latencies × move costs) replayed in parallel over a
 //!   stored trace with memoized cells, emitting deterministic
@@ -25,12 +26,13 @@
 //!
 //! # Examples
 //!
-//! Round-trip a trace through the v2 format:
+//! Round-trip a trace through the format:
 //!
 //! ```
 //! use ccnuma_trace::MissRecord;
-//! use ccnuma_tracestore::{TraceReader, TraceWriter};
+//! use ccnuma_tracestore::{TraceMeta, TraceReader, TraceWriter};
 //! use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
+//! use std::io::Cursor;
 //!
 //! # fn main() -> Result<(), ccnuma_tracestore::StoreError> {
 //! let mut buf = Vec::new();
@@ -38,9 +40,10 @@
 //! for i in 0..1000u64 {
 //!     w.push(&MissRecord::user_data_read(Ns(i * 300), ProcId(0), Pid(0), VirtPage(i / 8)))?;
 //! }
-//! let summary = w.finish()?;
+//! let meta = TraceMeta { label: "demo".into(), records: 0, nodes: 8, other_time_ns: 0 };
+//! let summary = w.finish(&meta)?;
 //! assert!(summary.bytes < 1000 * 12, "far below 24 bytes/record");
-//! let records: Result<Vec<_>, _> = TraceReader::new(buf.as_slice())?.collect();
+//! let records: Result<Vec<_>, _> = TraceReader::new(Cursor::new(buf))?.collect();
 //! assert_eq!(records?.len(), 1000);
 //! # Ok(())
 //! # }
@@ -58,15 +61,15 @@ pub mod sweep;
 pub mod varint;
 
 pub use format::{
-    ChunkEntry, ChunkIndex, SalvageInfo, SalvageReason, StoreError, TraceReader, TraceWriter,
-    WriteSummary, DEFAULT_CHUNK_RECORDS, VERSION_V2,
+    ChunkEntry, Footer, StoreError, TraceMeta, TraceReader, TraceWriter, WriteSummary,
+    DEFAULT_CHUNK_RECORDS, VERSION,
 };
-pub use fsck::{
-    fsck, gc, EntryStatus, FsckEntry, FsckReport, GcReport, RepairAction, QUARANTINE_DIR,
-};
+pub use fsck::{fsck, gc, EntryStatus, FsckEntry, FsckReport, GcReport, QUARANTINE_DIR};
 pub use listing::{ListingEntry, StoreListing, LISTING_SCHEMA};
-pub use results::{ResultCache, RESULTS_DIR, RESULT_SALT, RUN_RESULT_SALT};
-pub use store::{OpenedEntry, TraceMeta, TraceStore, META_SCHEMA};
+pub use results::{
+    read_policy_stats, write_policy_stats, ResultCache, RESULTS_DIR, RESULT_SALT, RUN_RESULT_SALT,
+};
+pub use store::{OpenedEntry, TraceStore};
 pub use sweep::{
     cell_from_payload, cell_payload, eval_cell, run_sweep, run_sweep_cached, CachedSweep,
     CellParams, SweepCell, SweepPolicy, SweepReport, SweepSpec, SweepStore, SWEEP_SCHEMA,

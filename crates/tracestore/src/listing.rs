@@ -3,11 +3,10 @@
 //! implementation, two consumers, so operators and the service can
 //! never disagree about what the store holds.
 
-use crate::format::{ChunkIndex, StoreError};
+use crate::format::{Footer, StoreError};
 use crate::store::TraceStore;
 use ccnuma_faults::io::Storage;
 use ccnuma_obs::json::JsonWriter;
-use std::fs;
 use std::fs::File;
 use std::time::UNIX_EPOCH;
 
@@ -19,7 +18,7 @@ pub const LISTING_SCHEMA: &str = "ccnuma-trace-ls/1";
 pub struct ListingEntry {
     /// Content-address slug (the `.trace` file stem).
     pub slug: String,
-    /// Human-readable run description from the sidecar.
+    /// Human-readable run description from the footer.
     pub label: String,
     /// Records in the trace.
     pub records: u64,
@@ -27,7 +26,7 @@ pub struct ListingEntry {
     pub nodes: u16,
     /// The run's constant non-miss time, nanoseconds.
     pub other_time_ns: u64,
-    /// Chunks in the v2 file (from the index footer).
+    /// Chunks in the file (from the footer's index).
     pub chunks: u64,
     /// Bytes of the trace file on disk.
     pub bytes: u64,
@@ -49,9 +48,10 @@ pub struct StoreListing {
 }
 
 impl StoreListing {
-    /// Scans the store: every entry's sidecar, file size, mtime, and
-    /// chunk count. Entries whose sidecar or footer is unreadable are
-    /// skipped (fsck is the tool for diagnosing those).
+    /// Scans the store: every entry's footer (label, nodes, other time,
+    /// record and chunk counts), file size and mtime. Entries whose
+    /// footer is unreadable are skipped (fsck is the tool for
+    /// diagnosing those).
     ///
     /// # Errors
     ///
@@ -60,30 +60,25 @@ impl StoreListing {
     pub fn scan<S: Storage>(store: &TraceStore<S>) -> Result<StoreListing, StoreError> {
         let mut entries = Vec::new();
         for slug in store.list()? {
-            let Ok(meta) = store.meta(&slug) else {
+            let Ok(mut file) = File::open(store.trace_path(&slug)) else {
                 continue;
             };
-            let path = store.trace_path(&slug);
-            let Ok(fsmeta) = fs::metadata(&path) else {
+            let (Ok(footer), Ok(fsmeta)) = (Footer::read_from(&mut file), file.metadata()) else {
                 continue;
             };
-            let chunks = File::open(&path)
-                .map_err(StoreError::from)
-                .and_then(|mut f| ChunkIndex::read_from(&mut f))
-                .map(|ix| ix.chunks.len() as u64)
-                .unwrap_or(0);
             let mtime_unix = fsmeta
                 .modified()
                 .ok()
                 .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
                 .map_or(0, |d| d.as_secs());
+            let meta = footer.meta;
             entries.push(ListingEntry {
                 slug,
                 label: meta.label,
                 records: meta.records,
                 nodes: meta.nodes,
                 other_time_ns: meta.other_time_ns,
-                chunks,
+                chunks: footer.chunks.len() as u64,
                 bytes: fsmeta.len(),
                 mtime_unix,
             });
@@ -155,7 +150,7 @@ fn write_entry(j: &mut JsonWriter, e: &ListingEntry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TraceMeta;
+    use crate::format::TraceMeta;
     use ccnuma_obs::json::JsonValue;
     use ccnuma_trace::{MissRecord, Trace};
     use ccnuma_types::{Ns, Pid, ProcId, VirtPage};

@@ -22,12 +22,13 @@
 //!
 //! [`ResultCache::load`] checks that the entry was stored under the
 //! requested key and that the payload still hashes to its FNV-1a64
-//! checksum (the function the v2 trace chunks use). Either mismatch is a
+//! checksum (the function the trace chunks use). Either mismatch is a
 //! [`StoreError::DamagedResult`]: callers count it, warn, and recompute,
 //! so a damaged entry is never served.
 
 use crate::format::StoreError;
 use crate::store::freshen;
+use ccnuma_core::PolicyStats;
 use ccnuma_faults::io::{retry_io, DiskStorage, RetryPolicy, Storage};
 use ccnuma_obs::json::JsonWriter;
 use ccnuma_obs::{artifact_slug, fnv1a64, JsonValue};
@@ -199,6 +200,53 @@ impl<S: Storage> ResultCache<S> {
         }
         (entries, bytes)
     }
+}
+
+/// `PolicyStats`'s counters in payload order, by name: the one field
+/// list that [`write_policy_stats`] and [`read_policy_stats`] walk.
+fn policy_stats_fields(p: &mut PolicyStats) -> [(&'static str, &mut u64); 13] {
+    [
+        ("misses_observed", &mut p.misses_observed),
+        ("hot_events", &mut p.hot_events),
+        ("migrations", &mut p.migrations),
+        ("replications", &mut p.replications),
+        ("remaps", &mut p.remaps),
+        ("collapses", &mut p.collapses),
+        ("no_action", &mut p.no_action),
+        ("no_action_write_shared", &mut p.no_action_write_shared),
+        ("no_action_migrate_limit", &mut p.no_action_migrate_limit),
+        ("no_action_pressure", &mut p.no_action_pressure),
+        ("no_action_disabled", &mut p.no_action_disabled),
+        ("no_action_frozen", &mut p.no_action_frozen),
+        ("no_page", &mut p.no_page),
+    ]
+}
+
+/// Writes `stats` as a payload value: `null`, or an object of its
+/// counters as JSON integers. Run and cell payloads both use it.
+pub fn write_policy_stats(j: &mut JsonWriter, stats: Option<PolicyStats>) {
+    let Some(mut p) = stats else {
+        return j.raw("null");
+    };
+    j.begin_obj();
+    for (key, v) in policy_stats_fields(&mut p) {
+        j.key(key);
+        j.raw(&v.to_string());
+    }
+    j.end_obj();
+}
+
+/// Reads a value written by [`write_policy_stats`]. `None` when a
+/// counter is missing or malformed.
+pub fn read_policy_stats(v: &JsonValue) -> Option<Option<PolicyStats>> {
+    if matches!(v, JsonValue::Null) {
+        return Some(None);
+    }
+    let mut p = PolicyStats::default();
+    for (key, slot) in policy_stats_fields(&mut p) {
+        *slot = v.get(key)?.as_u64()?;
+    }
+    Some(Some(p))
 }
 
 fn damaged(what: &'static str) -> StoreError {

@@ -1,94 +1,25 @@
 //! The capture-once trace cache.
 //!
-//! A [`TraceStore`] is a directory of v2 trace files, content-addressed
-//! by the same slug scheme the observability layer uses for run
-//! artifacts: a human-readable label plus an FNV fingerprint of the run
-//! spec's identity. Each trace carries a small JSON sidecar
-//! (`<slug>.meta.json`, schema `ccnuma-trace-meta/1`) holding what a
-//! replay needs beyond the records themselves — the machine's node
-//! count and the run's constant non-miss time — so experiments can
-//! render from a stored trace without re-running the machine simulator.
+//! A [`TraceStore`] is a directory of trace files, content-addressed by
+//! the same slug scheme the observability layer uses for run artifacts:
+//! a human-readable label plus an FNV fingerprint of the run spec's
+//! identity. Each entry is one self-checking `<slug>.trace` file whose
+//! checksummed footer carries the [`TraceMeta`] a replay needs beyond
+//! the records themselves — the machine's node count and the run's
+//! constant non-miss time — so experiments can render from a stored
+//! trace without re-running the machine simulator.
 
-use crate::format::{StoreError, TraceReader, TraceWriter, WriteSummary};
+use crate::format::{Footer, StoreError, TraceMeta, TraceReader, TraceWriter, WriteSummary};
 use ccnuma_faults::io::{is_transient, DiskStorage, RetryPolicy, Storage};
 use ccnuma_obs::artifact_slug;
-use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_trace::{MissRecord, Trace, TraceBuilder};
 use std::fs;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
 /// What [`TraceStore::open`] yields: a streaming reader over the entry's
-/// trace plus its decoded sidecar.
+/// trace plus the meta its footer carries.
 pub type OpenedEntry<S> = (TraceReader<BufReader<<S as Storage>::ReadFile>>, TraceMeta);
-
-/// Sidecar metadata stored next to each trace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceMeta {
-    /// Human-readable run description (e.g. `raytrace [FT] +trace`).
-    pub label: String,
-    /// Records in the trace.
-    pub records: u64,
-    /// NUMA nodes of the captured machine.
-    pub nodes: u16,
-    /// The run's constant "all other time" component, in nanoseconds.
-    pub other_time_ns: u64,
-}
-
-/// Schema tag written into every meta sidecar.
-pub const META_SCHEMA: &str = "ccnuma-trace-meta/1";
-
-impl TraceMeta {
-    /// Renders the sidecar JSON (deterministic key order).
-    pub fn to_json(&self) -> String {
-        let mut j = JsonWriter::new();
-        j.begin_obj();
-        j.key("schema");
-        j.str(META_SCHEMA);
-        j.key("label");
-        j.str(&self.label);
-        j.key("records");
-        j.raw(&self.records.to_string());
-        j.key("nodes");
-        j.raw(&self.nodes.to_string());
-        j.key("other_time_ns");
-        j.raw(&self.other_time_ns.to_string());
-        j.end_obj();
-        j.finish()
-    }
-
-    /// Parses a sidecar produced by [`to_json`](TraceMeta::to_json).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when a field is missing, malformed, or
-    /// the schema tag is unknown.
-    pub fn from_json(text: &str) -> Result<TraceMeta, StoreError> {
-        let corrupt = |what| StoreError::Corrupt {
-            chunk: usize::MAX,
-            what,
-        };
-        // A sidecar that does not parse has no schema to read.
-        let doc = JsonValue::parse(text).ok();
-        let field = |key| doc.as_ref().and_then(|d| d.get(key));
-        let text_of = |key| field(key).and_then(JsonValue::as_str);
-        let u64_of = |key| field(key).and_then(JsonValue::as_u64);
-        let schema = text_of("schema").ok_or(corrupt("meta: missing schema"))?;
-        if schema != META_SCHEMA {
-            return Err(corrupt("meta: unknown schema"));
-        }
-        Ok(TraceMeta {
-            label: text_of("label")
-                .ok_or(corrupt("meta: missing label"))?
-                .to_string(),
-            records: u64_of("records").ok_or(corrupt("meta: missing records"))?,
-            nodes: u64_of("nodes")
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or(corrupt("meta: missing nodes"))?,
-            other_time_ns: u64_of("other_time_ns").ok_or(corrupt("meta: missing other_time_ns"))?,
-        })
-    }
-}
 
 /// A directory of stored traces, addressed by run-spec slug.
 ///
@@ -177,19 +108,14 @@ impl<S: Storage> TraceStore<S> {
         self.dir.join(format!("{slug}.trace"))
     }
 
-    /// Path of the meta sidecar for `slug`.
-    pub fn meta_path(&self, slug: &str) -> PathBuf {
-        self.dir.join(format!("{slug}.meta.json"))
-    }
-
-    /// True when both the trace and its sidecar exist.
+    /// True when the store holds a trace file for `slug`.
     pub fn contains(&self, slug: &str) -> bool {
-        self.trace_path(slug).is_file() && self.meta_path(slug).is_file()
+        self.trace_path(slug).is_file()
     }
 
-    /// Writes `trace` and its sidecar under `slug`, atomically: data
-    /// lands in temporaries first and is renamed into place (sidecar
-    /// last, since [`contains`](TraceStore::contains) requires both).
+    /// Writes `trace` with `meta` in its footer under `slug`, atomically:
+    /// the file lands in a temporary first and is renamed into place.
+    /// `meta.records` is not stored; the footer counts the records.
     /// Transient storage failures are retried with bounded backoff (see
     /// [`with_retry`](TraceStore::with_retry)); permanent errors
     /// (ENOSPC-class) surface immediately.
@@ -233,28 +159,25 @@ impl<S: Storage> TraceStore<S> {
         records: impl IntoIterator<Item = MissRecord>,
         meta: &TraceMeta,
     ) -> Result<WriteSummary, StoreError> {
-        let trace_tmp = self.dir.join(format!("{slug}.trace.tmp"));
-        let meta_tmp = self.dir.join(format!("{slug}.meta.json.tmp"));
+        let tmp = self.dir.join(format!("{slug}.trace.tmp"));
         let result = (|| {
-            let mut w = TraceWriter::new(BufWriter::new(self.storage.create(&trace_tmp)?))?;
+            let mut w = TraceWriter::new(BufWriter::new(self.storage.create(&tmp)?))?;
             for r in records {
                 w.push(&r)?;
             }
-            let summary = w.finish()?;
-            self.storage.write(&meta_tmp, meta.to_json().as_bytes())?;
-            self.storage.rename(&trace_tmp, &self.trace_path(slug))?;
-            self.storage.rename(&meta_tmp, &self.meta_path(slug))?;
+            let summary = w.finish(meta)?;
+            self.storage.rename(&tmp, &self.trace_path(slug))?;
             Ok(summary)
         })();
         if result.is_err() {
-            let _ = fs::remove_file(&trace_tmp);
-            let _ = fs::remove_file(&meta_tmp);
+            let _ = fs::remove_file(&tmp);
         }
         result
     }
 
-    /// Opens a streaming reader plus the sidecar for `slug`. A
-    /// successful open freshens the entry's file mtime, so `trace gc`'s
+    /// Opens a strict streaming reader for `slug` (see [`TraceReader`])
+    /// plus the meta its footer carries. A successful open freshens the
+    /// entry's file mtime, so `trace gc`'s
     /// least-recently-used eviction order tracks actual use (sweeps
     /// stream a trace and never load it), not just capture time. The
     /// freshen is best-effort: if a concurrent `trace gc` evicted the
@@ -264,12 +187,13 @@ impl<S: Storage> TraceStore<S> {
     ///
     /// # Errors
     ///
-    /// I/O errors (including a missing entry) or a corrupt sidecar.
+    /// I/O errors (including a missing entry), a foreign header or a
+    /// damaged footer.
     pub fn open(&self, slug: &str) -> Result<OpenedEntry<S>, StoreError> {
-        let meta = self.meta(slug)?;
         let path = self.trace_path(slug);
         let reader = TraceReader::new(BufReader::new(self.storage.open(&path)?))?;
         freshen(&path);
+        let meta = reader.footer().meta.clone();
         Ok((reader, meta))
     }
 
@@ -289,15 +213,15 @@ impl<S: Storage> TraceStore<S> {
         Ok((b.finish(), meta))
     }
 
-    /// Reads just the sidecar for `slug`.
+    /// Reads just the meta for `slug`, from the footer at the end of its
+    /// file, without decoding a chunk.
     ///
     /// # Errors
     ///
-    /// I/O errors or a corrupt sidecar.
+    /// I/O errors, a foreign header or a damaged footer.
     pub fn meta(&self, slug: &str) -> Result<TraceMeta, StoreError> {
-        let bytes = self.storage.read(&self.meta_path(slug))?;
-        let text = String::from_utf8_lossy(&bytes);
-        TraceMeta::from_json(&text)
+        let mut file = self.storage.open(&self.trace_path(slug))?;
+        Ok(Footer::read_from(&mut file)?.meta)
     }
 
     /// All slugs present in the store, sorted.
@@ -311,9 +235,7 @@ impl<S: Storage> TraceStore<S> {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
             if let Some(slug) = name.strip_suffix(".trace") {
-                if self.meta_path(slug).is_file() {
-                    slugs.push(slug.to_string());
-                }
+                slugs.push(slug.to_string());
             }
         }
         slugs.sort();
@@ -352,29 +274,6 @@ mod tests {
         (0..3)
             .map(|i| MissRecord::user_data_read(Ns(i), ProcId(0), Pid(0), VirtPage(i)))
             .collect()
-    }
-
-    #[test]
-    fn meta_roundtrips_through_json() {
-        let m = meta();
-        assert_eq!(TraceMeta::from_json(&m.to_json()).unwrap(), m);
-    }
-
-    #[test]
-    fn meta_parses_with_json_whitespace() {
-        let text = r#"{ "schema": "ccnuma-trace-meta/1", "label": "a \"b\"",
-            "records": 5, "nodes": 8, "other_time_ns": 12 }"#;
-        let m = TraceMeta::from_json(text).unwrap();
-        assert_eq!(
-            (m.label.as_str(), m.records, m.nodes, m.other_time_ns),
-            ("a \"b\"", 5, 8, 12)
-        );
-    }
-
-    #[test]
-    fn meta_rejects_wrong_schema() {
-        let text = meta().to_json().replace(META_SCHEMA, "ccnuma-other/9");
-        assert!(TraceMeta::from_json(&text).is_err());
     }
 
     #[test]
@@ -439,7 +338,6 @@ mod tests {
         assert!(freshen(&store.trace_path(&slug)), "live entry is touched");
         // Simulate the gc winning the race: the entry vanishes.
         fs::remove_file(store.trace_path(&slug)).unwrap();
-        fs::remove_file(store.meta_path(&slug)).unwrap();
         assert!(
             !freshen(&store.trace_path(&slug)),
             "evicted entry degrades to a no-op"

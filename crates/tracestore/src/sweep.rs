@@ -18,8 +18,8 @@
 //! whose bytes do not depend on the worker count.
 
 use crate::format::StoreError;
-use crate::results::ResultCache;
-use ccnuma_core::{MissMetric, PolicyParams, PolicyStats};
+use crate::results::{read_policy_stats, write_policy_stats, ResultCache};
+use ccnuma_core::{MissMetric, PolicyParams};
 use ccnuma_obs::json::{JsonValue, JsonWriter};
 use ccnuma_obs::{Phase, Profiler, SpanProfiler};
 use ccnuma_polsim::{
@@ -395,26 +395,7 @@ pub fn cell_payload(report: &PolsimReport, records: u64) -> String {
     u(&mut j, "collapses", report.collapses);
     u(&mut j, "other_time_ns", report.other_time.0);
     j.key("policy_stats");
-    match &report.policy_stats {
-        None => j.raw("null"),
-        Some(p) => {
-            j.begin_obj();
-            u(&mut j, "misses_observed", p.misses_observed);
-            u(&mut j, "hot_events", p.hot_events);
-            u(&mut j, "migrations", p.migrations);
-            u(&mut j, "replications", p.replications);
-            u(&mut j, "remaps", p.remaps);
-            u(&mut j, "collapses", p.collapses);
-            u(&mut j, "no_action", p.no_action);
-            u(&mut j, "no_action_write_shared", p.no_action_write_shared);
-            u(&mut j, "no_action_migrate_limit", p.no_action_migrate_limit);
-            u(&mut j, "no_action_pressure", p.no_action_pressure);
-            u(&mut j, "no_action_disabled", p.no_action_disabled);
-            u(&mut j, "no_action_frozen", p.no_action_frozen);
-            u(&mut j, "no_page", p.no_page);
-            j.end_obj();
-        }
-    }
+    write_policy_stats(&mut j, report.policy_stats);
     j.end_obj();
     j.finish()
 }
@@ -425,24 +406,7 @@ pub fn cell_from_payload(v: &JsonValue) -> Option<(PolsimReport, u64)> {
     fn u(v: &JsonValue, k: &str) -> Option<u64> {
         v.get(k).and_then(JsonValue::as_u64)
     }
-    let policy_stats = match v.get("policy_stats")? {
-        JsonValue::Null => None,
-        p => Some(PolicyStats {
-            misses_observed: u(p, "misses_observed")?,
-            hot_events: u(p, "hot_events")?,
-            migrations: u(p, "migrations")?,
-            replications: u(p, "replications")?,
-            remaps: u(p, "remaps")?,
-            collapses: u(p, "collapses")?,
-            no_action: u(p, "no_action")?,
-            no_action_write_shared: u(p, "no_action_write_shared")?,
-            no_action_migrate_limit: u(p, "no_action_migrate_limit")?,
-            no_action_pressure: u(p, "no_action_pressure")?,
-            no_action_disabled: u(p, "no_action_disabled")?,
-            no_action_frozen: u(p, "no_action_frozen")?,
-            no_page: u(p, "no_page")?,
-        }),
-    };
+    let policy_stats = read_policy_stats(v.get("policy_stats")?)?;
     Some((
         PolsimReport {
             label: v.get("label")?.as_str()?.to_string(),

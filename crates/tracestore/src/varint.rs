@@ -1,5 +1,5 @@
 //! LEB128 varints and zigzag signed mapping — the primitive codec under
-//! the v2 chunk format.
+//! the trace chunk format.
 //!
 //! Timestamps in a trace are monotone and pages exhibit locality, so
 //! successive records differ by small amounts; zigzag folds those small

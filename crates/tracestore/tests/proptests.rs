@@ -1,15 +1,14 @@
-//! Property tests for the v2 trace format: codec roundtrips and the
-//! corruption contract (a damaged stream yields a
-//! typed error or a salvaged prefix — never a panic, never garbage
-//! records).
+//! Property tests for the trace format: codec roundtrips and the
+//! corruption contract (a damaged file yields a typed error — never a
+//! panic, never garbage records, never a prefix passed off as the
+//! whole).
 
 use ccnuma_trace::io::record_from_parts;
 use ccnuma_trace::{MissRecord, Trace};
 use ccnuma_tracestore::varint::{read_u64, unzigzag, write_u64, zigzag};
-use ccnuma_tracestore::{
-    fsck, EntryStatus, StoreError, TraceMeta, TraceReader, TraceStore, TraceWriter,
-};
+use ccnuma_tracestore::{fsck, StoreError, TraceMeta, TraceReader, TraceStore, TraceWriter};
 use proptest::prelude::*;
+use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An arbitrary record: unconstrained fields plus any of the 16 valid
@@ -49,21 +48,43 @@ fn arb_local_records() -> impl Strategy<Value = Vec<MissRecord>> {
     })
 }
 
-fn encode_v2(records: &[MissRecord], chunk_records: usize) -> Vec<u8> {
+fn meta(records: usize) -> TraceMeta {
+    TraceMeta {
+        label: "prop".into(),
+        records: records as u64,
+        nodes: 8,
+        other_time_ns: 0,
+    }
+}
+
+fn encode(records: &[MissRecord], chunk_records: usize) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = TraceWriter::with_chunk_records(&mut buf, chunk_records).unwrap();
     for r in records {
         w.push(r).unwrap();
     }
-    w.finish().unwrap();
+    w.finish(&meta(records.len())).unwrap();
     buf
 }
 
-fn decode_v2(bytes: &[u8]) -> Vec<MissRecord> {
-    TraceReader::new(bytes)
+fn decode(bytes: &[u8]) -> Vec<MissRecord> {
+    TraceReader::new(Cursor::new(bytes))
         .unwrap()
         .collect::<Result<Vec<_>, _>>()
         .unwrap()
+}
+
+/// Reads `bytes` strictly: the records delivered before the stream
+/// stopped, and its outcome.
+fn read_all(bytes: &[u8]) -> (Vec<MissRecord>, Result<(), StoreError>) {
+    let mut delivered = Vec::new();
+    let outcome = (|| {
+        for item in TraceReader::new(Cursor::new(bytes))? {
+            delivered.push(item?);
+        }
+        Ok(())
+    })();
+    (delivered, outcome)
 }
 
 proptest! {
@@ -93,112 +114,97 @@ proptest! {
     /// Arbitrary records — arbitrary deltas, wrapping both ways — come
     /// back exactly, across chunk boundaries.
     #[test]
-    fn v2_roundtrips_arbitrary_records(
+    fn roundtrips_arbitrary_records(
         records in proptest::collection::vec(arb_record(), 0..200),
         chunk in 1usize..33,
     ) {
-        let bytes = encode_v2(&records, chunk);
-        prop_assert_eq!(decode_v2(&bytes), records);
+        let bytes = encode(&records, chunk);
+        prop_assert_eq!(decode(&bytes), records);
     }
 
     /// Trace-shaped records come back exactly too, whether a record
     /// decodes from one word or (near a chunk's end) field by field.
     #[test]
-    fn v2_roundtrips_trace_shaped_records(
+    fn roundtrips_trace_shaped_records(
         records in arb_local_records(),
         chunk in 1usize..65,
     ) {
-        let bytes = encode_v2(&records, chunk);
-        prop_assert_eq!(decode_v2(&bytes), records);
+        let bytes = encode(&records, chunk);
+        prop_assert_eq!(decode(&bytes), records);
     }
 
-    /// Truncation anywhere: the strict reader yields a correct prefix
-    /// then a typed error (or clean EOF exactly at a record boundary is
-    /// impossible — the footer is gone); the salvage reader always ends
-    /// cleanly with complete chunks only. Nothing panics.
+    /// Truncation anywhere is a typed error, whatever the reader
+    /// delivered first; nothing panics.
     #[test]
-    fn truncated_streams_never_panic(
+    fn truncated_streams_are_typed_errors(
         records in proptest::collection::vec(arb_record(), 1..100),
         chunk in 1usize..17,
         cut_frac in 0.0f64..1.0,
     ) {
-        let bytes = encode_v2(&records, chunk);
+        let bytes = encode(&records, chunk);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        let cut_bytes = &bytes[..cut];
-
-        match TraceReader::new(cut_bytes) {
-            Ok(reader) => {
-                let mut seen = 0usize;
-                let mut errored = false;
-                for item in reader {
-                    match item {
-                        Ok(rec) => {
-                            prop_assert_eq!(rec, records[seen], "prefix must be exact");
-                            seen += 1;
-                        }
-                        Err(_) => {
-                            errored = true;
-                            break;
-                        }
-                    }
-                }
-                // A streaming read validates the footer body but never
-                // touches the 8-byte seek trailer, so only a cut that
-                // reaches into the footer body (or earlier) must error.
-                prop_assert!(errored || cut >= bytes.len() - 8);
-            }
-            Err(_) => prop_assert!(cut < 8, "header errors only from a cut header"),
-        }
-
-        if cut >= 8 {
-            let reader = TraceReader::with_salvage(cut_bytes).unwrap();
-            let mut seen = 0usize;
-            for item in reader {
-                let rec = item.expect("salvage mode never errors past the header");
-                prop_assert_eq!(rec, records[seen]);
-                seen += 1;
-            }
-            // Salvage keeps whole chunks: a multiple of the chunk size,
-            // or everything (the final chunk may be smaller).
-            prop_assert!(
-                seen == records.len() || seen.is_multiple_of(chunk),
-                "salvage kept a partial chunk: {seen} of {} (chunk {chunk})",
-                records.len()
-            );
-        }
+        let (delivered, outcome) = read_all(&bytes[..cut]);
+        prop_assert!(outcome.is_err(), "a cut at {} of {} read cleanly", cut, bytes.len());
+        prop_assert_eq!(&delivered[..], &records[..delivered.len()], "prefix must be exact");
     }
 
-    /// A single flipped bit anywhere in the stream: decode either still
-    /// succeeds (the flip hit slack the checksum does not cover — it
-    /// cannot, every byte is covered, so really: the flip was detected)
-    /// or fails with a typed error; the prefix of records delivered
-    /// before the error is exact. Nothing panics.
+    /// A single flipped bit anywhere in the file is a typed error: every
+    /// byte is covered by a checksum, the footer index or the trailer
+    /// check. What was delivered before the error is exact. Nothing
+    /// panics.
     #[test]
-    fn bit_flips_are_detected_or_isolated(
+    fn bit_flips_are_typed_errors(
         records in proptest::collection::vec(arb_record(), 1..80),
         chunk in 1usize..17,
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut bytes = encode_v2(&records, chunk);
+        let mut bytes = encode(&records, chunk);
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
+        let (delivered, outcome) = read_all(&bytes);
+        prop_assert!(outcome.is_err(), "flip at {} bit {} read cleanly", pos, bit);
+        prop_assert!(delivered.len() <= records.len());
+        prop_assert_eq!(&delivered[..], &records[..delivered.len()], "prefix must be exact");
+    }
+}
 
-        let mut delivered = Vec::new();
-        let outcome: Result<(), StoreError> = (|| {
-            for item in TraceReader::new(bytes.as_slice())? {
-                delivered.push(item?);
-            }
-            Ok(())
-        })();
-        match outcome {
-            Ok(()) => prop_assert_eq!(&delivered, &records, "undetected flip must be harmless"),
-            Err(_) => {
-                prop_assert!(delivered.len() <= records.len());
-                prop_assert_eq!(&delivered[..], &records[..delivered.len()], "prefix must be exact");
-            }
+/// A small three-chunk entry: every one of its bits flipped, and every
+/// shorter length, makes `load` a typed error and `fsck` not clean.
+#[test]
+fn every_flipped_bit_and_every_truncation_is_caught() {
+    let dir = fsck_case_dir();
+    let store = TraceStore::new(&dir).unwrap();
+    let records: Vec<MissRecord> = (0..25u64)
+        .map(|i| {
+            record_from_parts(i * 700, 4096 + i / 3, 1, (i % 4) as u16, (i % 16) as u8).unwrap()
+        })
+        .collect();
+    let clean = encode(&records, 10);
+    let path = store.trace_path("x");
+    let caught = |bytes: &[u8], case: &str| {
+        std::fs::write(&path, bytes).unwrap();
+        assert!(store.load("x").is_err(), "{case}: load succeeded");
+        assert!(
+            !fsck(&store, false).unwrap().is_clean(),
+            "{case}: fsck clean"
+        );
+    };
+    std::fs::write(&path, &clean).unwrap();
+    let (trace, m) = store.load("x").unwrap();
+    assert_eq!((trace.as_slice(), m), (&records[..], meta(records.len())));
+    assert!(fsck(&store, false).unwrap().is_clean());
+    for at in 0..clean.len() {
+        for bit in 0..8 {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 1 << bit;
+            caught(&bytes, &format!("bit {bit} of byte {at}"));
         }
     }
+    for len in 0..clean.len() {
+        caught(&clean[..len], &format!("truncated to {len}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One kind of random damage an fsck case inflicts on a store entry.
@@ -208,8 +214,8 @@ enum Damage {
     FlipTrace(f64, u8),
     /// Truncate the trace to a fraction of its length.
     Truncate(f64),
-    /// Overwrite the meta sidecar with garbage.
-    SmashMeta,
+    /// XOR one bit of the meta bytes at the end of the footer.
+    FlipMeta(f64, u8),
     /// Leave the entry alone.
     None,
 }
@@ -218,7 +224,7 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
     (0u8..4, 0.0f64..1.0, 0u8..8).prop_map(|(kind, frac, bit)| match kind {
         0 => Damage::FlipTrace(frac, bit),
         1 => Damage::Truncate(frac),
-        2 => Damage::SmashMeta,
+        2 => Damage::FlipMeta(frac, bit),
         _ => Damage::None,
     })
 }
@@ -238,9 +244,10 @@ proptest! {
     // fsck cases hit the filesystem, so run fewer of them.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary damage to an entry's trace or sidecar: fsck always
-    /// classifies (never panics), a dry run never mutates the store,
-    /// and a repair run always converges to a store fsck calls clean.
+    /// Arbitrary damage to an entry: fsck always classifies (never
+    /// panics), a dry run never mutates the store, every damage is
+    /// found, and a repair run always converges to a clean store whose
+    /// every surviving entry is the original in full.
     #[test]
     fn fsck_classifies_and_repair_converges(
         records in proptest::collection::vec(arb_record(), 1..600),
@@ -250,80 +257,51 @@ proptest! {
         let dir = fsck_case_dir();
         let store = TraceStore::new(&dir).unwrap();
         let trace: Trace = records.iter().copied().collect();
-        let meta = TraceMeta {
-            label: "prop".into(),
-            records: trace.len() as u64,
-            nodes: 8,
-            other_time_ns: 0,
-        };
-        // Re-encode at the case's chunk size so truncation points land
-        // in interesting places, then install it as the store entry.
-        {
-            let mut buf = Vec::new();
-            let mut w = TraceWriter::with_chunk_records(&mut buf, chunk).unwrap();
-            for r in trace.iter() {
-                w.push(r).unwrap();
-            }
-            w.finish().unwrap();
-            store.save("x", &trace, &meta).unwrap();
-            std::fs::write(store.trace_path("x"), &buf).unwrap();
-        }
+        // Encode at the case's chunk size so damage lands in
+        // interesting places, then install it as the store entry.
+        let p = store.trace_path("x");
+        let mut b = encode(&records, chunk);
         match &damage {
             Damage::FlipTrace(frac, bit) => {
-                let p = store.trace_path("x");
-                let mut b = std::fs::read(&p).unwrap();
                 let at = (((b.len() - 1) as f64) * frac) as usize;
                 b[at] ^= 1 << bit;
-                std::fs::write(&p, &b).unwrap();
             }
             Damage::Truncate(frac) => {
-                let p = store.trace_path("x");
-                let b = std::fs::read(&p).unwrap();
-                let keep = ((b.len() as f64) * frac) as usize;
-                std::fs::write(&p, &b[..keep]).unwrap();
+                b.truncate(((b.len() as f64) * frac) as usize);
             }
-            Damage::SmashMeta => {
-                std::fs::write(store.meta_path("x"), b"{ definitely not a sidecar").unwrap();
+            Damage::FlipMeta(frac, bit) => {
+                // The meta ends the footer body, just before the 8-byte
+                // trailer: label length, "prop", nodes, other time.
+                let meta_bytes = 7;
+                let at = b.len() - 8 - meta_bytes + ((meta_bytes as f64) * frac) as usize;
+                b[at] ^= 1 << bit;
             }
             Damage::None => {}
         }
+        std::fs::write(&p, &b).unwrap();
 
         let dry = fsck(&store, false).unwrap();
         prop_assert_eq!(dry.entries.len(), 1);
-        prop_assert!(dry.repaired.is_empty(), "dry run repairs nothing");
-        if matches!(damage, Damage::None) {
-            prop_assert!(dry.is_clean(), "{}", dry.render());
-        }
-        if matches!(damage, Damage::SmashMeta) {
-            prop_assert!(
-                matches!(dry.entries[0].status, EntryStatus::CorruptMeta { .. }),
-                "{}", dry.render()
-            );
-        }
-        // Salvageable verdicts must never promise more than the sidecar.
-        if let EntryStatus::Salvageable { records_kept, records_expected, .. } =
-            &dry.entries[0].status
-        {
-            prop_assert!(*records_kept > 0, "zero kept is Unreadable, not Salvageable");
-            prop_assert!(records_kept <= records_expected);
-        }
+        prop_assert!(dry.quarantined.is_empty(), "dry run repairs nothing");
+        prop_assert_eq!(
+            dry.is_clean(),
+            matches!(damage, Damage::None),
+            "{}", dry.render()
+        );
 
         // Repair, whatever the damage, converges: the next fsck is
-        // clean and every surviving entry loads.
+        // clean and every surviving entry is the original, whole.
         let repaired = fsck(&store, true).unwrap();
         prop_assert_eq!(
-            repaired.repaired.len(),
+            repaired.quarantined.len(),
             usize::from(!repaired.entries[0].status.is_clean())
         );
         let after = fsck(&store, false).unwrap();
         prop_assert!(after.is_clean(), "after repair: {}", after.render());
         for slug in store.list().unwrap() {
             let (t, m) = store.load(&slug).unwrap();
-            prop_assert_eq!(t.len() as u64, m.records);
-            // Whatever survived is an exact prefix of the original.
-            let kept: Vec<MissRecord> = t.iter().copied().collect();
-            let original: Vec<MissRecord> = trace.iter().copied().collect();
-            prop_assert_eq!(&kept[..], &original[..kept.len()]);
+            prop_assert_eq!(&t, &trace);
+            prop_assert_eq!(m, meta(records.len()));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
