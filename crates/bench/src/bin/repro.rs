@@ -7,9 +7,7 @@
 //!                       [--shards N] [--window-us N] [--topology PRESET]
 //!                       [--obs-dir DIR] [--profile] [--trace-dir DIR]
 //!                       [--faults SCENARIO] [--chaos-seed N]
-//!                       [--resume DIR] [--soft-deadline SECS]
-//!                       [--hard-deadline SECS]
-//!                       [-v|--verbose] [-q|--quiet]
+//!                       [--resume DIR] [-v|--verbose] [-q|--quiet]
 //! repro all [--scale ...] [--jobs N] [--resume DIR]
 //! repro obs report DIR [--out FILE]
 //! repro trace <capture|info|verify> [WORKLOAD|SLUG]...
@@ -20,7 +18,7 @@
 //! repro sweep (--workload NAME | --trace SLUG) [--scale S]
 //!             [--trace-dir DIR] [--jobs N] [--shards N] [--window-us N]
 //!             [--out FILE] [--csv FILE]
-//!             [--profile FILE] [--resume DIR] [--soft-deadline SECS]
+//!             [--profile FILE] [--resume DIR]
 //!             [--policies P,..] [--triggers N,..] [--samples N,..]
 //!             [--latencies NS,..] [--move-costs US,..]
 //!             [--topologies T,..]
@@ -28,7 +26,6 @@
 //!             [--workers N] [--queue-depth N] [--prewarm SLUG,..]
 //!             [--trace-budget-bytes N] [--max-cells N]
 //!             [--max-body-bytes N] [--max-sweeps N]
-//!             [--soft-deadline SECS] [--hard-deadline SECS]
 //! repro loadgen --url HOST:PORT [--concurrency N] [--duration SECS]
 //!               [--trace NAME] [--out FILE]
 //! repro --list | repro --list-faults
@@ -117,9 +114,6 @@
 //! `artifacts/traces` (sweep). A damaged entry is a warning plus a
 //! recomputation that rewrites it. `trace fsck` and `trace gc` cover
 //! the results too.
-//! `--soft-deadline SECS` warns on stderr when a run overruns;
-//! `--hard-deadline SECS` converts an overrunning run into a failure
-//! (never stored, plan continues).
 //!
 //! Stderr chatter is gated by one verbosity knob: `-v`/`--verbose` and
 //! `-q`/`--quiet` flags first, then the `CCNUMA_LOG` environment
@@ -335,8 +329,7 @@ fn run_trace(action: &TraceAction, o: &Opts) -> i32 {
             print!("{}", report.render());
             // Dry runs signal damage through the exit status; a repair
             // run that contained everything it found exits clean.
-            let dirty = report.damaged().count() > 0 || !report.orphans.is_empty();
-            return i32::from(dirty && !o.repair);
+            return i32::from(!report.is_clean() && !o.repair);
         }
         TraceAction::Gc(budget) => {
             let report = gc(&store, *budget)
@@ -428,7 +421,6 @@ fn run_sweep_cmd(o: &Opts) -> i32 {
     let cells = SweepStore {
         results: results.as_ref(),
         trace_slug: &slug,
-        soft_deadline: o.soft_deadline,
         progress: &|_| true,
     };
     let jobs = o.jobs;

@@ -51,10 +51,6 @@ pub struct Opts {
     /// `--resume`: results go under `DIR/results`; `DIR` is also the
     /// experiments' trace store when `--trace-dir` is not given.
     pub resume: Option<PathBuf>,
-    /// `--soft-deadline`.
-    pub soft_deadline: Option<Duration>,
-    /// `--hard-deadline`.
-    pub hard_deadline: Option<Duration>,
     /// `--faults`.
     pub faults: Option<FaultScenario>,
     /// `--chaos-seed` (default 0).
@@ -107,8 +103,6 @@ impl Default for Opts {
             profile: false,
             trace_dir: None,
             resume: None,
-            soft_deadline: None,
-            hard_deadline: None,
             faults: None,
             chaos_seed: 0,
             verbosity: None,
@@ -142,9 +136,9 @@ impl Opts {
     }
 
     /// The executor these options describe: jobs, verbosity, machine
-    /// overrides, artifacts, faults, deadlines and the two stores. The
-    /// trace store is set before the result cache, so `--resume DIR`
-    /// keeps only results when `--trace-dir` is given.
+    /// overrides, artifacts, faults and the two stores. The trace store
+    /// is set before the result cache, so `--resume DIR` keeps only
+    /// results when `--trace-dir` is given.
     ///
     /// # Errors
     ///
@@ -153,8 +147,7 @@ impl Opts {
         let mut exec = Executor::new(self.jobs)
             .with_verbosity(self.verbosity.unwrap_or_default())
             .with_shards(self.shards)
-            .with_window_us(self.window_us)
-            .with_deadlines(self.soft_deadline, self.hard_deadline);
+            .with_window_us(self.window_us);
         if let Some(preset) = self.topology {
             exec = exec.with_topology(preset);
         }
@@ -190,8 +183,8 @@ pub fn open_store(dir: &Path) -> Result<TraceStore, String> {
 
 /// How a flag reads its value, with the [`Opts`] setter the value
 /// feeds. `Positive` takes integers above zero, `Unsigned` zero too;
-/// `Seconds` takes positive seconds, fractions allowed, and
-/// `SecondsOrS` also a trailing `s` (`5s`). A `List` is comma-separated:
+/// `SecondsOrS` takes positive seconds, fractions allowed, with or
+/// without a trailing `s` (`5s`). A `List` is comma-separated:
 /// it names its elements, and its setter returns false on a bad one.
 #[derive(Clone, Copy)]
 enum Kind {
@@ -200,7 +193,6 @@ enum Kind {
     Text(fn(&mut Opts, String)),
     Positive(fn(&mut Opts, u64)),
     Unsigned(fn(&mut Opts, u64)),
-    Seconds(fn(&mut Opts, Duration)),
     SecondsOrS(fn(&mut Opts, Duration)),
     List(&'static str, fn(&mut Opts, &str) -> bool),
     Scale(fn(&mut Opts, Scale)),
@@ -262,8 +254,6 @@ mod table {
     const FAULTS: Flag = flag("--faults", "SCENARIO", K::Faults(|o, f| o.faults = Some(f)));
     const CHAOS_SEED: Flag = flag("--chaos-seed", "N", K::Unsigned(|o, n| o.chaos_seed = n));
     const RESUME: Flag = flag("--resume", "DIR", K::Path(|o, p| o.resume = Some(p)));
-    const SOFT: Flag = flag("--soft-deadline", "SECS", K::Seconds(|o, d| o.soft_deadline = Some(d)));
-    const HARD: Flag = flag("--hard-deadline", "SECS", K::Seconds(|o, d| o.hard_deadline = Some(d)));
     const VERBOSE: Flag = flag("-v|--verbose", "", K::Switch(|o| o.verbosity = Some(Verbosity::Verbose)));
     const QUIET: Flag = flag("-q|--quiet", "", K::Switch(|o| o.verbosity = Some(Verbosity::Quiet)));
     const LIST: Flag = flag("--list", "", K::Switch(|o| o.list = true));
@@ -307,7 +297,7 @@ mod table {
     pub static SUBS: [Sub; 6] = [
         Sub { name: "repro", head: "<experiment>...|all", flags: &[
             SCALE, JOBS, SHARDS, WINDOW_US, TOPOLOGY, OBS_DIR, PROFILE, TRACE_DIR, FAULTS,
-            CHAOS_SEED, RESUME, SOFT, HARD, VERBOSE, QUIET, LIST, LIST_FAULTS],
+            CHAOS_SEED, RESUME, VERBOSE, QUIET, LIST, LIST_FAULTS],
             // `--list` and `--list-faults` print and run nothing, so no
             // rule binds them.
             rules: &[(|o| !o.profile || o.obs_dir.is_some() || o.list || o.list_faults,
@@ -317,13 +307,13 @@ mod table {
             flags: &[SCALE, TRACE_DIR, JSON, REPAIR, MAX_BYTES], rules: &[] },
         Sub { name: "repro sweep", head: "(--workload NAME | --trace SLUG)", flags: &[
             WORKLOAD, TRACE_SLUG, SCALE, TRACE_DIR, JOBS, SHARDS, WINDOW_US, OUT, CSV, PROFILE_OUT,
-            RESUME, SOFT, POLICIES, TRIGGERS, SAMPLES, LATENCIES, MOVE_COSTS, TOPOLOGIES],
+            RESUME, POLICIES, TRIGGERS, SAMPLES, LATENCIES, MOVE_COSTS, TOPOLOGIES],
             rules: &[
                 (|o| o.workload.is_some() != o.trace.is_some(), "exactly one of --workload or --trace is required"),
             ] },
         Sub { name: "repro serve", head: "", flags: &[
             ADDR, TRACE_DIR, RESULTS, WORKERS, QUEUE_DEPTH, PREWARM, TRACE_BUDGET, MAX_CELLS,
-            MAX_BODY, MAX_SWEEPS, SOFT, HARD], rules: &[] },
+            MAX_BODY, MAX_SWEEPS], rules: &[] },
         Sub { name: "repro loadgen", head: "--url HOST:PORT",
             flags: &[URL, CONCURRENCY, DURATION, TRACE_NAME, OUT],
             rules: &[(|o| o.url.is_some(), "--url is required")] },
@@ -454,8 +444,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "serve" => Ok(Command::Serve(ServeConfig {
             results_dir: o.results_dir.unwrap_or_else(|| trace_dir.join(RESULTS_DIR)),
             trace_dir,
-            soft_deadline: o.soft_deadline,
-            hard_deadline: o.hard_deadline,
             ..o.serve
         })),
         _ => {
@@ -602,7 +590,6 @@ impl Flag {
             Kind::Text(set) => set(o, self.parse(it, |v| Some(v.into()))?),
             Kind::Positive(set) => set(o, self.parse(it, |v| v.parse().ok().filter(|&n| n > 0))?),
             Kind::Unsigned(set) => set(o, self.parse(it, |v| v.parse().ok())?),
-            Kind::Seconds(set) => set(o, self.parse(it, seconds)?),
             Kind::SecondsOrS(set) => {
                 set(
                     o,
@@ -636,7 +623,7 @@ impl Flag {
             Kind::Switch(_) | Kind::Path(_) | Kind::Text(_) | Kind::Scale(_) => self.metavar.into(),
             Kind::Positive(_) => "a positive integer".into(),
             Kind::Unsigned(_) => "an unsigned integer".into(),
-            Kind::Seconds(_) | Kind::SecondsOrS(_) => "a positive number of seconds".into(),
+            Kind::SecondsOrS(_) => "a positive number of seconds".into(),
             Kind::List(what, _) => format!("a comma list of {what}"),
             Kind::Topology(_) => one_of(TopologyPreset::ALL.map(TopologyPreset::label)),
             Kind::Faults(_) => one_of(FaultScenario::ALL.iter().map(FaultScenario::name)),

@@ -224,8 +224,6 @@ pub struct Executor {
     trace_store: Option<TraceStore>,
     profiling: bool,
     results: Option<ResultCache>,
-    soft_deadline: Option<Duration>,
-    hard_deadline: Option<Duration>,
     profile: Mutex<SpanProfiler>,
     cache: Mutex<HashMap<String, Result<Arc<RunReport>, RunFailure>>>,
     /// Store entries [`Executor::try_traced`] has read, by slug: the
@@ -254,8 +252,6 @@ impl Executor {
             trace_store: None,
             profiling: false,
             results: None,
-            soft_deadline: None,
-            hard_deadline: None,
             profile: Mutex::new(SpanProfiler::new()),
             cache: Mutex::new(HashMap::new()),
             stored: Mutex::new(HashMap::new()),
@@ -385,17 +381,6 @@ impl Executor {
         }
         self.results = Some(ResultCache::new(dir.join(RESULTS_DIR))?);
         Ok(self)
-    }
-
-    /// Arms the per-run watchdog: a run slower than `soft` is recorded
-    /// as a warning in `run-metadata.json`; one slower than `hard` has
-    /// its report discarded and replaced by a [`RunFailure`], and the
-    /// rest of the plan continues. Either bound may be `None`.
-    #[must_use]
-    pub fn with_deadlines(mut self, soft: Option<Duration>, hard: Option<Duration>) -> Executor {
-        self.soft_deadline = soft;
-        self.hard_deadline = hard;
-        self
     }
 
     /// The configured observability directory, if any.
@@ -550,7 +535,7 @@ impl Executor {
             }
             result
         }));
-        let mut outcome = match computed {
+        let outcome = match computed {
             Ok(Ok(report)) => Ok(Arc::new(report)),
             Ok(Err(e)) => Err(RunFailure {
                 label: label.clone(),
@@ -564,33 +549,6 @@ impl Executor {
             }),
         };
         let wall = start.elapsed();
-        // Per-run watchdog. Threads cannot be killed safely, so both
-        // bounds are checked when the run hands its result back: a
-        // soft overrun is a warning, a hard overrun discards the (by
-        // definition suspect) result and degrades to a RunFailure so
-        // the rest of the plan keeps going.
-        if let (Some(hard), Ok(_)) = (self.hard_deadline, &outcome) {
-            if wall > hard {
-                outcome = Err(RunFailure {
-                    label: label.clone(),
-                    slug: slug.clone(),
-                    error: format!(
-                        "watchdog: run exceeded hard deadline ({:.2}s > {:.2}s)",
-                        wall.as_secs_f64(),
-                        hard.as_secs_f64()
-                    ),
-                });
-            }
-        }
-        if let Some(soft) = self.soft_deadline {
-            if wall > soft && outcome.is_ok() {
-                self.warn(format!(
-                    "watchdog: {label} exceeded soft deadline ({:.2}s > {:.2}s)",
-                    wall.as_secs_f64(),
-                    soft.as_secs_f64()
-                ));
-            }
-        }
         if let Ok(report) = &outcome {
             // Store before serving the result: once a caller sees this
             // report, a crash-and-resume must not recompute it.
@@ -621,7 +579,10 @@ impl Executor {
     /// The run stored under `key` in the result cache, with its trace
     /// (if it captured one) loaded from the trace store entry `slug`.
     /// `Ok(None)` without a result cache (and so without
-    /// [`Executor::with_resume`]) or when the run was never stored.
+    /// [`Executor::with_resume`]) or when the run was never stored. A
+    /// result whose trace file is gone (quarantined by `trace fsck
+    /// --repair`, evicted by `trace gc`) counts as never stored: the
+    /// run is recomputed without a warning, and its save rewrites both.
     ///
     /// # Errors
     ///
@@ -641,6 +602,7 @@ impl Executor {
         let trace = match v.get("trace_records").and_then(JsonValue::as_u64) {
             // `try_traced` found this capture damaged and has warned.
             Some(_) if matches!(lock(&self.stored).get(slug), Some(None)) => return Ok(None),
+            Some(_) if !store.contains(slug) => return Ok(None),
             Some(n) => {
                 let (trace, _) = store.load(slug)?;
                 if trace.len() as u64 != n {
@@ -1292,15 +1254,15 @@ mod tests {
         }
 
         // One flipped byte inside a trace chunk body (past the 8-byte
-        // header and the 13-byte chunk frame) is a typed error, and so
-        // is a missing trace.
+        // header and the 13-byte chunk frame) is a typed error. A
+        // missing trace (quarantined, evicted) is a run never stored.
         let path = dir.join(format!("{slug}.trace"));
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8 + 13 + 4] ^= 0x01;
         std::fs::write(&path, bytes).unwrap();
         assert!(second.restore(&slug, &key).is_err());
         std::fs::remove_file(&path).unwrap();
-        assert!(second.restore(&slug, &key).is_err());
+        assert!(second.restore(&slug, &key).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1342,56 +1304,6 @@ mod tests {
         let third = Executor::serial().with_resume(&dir).unwrap();
         third.run(&spec);
         assert_eq!(third.stats().resumed, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn watchdog_soft_deadline_warns_and_hard_deadline_fails() {
-        let spec = ft(WorkloadKind::Raytrace);
-        // Zero-length deadlines trip on any real run.
-        let soft = Executor::serial()
-            .with_verbosity(Verbosity::Quiet)
-            .with_deadlines(Some(Duration::ZERO), None);
-        let report = soft.try_run(&spec);
-        assert!(report.is_ok(), "soft overrun still serves the report");
-        let warnings = soft.warnings();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("watchdog"));
-        assert!(warnings[0].contains("soft deadline"));
-
-        let hard = Executor::serial()
-            .with_verbosity(Verbosity::Quiet)
-            .with_deadlines(None, Some(Duration::ZERO));
-        let failure = hard.try_run(&spec).unwrap_err();
-        assert!(failure.error.contains("hard deadline"), "{}", failure.error);
-        assert!(hard.has_failures());
-        // The failure is memoized like any other; the plan continues.
-        assert!(hard.try_run(&spec).is_err());
-        assert_eq!(hard.stats().failed, 1);
-
-        // Generous deadlines change nothing.
-        let lenient = Executor::serial().with_deadlines(
-            Some(Duration::from_secs(3600)),
-            Some(Duration::from_secs(3600)),
-        );
-        assert!(lenient.try_run(&spec).is_ok());
-        assert!(lenient.warnings().is_empty());
-    }
-
-    #[test]
-    fn hard_deadline_overruns_are_not_stored() {
-        let dir = std::env::temp_dir().join(format!("ccnuma-ckpt-hard-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = ft(WorkloadKind::Database);
-        let hard = Executor::serial()
-            .with_verbosity(Verbosity::Quiet)
-            .with_resume(&dir)
-            .unwrap()
-            .with_deadlines(None, Some(Duration::ZERO));
-        assert!(hard.try_run(&spec).is_err());
-        // The store holds nothing: the overrun was discarded.
-        let stored = std::fs::read_dir(dir.join(ccnuma_tracestore::RESULTS_DIR)).unwrap();
-        assert_eq!(stored.count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

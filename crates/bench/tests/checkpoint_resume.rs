@@ -2,9 +2,10 @@
 //! mid-plan loses nothing that was stored, the resumed invocation's
 //! stdout is byte-identical to the committed golden capture, a fully
 //! stored plan replays with zero recomputation, a damaged stored trace
-//! is recomputed with a warning instead of rendered, a store filled
-//! at one window is not restored at another, and a resume directory
-//! beside a `--trace-dir` store keeps results only.
+//! is recomputed with a warning instead of rendered, a result whose
+//! trace `trace fsck --repair` quarantined is recomputed without one, a
+//! store filled at one window is not restored at another, and a resume
+//! directory beside a `--trace-dir` store keeps results only.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -275,6 +276,59 @@ fn a_flipped_byte_in_a_stored_trace_is_recomputed_with_a_warning() {
 
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&obs);
+}
+
+/// `trace fsck --repair` quarantines a truncated trace but keeps its
+/// clean result entry. The next `--resume` run treats that result as
+/// never stored: it recomputes the one run without an `unusable`
+/// warning and prints what a fresh run prints.
+#[test]
+fn a_result_whose_trace_was_quarantined_is_recomputed_without_a_warning() {
+    let ckpt = scratch("quarantined");
+    let fig7 = |resume: bool| {
+        let mut cmd = repro();
+        cmd.args(["fig7", "--scale", "quick"]);
+        if resume {
+            cmd.arg("--resume").arg(&ckpt);
+        }
+        let out = cmd.output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "fig7 failed: {stderr}");
+        (
+            String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+            stderr,
+        )
+    };
+    let (fresh, _) = fig7(false);
+    fig7(true);
+
+    let trace = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "trace"))
+        .expect("a stored trace");
+    let bytes = std::fs::read(&trace).unwrap();
+    std::fs::write(&trace, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    let fsck = repro()
+        .args(["trace", "fsck", "--repair", "--trace-dir"])
+        .arg(&ckpt)
+        .output()
+        .expect("fsck runs");
+    assert!(
+        String::from_utf8_lossy(&fsck.stdout).contains(": quarantined"),
+        "{}",
+        String::from_utf8_lossy(&fsck.stdout)
+    );
+    assert!(!trace.exists(), "repair moved the trace out of the store");
+    assert_eq!(stored(&ckpt), 1, "the result entry itself is clean");
+
+    let (again, stderr) = fig7(true);
+    assert!(!stderr.contains("unusable"), "{stderr}");
+    assert_eq!(computed_count(&stderr), 1, "{stderr}");
+    assert_eq!(again, fresh);
+
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
 
 /// With both flags, a captured trace is written once, to the trace

@@ -277,16 +277,13 @@ fn a_resumed_sweep_profiles_only_the_passes_it_made() {
             .into_iter()
             .find(|(n, ..)| n == "replay")
             .unwrap();
-        (std::fs::read(&json).unwrap(), replay.2, stderr)
+        (std::fs::read(&json).unwrap(), replay.2)
     };
     let resume_args = ["--resume", resume.to_str().unwrap()];
-    let (fresh, fresh_passes, _) = sweep("fresh", &resume_args);
+    let (fresh, fresh_passes) = sweep("fresh", &resume_args);
     assert_eq!(fresh_passes, 12, "the default grid: 12 dynamic cells");
-    let (resumed, resumed_passes, _) = sweep("resumed", &resume_args);
+    let (resumed, resumed_passes) = sweep("resumed", &resume_args);
     assert_eq!(resumed_passes, 0, "every cell restored, no pass made");
     assert_eq!(resumed, fresh, "a resumed sweep writes the same JSON");
-    let (warned, _, stderr) = sweep("deadline", &["--soft-deadline", "0.000001"]);
-    assert!(stderr.contains("exceeded soft deadline"), "{stderr}");
-    assert_eq!(warned, fresh, "a soft deadline never touches the JSON");
     std::fs::remove_dir_all(&dir).ok();
 }

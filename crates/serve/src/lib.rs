@@ -28,10 +28,10 @@
 //! is counted (`results_damaged`) and replayed, never served.
 //! Under load it degrades instead of falling over: a bounded
 //! accept/work queue (full → 503 + `Retry-After`, written on the
-//! accept thread), per-request budgets (body size, sweep cell count,
-//! concurrent sweeps, the resident-trace byte budget), and the PR 8
-//! watchdog deadlines (soft = warn + count, hard = typed 503 with the
-//! result discarded).
+//! accept thread) and per-request budgets (body size, sweep cell count,
+//! concurrent sweeps, the resident-trace byte budget). Host time is
+//! only measured, in the latency histograms: it never changes a
+//! response, a stored result or a status.
 //!
 //! [`loadgen`] is the matching load generator (`repro loadgen`),
 //! emitting a `ccnuma-loadgen/1` report with achieved RPS, shed and

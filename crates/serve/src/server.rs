@@ -6,9 +6,9 @@
 //! typed 503 with `Retry-After` and closes — workers never see the
 //! connection, so a flood cannot wedge the pool. The *work gates* are
 //! per-request budgets: body size (413), sweep cell budget (413),
-//! concurrent-sweep cap (429), the resident-trace byte budget (503),
-//! and the PR 8 watchdog deadlines (soft = warn + count, hard = typed
-//! 503 with the result discarded, never cached).
+//! concurrent-sweep cap (429) and the resident-trace byte budget (503).
+//! Host time is only measured (the latency histograms); it never
+//! changes a response.
 //!
 //! `POST /v1/eval` answers one cell from the in-memory memo, then the
 //! on-disk result cache, then an `eval_cell` replay of the resident
@@ -382,7 +382,7 @@ fn dispatch(state: &Arc<ServeState>, req: &Request, w: &mut impl Write) -> io::R
         }
         ("POST", "/v1/eval") => {
             state.count("req_eval", 1);
-            let out = handle_eval(state, req, w, t0);
+            let out = handle_eval(state, req, w);
             state.observe("eval_latency_us", t0.elapsed().as_micros() as u64);
             out
         }
@@ -617,12 +617,7 @@ fn load_error_response(state: &ServeState, w: &mut impl Write, e: LoadError) -> 
     respond_bad(state, w, bad)
 }
 
-fn handle_eval(
-    state: &ServeState,
-    req: &Request,
-    w: &mut impl Write,
-    t0: Instant,
-) -> io::Result<()> {
+fn handle_eval(state: &ServeState, req: &Request, w: &mut impl Write) -> io::Result<()> {
     let params = match parse_eval(state, &req.body) {
         Ok(p) => p,
         Err(e) => return respond_bad(state, w, e),
@@ -640,35 +635,6 @@ fn handle_eval(
         },
         1,
     );
-
-    if let Some(soft) = state.cfg.soft_deadline {
-        if t0.elapsed() > soft {
-            state.count("watchdog_soft", 1);
-            eprintln!(
-                "serve: watchdog: eval of {} exceeded soft deadline ({:.2}s > {:.2}s)",
-                params.cell.memo_key(),
-                t0.elapsed().as_secs_f64(),
-                soft.as_secs_f64()
-            );
-        }
-    }
-    if let Some(hard) = state.cfg.hard_deadline {
-        if t0.elapsed() > hard {
-            state.count("watchdog_hard", 1);
-            return respond_error(
-                state,
-                w,
-                503,
-                "watchdog_deadline",
-                &format!(
-                    "eval exceeded hard deadline ({:.2}s > {:.2}s); result discarded",
-                    t0.elapsed().as_secs_f64(),
-                    hard.as_secs_f64()
-                ),
-                &[("Retry-After", "1".to_string())],
-            );
-        }
-    }
 
     let mut j = JsonWriter::new();
     j.begin_obj();
@@ -847,14 +813,12 @@ fn run_sweep_job(
     let store = SweepStore {
         results: Some(&state.results),
         trace_slug: slug,
-        soft_deadline: state.cfg.soft_deadline,
         progress: &progress,
     };
     let other_time = ccnuma_types::Ns(meta.other_time_ns);
     let outcome = match run_sweep_cached(spec, meta.nodes, other_time, 1, open, &store) {
         Ok(run) => {
             state.count("results_damaged", run.damaged as u64);
-            state.count("watchdog_soft", run.slow_passes as u64);
             state.count("sweep_passes", run.passes as u64);
             JobState::Done(run.report.to_json(&meta.label))
         }

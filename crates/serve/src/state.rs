@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Daemon configuration (the `repro serve` flags).
 #[derive(Debug, Clone)]
@@ -36,12 +35,6 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Concurrently running sweeps; beyond it, 429.
     pub max_sweeps: usize,
-    /// Soft per-request deadline: exceeding it is counted and warned,
-    /// never fails the request (PR 8 watchdog semantics).
-    pub soft_deadline: Option<Duration>,
-    /// Hard per-request deadline: the result is discarded, not
-    /// cached, and the client gets a typed 503.
-    pub hard_deadline: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -57,8 +50,6 @@ impl Default for ServeConfig {
             max_cells: 4096,
             max_body_bytes: 1 << 20,
             max_sweeps: 4,
-            soft_deadline: None,
-            hard_deadline: None,
         }
     }
 }
@@ -106,7 +97,7 @@ pub enum JobState {
     Running,
     /// Final `ccnuma-sweep/2` document.
     Done(String),
-    /// Typed failure message (store error, watchdog, shutdown).
+    /// Typed failure message (store error, shutdown).
     Failed(String),
 }
 

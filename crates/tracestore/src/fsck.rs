@@ -71,7 +71,9 @@ pub struct FsckReport {
     /// Every entry examined: traces sorted by slug, then result
     /// entries sorted by name.
     pub entries: Vec<FsckEntry>,
-    /// Stale `*.tmp` leftovers of interrupted saves (under `results/`
+    /// Stale `*.tmp` leftovers of interrupted saves and `*.meta.json`
+    /// sidecars left by the v2 format, which kept a trace's label and
+    /// timing beside it instead of in its footer (under `results/`
     /// too). Sorted.
     pub orphans: Vec<String>,
     /// Entries moved to `quarantine/` (empty unless repair was
@@ -159,7 +161,8 @@ fn quarantine<S: Storage>(store: &TraceStore<S>, path: &Path) -> Result<(), Stor
 }
 
 /// Verifies every entry of `store`; with `repair`, moves each damaged
-/// file whole into quarantine and removes stale `*.tmp` leftovers.
+/// file whole into quarantine and removes orphans: stale `*.tmp`
+/// leftovers and v2 `*.meta.json` sidecars.
 ///
 /// Never panics on damaged input: corruption is reported (and with
 /// `repair`, contained), not propagated as a torn replay.
@@ -171,7 +174,8 @@ fn quarantine<S: Storage>(store: &TraceStore<S>, path: &Path) -> Result<(), Stor
 pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckReport, StoreError> {
     let mut report = FsckReport::default();
     for (name, _) in sorted_files(store.dir())? {
-        if name.ends_with(".tmp") {
+        // No v3 reader opens a v2 sidecar: it only takes up space.
+        if name.ends_with(".tmp") || name.ends_with(".meta.json") {
             report.orphans.push(name);
         }
     }
@@ -214,8 +218,9 @@ pub fn fsck<S: Storage>(store: &TraceStore<S>, repair: bool) -> Result<FsckRepor
             quarantine(store, &path)?;
             report.quarantined.push(entry.slug.clone());
         }
-        // Stale temporaries are droppings from an interrupted save;
-        // with repair on they are deleted, not quarantined.
+        // Stale temporaries are droppings from an interrupted save and
+        // sidecars are v2 leftovers; with repair on they are deleted,
+        // not quarantined.
         for orphan in &report.orphans {
             let _ = store.storage().remove_file(&store.dir().join(orphan));
         }
@@ -534,6 +539,25 @@ mod tests {
         assert!(dir.join("b.trace.tmp").is_file(), "dry run deletes nothing");
         fsck(&store, true).unwrap();
         assert!(!dir.join("b.trace.tmp").is_file(), "repair removes tmps");
+        assert!(fsck(&store, false).unwrap().is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v2_sidecars_are_reported_and_cleaned() {
+        let (store, dir) = store_with("sidecar", &[("a", 10)]);
+        fs::write(dir.join("a.meta.json"), b"{\"label\":\"sample\"}").unwrap();
+        let report = fsck(&store, false).unwrap();
+        assert!(!report.is_clean(), "{}", report.render());
+        assert_eq!(report.orphans, vec!["a.meta.json"]);
+        assert!(report.render().contains("orphan    a.meta.json"));
+        assert!(dir.join("a.meta.json").is_file(), "dry run deletes nothing");
+        fsck(&store, true).unwrap();
+        assert!(
+            !dir.join("a.meta.json").is_file(),
+            "repair removes sidecars"
+        );
+        assert!(dir.join("a.trace").is_file(), "the trace itself stays");
         assert!(fsck(&store, false).unwrap().is_clean());
         fs::remove_dir_all(&dir).unwrap();
     }

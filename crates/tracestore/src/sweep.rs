@@ -11,11 +11,11 @@
 //! worker threads, each over its own reopened trace stream: one profile
 //! pass prices every static cell, and each dynamic cell replays in a pass
 //! of its own. [`run_sweep_cached`] adds an optional result store, a
-//! soft deadline, a progress hook and a per-pass host-time profile; it
-//! is the one engine behind [`run_sweep`], `repro sweep` and the serve
-//! daemon's `POST /v1/sweeps`. The result
-//! renders as a deterministic JSON (`ccnuma-sweep/2`) or CSV artifact
-//! whose bytes do not depend on the worker count.
+//! progress hook and a per-pass host-time profile; it is the one engine
+//! behind [`run_sweep`], `repro sweep` and the serve daemon's
+//! `POST /v1/sweeps`. The result renders as a deterministic JSON
+//! (`ccnuma-sweep/2`) or CSV artifact whose bytes do not depend on the
+//! worker count.
 
 use crate::format::StoreError;
 use crate::results::{read_policy_stats, write_policy_stats, ResultCache};
@@ -32,7 +32,6 @@ use core::fmt;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// A policy axis value in a sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -435,11 +434,6 @@ pub struct SweepStore<'a> {
     /// The swept trace's slug: part of every cell's result key, so two
     /// traces never share a cell.
     pub trace_slug: &'a str,
-    /// Per-pass soft deadline: a pass exceeding it gets a stderr
-    /// warning and counts in [`CachedSweep::slow_passes`]. Warnings
-    /// never touch the artifacts, so resumed and fresh sweeps stay
-    /// byte-identical.
-    pub soft_deadline: Option<Duration>,
     /// Called with the grid cells finished so far (each distinct cell
     /// counted with its multiplicity): once after the restore, then after
     /// each pass. Returning `false` stops the sweep before its next pass
@@ -449,12 +443,10 @@ pub struct SweepStore<'a> {
 }
 
 impl SweepStore<'_> {
-    /// No result store, no deadline, no one listening: what [`run_sweep`]
-    /// runs under.
+    /// No result store, no one listening: what [`run_sweep`] runs under.
     const NONE: SweepStore<'static> = SweepStore {
         results: None,
         trace_slug: "",
-        soft_deadline: None,
         progress: &|_| true,
     };
 
@@ -493,8 +485,6 @@ pub struct CachedSweep {
     pub resumed: usize,
     /// Stored cells that were unusable and so evaluated again.
     pub damaged: usize,
-    /// Passes that exceeded the soft deadline.
-    pub slow_passes: usize,
     /// Trace passes made.
     pub passes: usize,
     /// Host time of those passes: one [`Phase::Replay`] span per pass
@@ -563,14 +553,11 @@ where
 /// round-trip every report field exactly, and `unique_replays` keeps
 /// counting distinct cells, not work done this invocation. A damaged
 /// entry and a failed store are stderr warnings: the cell is replayed
-/// (or stays unstored) and the sweep continues. A pass exceeding
-/// `soft_deadline` warns on stderr (artifacts untouched); sweeps have no
-/// hard deadline — a cell is pure replay arithmetic, so unlike a bench
-/// run it cannot wedge on host state, and killing it would forfeit a
-/// resumable result. The store's `progress` hook hears of every finished
-/// pass and can stop the sweep between passes. Each worker thread times
-/// its passes on its own [`SpanProfiler`] (no shared hot-path state);
-/// they merge commutatively into [`CachedSweep::profile`].
+/// (or stays unstored) and the sweep continues. The store's `progress`
+/// hook hears of every finished pass and can stop the sweep between
+/// passes. Each worker thread times its passes on its own
+/// [`SpanProfiler`] (no shared hot-path state); they merge commutatively
+/// into [`CachedSweep::profile`].
 ///
 /// # Errors
 ///
@@ -656,7 +643,6 @@ where
     let outcomes: Vec<Mutex<Option<Result<PassOutput, StoreError>>>> =
         passes.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let slow_passes = AtomicUsize::new(0);
     let merged_prof: Mutex<SpanProfiler> = Mutex::new(SpanProfiler::new());
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(passes.len()) {
@@ -669,22 +655,8 @@ where
                     };
                     let span = local_prof.enter(Phase::Replay);
                     let outcome = open().and_then(|records| pass.run(records));
-                    let wall = span.map(|t| t.elapsed()).unwrap_or_default();
                     local_prof.exit(Phase::Replay, span);
                     if let Ok(out) = &outcome {
-                        if let Some(soft) = store.soft_deadline.filter(|&soft| wall > soft) {
-                            slow_passes.fetch_add(1, Ordering::Relaxed);
-                            let what = match &out.reports[..] {
-                                [(i, _)] => format!("cell {}", job_cells[missing[*i]].memo_key()),
-                                of => format!("profile pass for {} static cell(s)", of.len()),
-                            };
-                            eprintln!(
-                                "warning: watchdog: sweep {what} exceeded soft deadline \
-                                 ({:.2}s > {:.2}s)",
-                                wall.as_secs_f64(),
-                                soft.as_secs_f64()
-                            );
-                        }
                         if let Some(results) = store.results {
                             for (i, report) in &out.reports {
                                 let cell = &job_cells[missing[*i]];
@@ -753,7 +725,6 @@ where
         },
         resumed,
         damaged,
-        slow_passes: slow_passes.into_inner(),
         passes,
         profile: merged_prof.into_inner().unwrap_or_else(|e| e.into_inner()),
     })
@@ -987,7 +958,6 @@ mod tests {
         let store = SweepStore {
             results: Some(&results),
             trace_slug: "t",
-            soft_deadline: None,
             progress: &|_| true,
         };
         let CachedSweep {
@@ -1075,7 +1045,6 @@ mod tests {
             let store = SweepStore {
                 results: Some(&results),
                 trace_slug: slug,
-                soft_deadline: None,
                 progress: &|_| true,
             };
             let run =
@@ -1122,7 +1091,6 @@ mod tests {
         let store = SweepStore {
             results: Some(&results),
             trace_slug: "t",
-            soft_deadline: None,
             progress: &|_| true,
         };
         let opens = AtomicUsize::new(0);
@@ -1248,7 +1216,6 @@ mod tests {
             let store = SweepStore {
                 results: Some(&results),
                 trace_slug: "t",
-                soft_deadline: None,
                 progress: &progress,
             };
             let run = run_sweep_cached(&spec, 8, Ns(777), 1, || Ok(open_mem(&recs)), &store);

@@ -52,8 +52,6 @@ fn each_subcommand_accepts_exactly_its_flags() {
                 "--faults",
                 "--chaos-seed",
                 "--resume",
-                "--soft-deadline",
-                "--hard-deadline",
                 "-v|--verbose",
                 "-q|--quiet",
                 "--list",
@@ -85,7 +83,6 @@ fn each_subcommand_accepts_exactly_its_flags() {
                 "--csv",
                 "--profile",
                 "--resume",
-                "--soft-deadline",
                 "--policies",
                 "--triggers",
                 "--samples",
@@ -107,8 +104,6 @@ fn each_subcommand_accepts_exactly_its_flags() {
                 "--max-cells",
                 "--max-body-bytes",
                 "--max-sweeps",
-                "--soft-deadline",
-                "--hard-deadline",
             ],
         ),
         (
@@ -146,10 +141,6 @@ fn experiments_usage_errors() {
         err("table1 --faults meteor"),
         CliError::BadValue("--faults", _, _)
     ));
-    assert!(matches!(
-        err("table1 --soft-deadline -1"),
-        CliError::BadValue("--soft-deadline", _, _)
-    ));
     assert_eq!(rule("table1 --profile"), "--profile requires --obs-dir");
     assert_eq!(
         err("--scale quick"),
@@ -157,12 +148,27 @@ fn experiments_usage_errors() {
     );
 }
 
+/// Host time never decides an outcome, so no subcommand takes a
+/// deadline: the flags the experiments, `sweep` and `serve` once took
+/// are unknown everywhere.
+#[test]
+fn no_subcommand_takes_a_deadline() {
+    for sub in ["table1", "sweep --workload raytrace", "serve"] {
+        for flag in ["--soft-deadline", "--hard-deadline"] {
+            assert_eq!(
+                err(&format!("{sub} {flag} 1")),
+                CliError::UnknownFlag(flag.into()),
+                "{sub}"
+            );
+        }
+    }
+}
+
 #[test]
 fn experiments_full_line() {
     let line = "fig3 figure3 all --scale quick --jobs 3 --shards 2 --window-us 10 \
                 --topology two-socket --obs-dir o --profile --trace-dir t \
-                --faults pressure-storm --chaos-seed 7 --resume r \
-                --soft-deadline 1.5 --hard-deadline 3 -q";
+                --faults pressure-storm --chaos-seed 7 --resume r -q";
     let Command::Experiments(names, o) = parsed(line) else {
         panic!("{line}");
     };
@@ -182,8 +188,6 @@ fn experiments_full_line() {
     assert_eq!(o.fault_spec(), Some(faults));
     assert_eq!((o.obs_dir, o.profile), (path("o"), true));
     assert_eq!((o.trace_dir, o.resume), (path("t"), path("r")));
-    assert_eq!(o.soft_deadline, Some(Duration::from_millis(1500)));
-    assert_eq!(o.hard_deadline, Some(Duration::from_secs(3)));
     assert_eq!(o.verbosity, Some(Verbosity::Quiet));
     assert!(matches!(parsed("--list --profile"), Command::List));
     assert!(matches!(parsed("--list-faults"), Command::ListFaults));
@@ -274,8 +278,8 @@ fn trace_full_lines() {
 #[test]
 fn sweep_usage_errors() {
     assert_eq!(
-        err("sweep --workload raytrace --hard-deadline 5"),
-        CliError::UnknownFlag("--hard-deadline".into())
+        err("sweep --workload raytrace --obs-dir o"),
+        CliError::UnknownFlag("--obs-dir".into())
     );
     assert!(matches!(
         err("sweep --workload"),
@@ -295,15 +299,8 @@ fn sweep_usage_errors() {
     let one_of = "exactly one of --workload or --trace is required";
     assert_eq!(rule("sweep --scale quick"), one_of);
     assert_eq!(rule("sweep --workload raytrace --trace s"), one_of);
-    // One sweep engine serves every flag mix: a soft deadline needs no
-    // result store, and a profile can cover a resumed sweep.
-    let Command::Sweep(o) = parsed("sweep --trace s --soft-deadline 5") else {
-        panic!("--soft-deadline without --resume");
-    };
-    assert_eq!(
-        (o.trace.as_deref(), o.soft_deadline, o.resume),
-        (Some("s"), Some(Duration::from_secs(5)), None)
-    );
+    // One sweep engine serves every flag mix: a profile can cover a
+    // resumed sweep.
     let Command::Sweep(o) = parsed("sweep --trace s --profile p --resume r") else {
         panic!("--profile with --resume");
     };
@@ -320,7 +317,7 @@ fn sweep_usage_errors() {
 #[test]
 fn sweep_full_line() {
     let line = "sweep --workload raytrace --scale quick --trace-dir t --jobs 2 --shards 4 \
-                --window-us 50 --out s.json --csv s.csv --resume r --soft-deadline 2 \
+                --window-us 50 --out s.json --csv s.csv --resume r \
                 --policies RR,Mig/Rep --triggers 64,256 --samples 1 --latencies 300,1200 \
                 --move-costs 50 --topologies flat,cxl-tiered";
     let Command::Sweep(o) = parsed(line) else {
@@ -336,7 +333,6 @@ fn sweep_full_line() {
         (o.out, o.csv, o.resume),
         (path("s.json"), path("s.csv"), path("r"))
     );
-    assert_eq!(o.soft_deadline, Some(Duration::from_secs(2)));
     let spec = &o.spec;
     assert_eq!(
         spec.policies,
@@ -382,7 +378,7 @@ fn serve_usage_errors_and_full_line() {
     assert_eq!(err("serve now"), CliError::Unexpected("now".into()));
     let line = "serve --addr 127.0.0.1:0 --trace-dir t --workers 3 --queue-depth 9 \
                 --prewarm a,b --prewarm c --trace-budget-bytes 1000 --max-cells 10 \
-                --max-body-bytes 2048 --max-sweeps 2 --soft-deadline 1 --hard-deadline 2";
+                --max-body-bytes 2048 --max-sweeps 2";
     let Command::Serve(cfg) = parsed(line) else {
         panic!("{line}");
     };
@@ -393,8 +389,6 @@ fn serve_usage_errors_and_full_line() {
     assert_eq!(cfg.prewarm, ["a", "b", "c"]);
     assert_eq!((cfg.trace_budget_bytes, cfg.max_cells), (1000, 10));
     assert_eq!((cfg.max_body_bytes, cfg.max_sweeps), (2048, 2));
-    assert_eq!(cfg.soft_deadline, Some(Duration::from_secs(1)));
-    assert_eq!(cfg.hard_deadline, Some(Duration::from_secs(2)));
     let Command::Serve(cfg) = parsed("serve --results-dir r") else {
         panic!("--results-dir");
     };

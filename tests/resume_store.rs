@@ -35,7 +35,6 @@ fn cached(
     let store = SweepStore {
         results: Some(results),
         trace_slug: slug,
-        soft_deadline: None,
         progress: &|_| true,
     };
     let run = run_sweep_cached(
