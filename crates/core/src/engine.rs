@@ -277,7 +277,9 @@ impl PolicyEngine {
     ) -> PolicyAction {
         self.stats.misses_observed += 1;
         self.pages.track(slot, self.params.counter_cap);
-        self.pages.roll_epoch(slot, self.params.epoch_of(miss.now));
+        // One reset-interval index per miss, shared by every check below.
+        let epoch = self.params.epoch_of(miss.now);
+        self.pages.roll_epoch(slot, epoch);
 
         // The pfault path: a store to a replicated page always collapses,
         // independent of heat (Section 4). With freeze/defrost enabled,
@@ -285,7 +287,6 @@ impl PolicyEngine {
         if miss.is_write && loc.is_replicated() {
             self.pages.record_miss(slot, miss.proc, true);
             if self.params.freeze_intervals > 0 {
-                let epoch = self.params.epoch_of(miss.now);
                 self.pages
                     .freeze_until(slot, epoch + 1 + self.params.freeze_intervals as u64);
             }
@@ -317,7 +318,7 @@ impl PolicyEngine {
             .pages
             .shared_beyond(slot, miss.proc, self.params.sharing_threshold);
         if shared {
-            if self.pages.is_frozen(slot, self.params.epoch_of(miss.now)) {
+            if self.pages.is_frozen(slot, epoch) {
                 return Self::no_action(&mut self.stats, NoActionReason::Frozen);
             }
             Self::decide_shared(

@@ -24,6 +24,8 @@
 //! [`ResultCache`](ccnuma_tracestore::ResultCache) entry written with
 //! `atomic_write`, so a repeated query is O(lookup) even across daemon
 //! restarts and a warm daemon answers without touching the simulator.
+//! Each trace's footer meta is read once into the daemon's trace
+//! catalogue, so a warm answer on a known slug makes no system call.
 //! Each entry carries its key and a payload checksum; a damaged entry
 //! is counted (`results_damaged`) and replayed, never served.
 //! Under load it degrades instead of falling over: a bounded

@@ -156,15 +156,17 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let state =
         Arc::new(ServeState::new(cfg).map_err(|e| io::Error::other(format!("store: {e}")))?);
     for name in state.cfg.prewarm.clone() {
-        match state.resolve_slug(&name) {
-            Some(slug) => match state.resident(&slug) {
+        match state.resolve(&name) {
+            Ok(Some((slug, _))) => match state.resident(&slug) {
                 Ok(t) => eprintln!(
                     "serve: pre-warmed {slug} ({} records, {} bytes resident)",
-                    t.meta.records, t.bytes
+                    t.records().len(),
+                    t.bytes
                 ),
                 Err(e) => eprintln!("serve: pre-warm {slug} failed: {e:?}"),
             },
-            None => eprintln!("serve: pre-warm: no trace named {name:?} in the store"),
+            Ok(None) => eprintln!("serve: pre-warm: no trace named {name:?} in the store"),
+            Err(e) => eprintln!("serve: pre-warm {name} failed: {e}"),
         }
     }
 
@@ -434,8 +436,8 @@ fn respond_bad(state: &ServeState, w: &mut impl Write, (status, code, msg): Bad)
 }
 
 /// Reads a JSON body that names a stored trace: the document, the
-/// trace's slug and the meta from its footer.
-fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, TraceMeta), Bad> {
+/// trace's slug and the meta from its footer (from the catalogue).
+fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, Arc<TraceMeta>), Bad> {
     let text =
         std::str::from_utf8(body).map_err(|_| bad("bad_json", "body is not UTF-8".into()))?;
     let v =
@@ -444,16 +446,15 @@ fn parse_body(state: &ServeState, body: &[u8]) -> Result<(JsonValue, String, Tra
         .get("trace")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| bad("missing_trace", "field \"trace\" is required".into()))?;
-    let slug = state.resolve_slug(trace).ok_or((
-        404,
-        "unknown_trace",
-        format!("no trace named {trace:?} in the store"),
-    ))?;
-    let meta = state.store.meta(&slug).map_err(|e| {
-        let msg = format!("stored trace unreadable: {e}");
-        (500, "store_error", msg)
-    })?;
-    Ok((v, slug, meta))
+    match state.resolve(trace) {
+        Ok(Some((slug, meta))) => Ok((v, slug, meta)),
+        Ok(None) => Err((
+            404,
+            "unknown_trace",
+            format!("no trace named {trace:?} in the store"),
+        )),
+        Err(e) => Err((500, "store_error", format!("stored trace unreadable: {e}"))),
+    }
 }
 
 /// One body field: `default` when absent, else what `read` makes of
@@ -487,6 +488,11 @@ fn u32_of(x: &JsonValue) -> Option<u32> {
     x.as_u64().and_then(|n| u32::try_from(n).ok())
 }
 
+/// A sample rate: a `u32` of at least 1.
+fn rate_of(x: &JsonValue) -> Option<u32> {
+    u32_of(x).filter(|&n| n > 0)
+}
+
 fn policy_of(x: &JsonValue) -> Option<SweepPolicy> {
     x.as_str().and_then(SweepPolicy::parse)
 }
@@ -504,7 +510,7 @@ fn filter_of(v: &JsonValue) -> Result<TraceFilter, Bad> {
 /// The parsed coordinates of one eval request.
 struct EvalParams {
     slug: String,
-    meta: TraceMeta,
+    meta: Arc<TraceMeta>,
     cell: CellParams,
     filter: TraceFilter,
 }
@@ -528,7 +534,7 @@ fn parse_eval(state: &ServeState, body: &[u8]) -> Result<EvalParams, Bad> {
     let cell = CellParams {
         policy,
         trigger: count("trigger", 128)?,
-        sample: count("sample_rate", 1)?.max(1),
+        sample: field(&v, "sample_rate", "bad_field", 1, rate_of)?,
         remote_ns: num("remote_latency_ns", 1200)?,
         move_us: num("move_cost_us", 350)?,
         topology,
@@ -673,15 +679,16 @@ fn handle_eval(state: &ServeState, req: &Request, w: &mut impl Write) -> io::Res
     )
 }
 
-fn parse_sweep(state: &ServeState, body: &[u8]) -> Result<(String, TraceMeta, SweepSpec), Bad> {
+fn parse_sweep(
+    state: &ServeState,
+    body: &[u8],
+) -> Result<(String, Arc<TraceMeta>, SweepSpec), Bad> {
     let (v, slug, meta) = parse_body(state, body)?;
     let grid = SweepSpec::default_grid();
     let spec = SweepSpec {
         policies: axis(&v, "policies", grid.policies, policy_of)?,
         triggers: axis(&v, "triggers", grid.triggers, u32_of)?,
-        sample_rates: axis(&v, "sample_rates", grid.sample_rates, |x| {
-            u32_of(x).filter(|&n| n > 0)
-        })?,
+        sample_rates: axis(&v, "sample_rates", grid.sample_rates, rate_of)?,
         remote_latencies_ns: axis(
             &v,
             "remote_latencies_ns",

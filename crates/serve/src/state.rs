@@ -1,6 +1,6 @@
 //! Shared daemon state: configuration, the trace store and result
-//! cache, the resident-trace byte budget, server metrics, and the
-//! sweep-job registry.
+//! cache, the trace catalogue (footer metas plus resident records under
+//! a byte budget), server metrics, and the sweep-job registry.
 
 use ccnuma_obs::Metrics;
 use ccnuma_polsim::TraceFilter;
@@ -9,7 +9,7 @@ use ccnuma_tracestore::{ResultCache, StoreError, TraceMeta, TraceStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Daemon configuration (the `repro serve` flags).
 #[derive(Debug, Clone)]
@@ -54,12 +54,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// A trace held resident in memory, shared across requests.
+/// A trace held resident in memory, shared across requests. Its meta
+/// lives in the trace catalogue, not here.
 pub struct ResidentTrace {
     /// Decoded records.
     pub trace: Trace,
-    /// The meta from the trace's footer.
-    pub meta: TraceMeta,
     /// In-memory footprint charged against the byte budget.
     pub bytes: u64,
 }
@@ -71,12 +70,66 @@ impl ResidentTrace {
     }
 }
 
-/// The resident-trace cache: slug → trace, LRU-evicted to stay under
-/// the byte budget.
+/// The trace catalogue: slug → footer meta, read once and kept for the
+/// daemon's lifetime, plus the decoded records while resident. LRU
+/// eviction to stay under the byte budget drops records, never a meta.
 struct TraceCache {
-    map: HashMap<String, (Arc<ResidentTrace>, u64)>,
+    map: HashMap<String, CatalogueEntry>,
+    /// Bytes of the resident records.
     bytes: u64,
     tick: u64,
+}
+
+struct CatalogueEntry {
+    meta: Arc<TraceMeta>,
+    /// The records while resident, with the tick of their last use.
+    resident: Option<(Arc<ResidentTrace>, u64)>,
+}
+
+impl TraceCache {
+    /// The resident records of `slug`, marked as just used.
+    fn touch(&mut self, slug: &str) -> Option<Arc<ResidentTrace>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let (t, used) = self.map.get_mut(slug)?.resident.as_mut()?;
+        *used = tick;
+        Some(Arc::clone(t))
+    }
+
+    /// Makes `trace` the records of `slug`'s entry, unless another
+    /// worker raced its own there, first evicting the least-recently-used
+    /// idle records (idle = no request holds an Arc to them) until it
+    /// fits the byte budget.
+    fn admit(
+        &mut self,
+        slug: &str,
+        meta: Arc<TraceMeta>,
+        trace: ResidentTrace,
+        budget: u64,
+    ) -> Result<Arc<ResidentTrace>, LoadError> {
+        if let Some(t) = self.touch(slug) {
+            return Ok(t);
+        }
+        while self.bytes + trace.bytes > budget {
+            let victim = self
+                .map
+                .values_mut()
+                .filter(|e| matches!(&e.resident, Some((t, _)) if Arc::strong_count(t) == 1))
+                .min_by_key(|e| e.resident.as_ref().map(|(_, used)| *used));
+            match victim.and_then(|e| e.resident.take()) {
+                Some((t, _)) => self.bytes -= t.bytes,
+                None => return Err(LoadError::OverBudget),
+            }
+        }
+        self.bytes += trace.bytes;
+        let t = Arc::new(trace);
+        let entry = self.map.entry(slug.to_string()).or_insert(CatalogueEntry {
+            meta,
+            resident: None,
+        });
+        entry.resident = Some((Arc::clone(&t), self.tick));
+        Ok(t)
+    }
 }
 
 /// Why a trace could not be made resident.
@@ -137,8 +190,8 @@ pub struct ServeState {
     pub store: TraceStore,
     /// The on-disk result cache.
     pub results: ResultCache,
-    /// In-memory memo in front of the result cache (warm hits never
-    /// touch the filesystem).
+    /// In-memory memo in front of the result cache. With the trace
+    /// catalogue, a warm hit on a known slug makes no system call.
     pub memo: Mutex<HashMap<String, Arc<String>>>,
     /// Server metrics, rendered by `/v1/metrics`.
     pub metrics: Mutex<Metrics>,
@@ -193,83 +246,84 @@ impl ServeState {
             .observe(name, value);
     }
 
-    /// Resolves a slug-or-label to a store slug: an exact slug match
-    /// wins; otherwise the first (slug-sorted) entry whose stored
-    /// label matches.
-    pub fn resolve_slug(&self, name: &str) -> Option<String> {
+    /// Resolves a slug-or-label to a store slug and its footer meta. A
+    /// slug in the catalogue is answered from memory; otherwise an exact
+    /// slug match on disk wins, then the first (slug-sorted) entry whose
+    /// stored label matches. `Ok(None)`: no trace by that name.
+    ///
+    /// # Errors
+    ///
+    /// The footer of a slug present on disk could not be read.
+    pub fn resolve(&self, name: &str) -> Result<Option<(String, Arc<TraceMeta>)>, StoreError> {
+        let known = self.catalogue().map.get(name).map(|e| Arc::clone(&e.meta));
+        if let Some(meta) = known {
+            return Ok(Some((name.to_string(), meta)));
+        }
         if self.store.contains(name) {
-            return Some(name.to_string());
+            return Ok(Some((name.to_string(), self.meta(name)?)));
         }
-        for slug in self.store.list().ok()? {
-            if let Ok(meta) = self.store.meta(&slug) {
-                if meta.label == name {
-                    return Some(slug);
-                }
-            }
+        let Ok(slugs) = self.store.list() else {
+            return Ok(None);
+        };
+        Ok(slugs.into_iter().find_map(|slug| match self.meta(&slug) {
+            Ok(meta) if meta.label == name => Some((slug, meta)),
+            _ => None,
+        }))
+    }
+
+    /// The footer meta of `slug` from the catalogue, read from the store
+    /// (and counted in `trace_footer_reads`) only the first time.
+    fn meta(&self, slug: &str) -> Result<Arc<TraceMeta>, StoreError> {
+        let mut cache = self.catalogue();
+        if let Some(e) = cache.map.get(slug) {
+            return Ok(Arc::clone(&e.meta));
         }
-        None
+        // Read under the lock, so each footer is read once per daemon.
+        let meta = Arc::new(self.store.meta(slug)?);
+        let entry = CatalogueEntry {
+            meta: Arc::clone(&meta),
+            resident: None,
+        };
+        cache.map.insert(slug.to_string(), entry);
+        drop(cache);
+        self.count("trace_footer_reads", 1);
+        Ok(meta)
+    }
+
+    fn catalogue(&self) -> MutexGuard<'_, TraceCache> {
+        self.traces.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the resident trace for `slug`, loading it (and evicting
-    /// idle colder traces) if needed.
+    /// idle colder traces' records) if needed.
     ///
     /// # Errors
     ///
     /// [`LoadError`] — unknown entry, over budget, or a store failure.
     pub fn resident(&self, slug: &str) -> Result<Arc<ResidentTrace>, LoadError> {
-        {
-            let mut cache = self.traces.lock().unwrap_or_else(|e| e.into_inner());
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some((t, used)) = cache.map.get_mut(slug) {
-                *used = tick;
-                return Ok(Arc::clone(t));
-            }
-        }
+        // The catalogue names traces, but a replay needs the trace on
+        // disk: one deleted since it was catalogued is not replayed.
         if !self.store.contains(slug) {
             return Err(LoadError::NotFound);
         }
+        let meta = self.meta(slug).map_err(LoadError::Store)?;
+        if let Some(t) = self.catalogue().touch(slug) {
+            return Ok(t);
+        }
         // Load outside the lock: decoding can be slow and must not
         // stall warm requests for other traces.
-        let (trace, meta) = self.store.load(slug).map_err(LoadError::Store)?;
+        let (trace, _) = self.store.load(slug).map_err(LoadError::Store)?;
         let bytes = (trace.len() * std::mem::size_of::<MissRecord>()) as u64;
-        let resident = Arc::new(ResidentTrace { trace, meta, bytes });
-        let mut cache = self.traces.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((t, _)) = cache.map.get(slug) {
-            // Another worker raced us to it; use theirs.
-            return Ok(Arc::clone(t));
-        }
-        while cache.bytes + bytes > self.cfg.trace_budget_bytes {
-            // Evict the least-recently-used idle trace (idle = no
-            // request currently holds an Arc to it).
-            let victim = cache
-                .map
-                .iter()
-                .filter(|(_, (t, _))| Arc::strong_count(t) == 1)
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    if let Some((t, _)) = cache.map.remove(&k) {
-                        cache.bytes -= t.bytes;
-                    }
-                }
-                None => return Err(LoadError::OverBudget),
-            }
-        }
-        cache.bytes += bytes;
-        cache.tick += 1;
-        let tick = cache.tick;
-        cache
-            .map
-            .insert(slug.to_string(), (Arc::clone(&resident), tick));
-        Ok(resident)
+        let trace = ResidentTrace { trace, bytes };
+        self.catalogue()
+            .admit(slug, meta, trace, self.cfg.trace_budget_bytes)
     }
 
     /// Resident-trace footprint: `(traces, bytes)`.
     pub fn resident_footprint(&self) -> (usize, u64) {
-        let cache = self.traces.lock().unwrap_or_else(|e| e.into_inner());
-        (cache.map.len(), cache.bytes)
+        let cache = self.catalogue();
+        let traces = cache.map.values().filter(|e| e.resident.is_some()).count();
+        (traces, cache.bytes)
     }
 
     /// Whether graceful shutdown has been requested.

@@ -33,9 +33,13 @@ fn trace(n: u64) -> Trace {
 
 /// Seeds `dir` with one stored trace and returns its slug.
 fn seed_store(dir: &Path) -> String {
+    seed_trace(dir, "itest [FT]", "itest")
+}
+
+/// Stores the 200-record test trace under `label` and returns its slug.
+fn seed_trace(dir: &Path, label: &str, identity: &str) -> String {
     let store = TraceStore::new(dir).unwrap();
-    let label = "itest [FT]";
-    let slug = TraceStore::slug(label, "itest");
+    let slug = TraceStore::slug(label, identity);
     let meta = TraceMeta {
         label: label.into(),
         records: 200,
@@ -244,6 +248,17 @@ fn malformed_requests_get_typed_4xx_not_a_crash() {
         )
         .unwrap();
     assert_eq!(unknown_trace.status, 404);
+
+    // A zero sample rate is rejected by eval as it is by sweeps.
+    let slug = TraceStore::slug("itest [FT]", "itest");
+    let zero = format!("{{\"trace\":\"{slug}\",\"policy\":\"FT\",\"sample_rate\":0}}");
+    let eval = c.request("POST", "/v1/eval", Some(&zero)).unwrap();
+    assert_eq!(eval.status, 400, "{}", eval.text());
+    assert!(eval.text().contains("\"bad_field\""), "{}", eval.text());
+    let zero = format!("{{\"trace\":\"{slug}\",\"sample_rates\":[0]}}");
+    let sweep = c.request("POST", "/v1/sweeps", Some(&zero)).unwrap();
+    assert_eq!(sweep.status, 400, "{}", sweep.text());
+    assert!(sweep.text().contains("\"bad_field\""), "{}", sweep.text());
     drop(c);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -481,5 +496,130 @@ fn loadgen_probe_does_not_pin_a_worker() {
         .and_then(JsonValue::as_u64)
         .unwrap();
     assert!(max_us < 500_000, "a client stalled {max_us} us: {report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn each_footer_is_read_once_and_warm_evals_touch_no_file() {
+    let dir = test_dir("catalogue");
+    let _ = std::fs::remove_dir_all(&dir);
+    let slug = seed_store(&dir);
+    let mut config = cfg(&dir);
+    config.prewarm = vec![slug.clone()];
+    let handle = start(config).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let first = c
+        .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+        .unwrap();
+    assert_eq!(first.status, 200, "{}", first.text());
+    for _ in 0..5 {
+        let warm = c
+            .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+            .unwrap();
+        assert_eq!(warm.header("x-cache"), Some("hit"));
+        assert_eq!(warm.body, first.body);
+    }
+    assert_eq!(counter(&mut c, "trace_footer_reads"), Some(1));
+
+    // Damage the footer in place: a warm eval still answers from memory,
+    // so it cannot have read the footer.
+    let path = dir.join(format!("{slug}.trace"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let len = bytes.len();
+    for b in &mut bytes[len - 16..] {
+        *b ^= 0xff;
+    }
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .write_all(&bytes)
+        .unwrap();
+    assert!(TraceStore::new(&dir).unwrap().meta(&slug).is_err());
+    let warm = c
+        .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+        .unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.text());
+    assert_eq!(warm.header("x-cache"), Some("hit"));
+    assert_eq!(warm.body, first.body);
+
+    // Once the file is gone, a stored cell is still served, but a cell
+    // that needs a replay is an unknown trace.
+    std::fs::remove_file(&path).unwrap();
+    let stored = c
+        .request("POST", "/v1/eval", Some(&eval_body(&slug)))
+        .unwrap();
+    assert_eq!(stored.header("x-cache"), Some("hit"));
+    assert_eq!(stored.body, first.body);
+    let fresh = format!("{{\"trace\":\"{slug}\",\"policy\":\"RR\"}}");
+    let gone = c.request("POST", "/v1/eval", Some(&fresh)).unwrap();
+    assert_eq!(gone.status, 404, "{}", gone.text());
+    assert!(gone.text().contains("\"unknown_trace\""), "{}", gone.text());
+    assert_eq!(counter(&mut c, "trace_footer_reads"), Some(1));
+    drop(c);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A label lookup scans the store, but reads each footer once.
+    let dir = test_dir("catalogue-labels");
+    let _ = std::fs::remove_dir_all(&dir);
+    let a = seed_trace(&dir, "label-a", "a");
+    let b = seed_trace(&dir, "label-b", "b");
+    let last = if a < b { "label-b" } else { "label-a" };
+    let handle = start(cfg(&dir)).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    for _ in 0..4 {
+        let r = c
+            .request("POST", "/v1/eval", Some(&eval_body(last)))
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert!(r.text().contains(&format!("\"trace_label\":\"{last}\"")));
+    }
+    assert_eq!(counter(&mut c, "trace_footer_reads"), Some(2));
+    drop(c);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn eviction_drops_records_but_keeps_the_meta() {
+    let dir = test_dir("evict");
+    let _ = std::fs::remove_dir_all(&dir);
+    let a = seed_trace(&dir, "label-a", "a");
+    let b = seed_trace(&dir, "label-b", "b");
+    let one = 200 * std::mem::size_of::<MissRecord>() as u64;
+    let mut config = cfg(&dir);
+    config.trace_budget_bytes = one;
+    let handle = start(config).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let cell =
+        |slug: &str, policy: &str| format!("{{\"trace\":\"{slug}\",\"policy\":\"{policy}\"}}");
+    // Each replay needs its trace's records, so each load evicts the
+    // other trace's; its meta stays and is never read again.
+    for (slug, policy) in [(&a, "FT"), (&b, "FT"), (&a, "RR")] {
+        let r = c
+            .request("POST", "/v1/eval", Some(&cell(slug, policy)))
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert_eq!(r.header("x-cache"), Some("miss"));
+        assert_eq!(handle.state().resident_footprint(), (1, one));
+    }
+    assert_eq!(counter(&mut c, "trace_footer_reads"), Some(2));
+    drop(c);
+    handle.shutdown();
+
+    // A trace larger than the whole budget is shed, typed.
+    let mut config = cfg(&dir);
+    config.trace_budget_bytes = one - 1;
+    let handle = start(config).unwrap();
+    let mut c = HttpClient::connect(handle.addr(), TIMEOUT).unwrap();
+    let r = c
+        .request("POST", "/v1/eval", Some(&cell(&a, "PF")))
+        .unwrap();
+    assert_eq!(r.status, 503, "{}", r.text());
+    assert!(r.text().contains("shed_over_capacity"), "{}", r.text());
+    assert_eq!(handle.state().resident_footprint(), (0, 0));
+    drop(c);
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
