@@ -47,6 +47,7 @@ impl PageLocation {
     /// kernel's allocation-free path: the miss handler reads the replica
     /// chain in place instead of materialising the copy list that
     /// [`new`](PageLocation::new) summarises.
+    #[inline]
     pub fn from_parts(
         mapped_node: NodeId,
         accessor_node: NodeId,

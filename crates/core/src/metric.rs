@@ -108,6 +108,7 @@ impl MissMetric {
 
     /// Whether this record should drive the policy. Events of the wrong
     /// source are rejected without advancing the sampler's phase.
+    #[inline]
     pub fn admits(&mut self, record: &MissRecord) -> bool {
         if record.source != self.source {
             return false;

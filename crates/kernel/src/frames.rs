@@ -125,6 +125,7 @@ impl FrameAllocator {
     }
 
     /// Free frames remaining on `node`.
+    #[inline]
     pub fn free_on(&self, node: NodeId) -> u32 {
         self.cfg.frames_per_node - self.used[node.index()]
     }
@@ -141,6 +142,7 @@ impl FrameAllocator {
 
     /// True when `node`'s free memory has fallen below the pressure
     /// threshold.
+    #[inline]
     pub fn pressure(&self, node: NodeId) -> bool {
         (self.free_on(node) as f64) < self.pressure_threshold * self.cfg.frames_per_node as f64
     }

@@ -29,6 +29,7 @@ impl PageEntry {
     }
 
     /// Master plus replicas.
+    #[inline]
     pub fn all_frames(&self) -> impl Iterator<Item = Frame> + '_ {
         std::iter::once(self.master).chain(self.replicas.iter().copied())
     }
@@ -39,6 +40,7 @@ impl PageEntry {
     }
 
     /// True when replicas exist (page-table entries are then read-only).
+    #[inline]
     pub fn is_replicated(&self) -> bool {
         !self.replicas.is_empty()
     }

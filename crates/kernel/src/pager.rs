@@ -324,6 +324,7 @@ impl Pager {
     ///
     /// Panics if (`pid`, `page`) is unmapped — call
     /// [`first_touch`](Pager::first_touch) on every reference first.
+    #[inline]
     pub fn location_for(&self, pid: Pid, page: VirtPage, accessor_node: NodeId) -> PageLocation {
         let mapped = self
             .mapping_node(pid, page)
@@ -345,6 +346,7 @@ impl Pager {
     }
 
     /// Whether `node` is under memory pressure (decision node 3a input).
+    #[inline]
     pub fn pressure(&self, node: NodeId) -> bool {
         self.frames.pressure(node)
     }

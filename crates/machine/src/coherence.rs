@@ -1,11 +1,12 @@
 //! Write-invalidate coherence bookkeeping.
 //!
 //! Sharer sets live in page rows: each page that has ever been filled
-//! or written owns one row of `lines_per_page × stride` words in a flat
-//! arena (`stride` = words per sharer set), and a page-indexed slot
-//! array finds the row. Workload page numbers are dense from 0 (see
-//! `WorkloadSpec::page_bound`), so the slot array is as long as the
-//! page space and a lookup is two loads, with no hashing.
+//! or written owns one row of `lines_per_page × stride` bytes in a flat
+//! arena (`stride` = bytes per sharer set, one bit per processor), and
+//! a page-indexed slot array finds the row. Workload page numbers are
+//! dense from 0 (see `WorkloadSpec::page_bound`), so the slot array is
+//! as long as the page space and a lookup is two loads, with no
+//! hashing.
 
 use ccnuma_types::{MachineConfig, ProcId, ProcSet, VirtPage};
 
@@ -21,12 +22,14 @@ const NO_ROW: u32 = u32::MAX;
 /// This table is consulted on every simulated write and every L2 fill,
 /// so it is built for the hot path: a page-indexed slot array gives the
 /// page's row, and the line's sharing vector sits at a fixed offset in
-/// it. A ≤64-processor machine uses one word per line; a 1024-processor
-/// machine uses 16 — and in both cases [`write`](CoherenceDir::write)
-/// fills a caller-owned [`ProcSet`] scratch, so the per-reference path
-/// never allocates once a page has its row. Rows are allocated on a
-/// page's first fill or write, never on a lookup, and are kept for the
-/// run (an evicted line just reads as an empty sharer set).
+/// it. A sharing vector is `ceil(procs / 8)` bytes: one per line on the
+/// paper's 8-processor machine (a 32-byte page row), 128 on a
+/// 1024-processor one — and in both cases [`write`](CoherenceDir::write)
+/// decodes the victims into a caller-owned [`ProcSet`] scratch, eight
+/// bytes per word, so the per-reference path never allocates once a
+/// page has its row. Rows are allocated on a page's first fill or
+/// write, never on a lookup, and are kept for the run (an evicted line
+/// just reads as an empty sharer set).
 ///
 /// # Examples
 ///
@@ -43,23 +46,24 @@ const NO_ROW: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoherenceDir {
-    /// Page → row index into the `words` arena, [`NO_ROW`] when the page
+    /// Page → row index into the `bytes` arena, [`NO_ROW`] when the page
     /// has none. Grows only when a row is allocated.
     row_of: Vec<u32>,
-    /// Sharing vectors: `row_len` words per row, `stride` per line.
-    words: Vec<u64>,
+    /// Sharing vectors: `row_len` bytes per row, `stride` per line;
+    /// processor `p` is bit `p % 8` of byte `p / 8`.
+    bytes: Vec<u8>,
     /// Lines per page.
     lines: u16,
-    /// Words per sharing vector (`ceil(max_procs / 64)`).
+    /// Bytes per sharing vector (`ceil(max_procs / 8)`).
     stride: usize,
-    /// Words per page row (`lines × stride`).
+    /// Bytes per page row (`lines × stride`).
     row_len: usize,
     max_procs: u16,
 }
 
 impl CoherenceDir {
     /// An empty directory for the paper's machine sizes (up to 64
-    /// processors, one word per line — the historical footprint).
+    /// processors, eight bytes per line).
     pub fn new() -> CoherenceDir {
         CoherenceDir::with_procs(64)
     }
@@ -88,7 +92,7 @@ impl CoherenceDir {
         let mut dir = CoherenceDir::sized(cfg.procs(), cfg.lines_per_page());
         let pages = usize::try_from(pages).expect("page bound fits in usize");
         dir.row_of = vec![NO_ROW; pages];
-        dir.words = Vec::with_capacity(pages * dir.row_len);
+        dir.bytes = Vec::with_capacity(pages * dir.row_len);
         dir
     }
 
@@ -99,10 +103,10 @@ impl CoherenceDir {
             ProcSet::MAX_PROCS
         );
         let lines = u16::try_from(lines).expect("lines per page fit in u16");
-        let stride = procs.div_ceil(64) as usize;
+        let stride = procs.div_ceil(8) as usize;
         CoherenceDir {
             row_of: Vec::new(),
-            words: Vec::new(),
+            bytes: Vec::new(),
             lines,
             stride,
             row_len: lines as usize * stride,
@@ -160,9 +164,9 @@ impl CoherenceDir {
         if idx >= self.row_of.len() {
             self.row_of.resize(idx + 1, NO_ROW);
         }
-        let base = self.words.len();
+        let base = self.bytes.len();
         self.row_of[idx] = u32::try_from(base / self.row_len).expect("row count fits in u32");
-        self.words.resize(base + self.row_len, 0);
+        self.bytes.resize(base + self.row_len, 0);
         base
     }
 
@@ -175,7 +179,7 @@ impl CoherenceDir {
     pub fn record_fill(&mut self, proc: ProcId, page: VirtPage, line: u16) {
         self.check(proc, line);
         let base = self.line_base(page, line);
-        self.words[base + proc.index() / 64] |= 1u64 << (proc.index() % 64);
+        self.bytes[base + proc.index() / 8] |= 1 << (proc.index() % 8);
     }
 
     /// Records that `proc` lost (`page`, `line`) to eviction.
@@ -188,7 +192,7 @@ impl CoherenceDir {
         self.check(proc, line);
         if let Some(base) = self.row_base(page) {
             let base = base + line as usize * self.stride;
-            self.words[base + proc.index() / 64] &= !(1u64 << (proc.index() % 64));
+            self.bytes[base + proc.index() / 8] &= !(1 << (proc.index() % 8));
         }
     }
 
@@ -209,14 +213,16 @@ impl CoherenceDir {
         let dst = victims.words_mut();
         assert_eq!(
             dst.len(),
-            stride,
+            stride.div_ceil(8),
             "victim set sized for a different machine"
         );
-        dst.copy_from_slice(&self.words[base..base + stride]);
-        let (w, b) = (proc.index() / 64, proc.index() % 64);
-        dst[w] &= !(1u64 << b);
-        self.words[base..base + stride].fill(0);
-        self.words[base + w] = 1u64 << b;
+        let set = &mut self.bytes[base..base + stride];
+        for (word, chunk) in dst.iter_mut().zip(set.chunks(8)) {
+            *word = chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        }
+        dst[proc.index() / 64] &= !(1 << (proc.index() % 64));
+        set.fill(0);
+        set[proc.index() / 8] = 1 << (proc.index() % 8);
     }
 
     /// Holders of (`page`, `line`), lowest processor first. Diagnostic
@@ -227,11 +233,11 @@ impl CoherenceDir {
         };
         let base = base + line as usize * self.stride;
         let mut out = Vec::new();
-        for (wi, &word) in self.words[base..base + self.stride].iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                out.push(ProcId((wi * 64 + w.trailing_zeros() as usize) as u16));
-                w &= w - 1;
+        for (bi, &byte) in self.bytes[base..base + self.stride].iter().enumerate() {
+            let mut b = byte;
+            while b != 0 {
+                out.push(ProcId((bi * 8 + b.trailing_zeros() as usize) as u16));
+                b &= b - 1;
             }
         }
         out
@@ -240,15 +246,15 @@ impl CoherenceDir {
     /// Number of lines with at least one holder. Scans every row, so
     /// keep it off the per-reference path.
     pub fn len(&self) -> usize {
-        self.words
+        self.bytes
             .chunks_exact(self.stride)
-            .filter(|set| set.iter().any(|&w| w != 0))
+            .filter(|set| set.iter().any(|&b| b != 0))
             .count()
     }
 
     /// True when no line has a holder.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.bytes.iter().all(|&b| b == 0)
     }
 }
 
@@ -335,6 +341,30 @@ mod tests {
         let v = write_victims(&mut d, ProcId(127), VirtPage(1), 0);
         assert_eq!(v, vec![ProcId(1), ProcId(64)]);
         assert_eq!(d.holders_of(VirtPage(1), 0), vec![ProcId(127)]);
+    }
+
+    /// Victims decode from bytes into words at every byte and word edge,
+    /// including a last word only partly backed by bytes (100
+    /// processors: 13 bytes, 2 words).
+    #[test]
+    fn victims_decode_across_byte_and_word_edges() {
+        for procs in [8, 100, 1024] {
+            let mut d = CoherenceDir::with_procs(procs);
+            let holders: Vec<ProcId> = [0, 7, 8, 63, 64, 99, 512, 1023]
+                .into_iter()
+                .filter(|&p| p < procs)
+                .map(ProcId)
+                .collect();
+            for &p in &holders {
+                d.record_fill(p, VirtPage(3), 31);
+            }
+            assert_eq!(d.holders_of(VirtPage(3), 31), holders, "{procs}");
+            let writer = holders[1];
+            let mut want = holders.clone();
+            want.retain(|&p| p != writer);
+            assert_eq!(write_victims(&mut d, writer, VirtPage(3), 31), want);
+            assert_eq!(d.holders_of(VirtPage(3), 31), vec![writer]);
+        }
     }
 
     #[test]

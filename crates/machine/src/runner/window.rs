@@ -10,22 +10,25 @@
 //! CPU's core (TLB, L2, clock, reference stream and RNG) out of `Sim`
 //! by `chunks_mut`, reads the pager and topology immutably, and queues
 //! everything else — first touches, coherence writes and fills,
-//! policy-driving miss events — as [`Ev`] values stamped
-//! `(time, cpu, seq)`. Each lane's events, and the carry pool
-//! of events held back from earlier windows, are already sorted by
-//! that key, so the merge never sorts: it replays a k-way merge of
-//! those runs on the coordinating thread, straight out of the lanes'
-//! buffers. The result depends only on the *window size*, never on how
-//! lanes are grouped onto host threads. `--shards 1` and `--shards 8`
-//! are the same computation with different thread placement; reports
-//! are byte-identical by construction.
+//! policy-driving miss events — as [`Ev`] values stamped with one
+//! `u64` key, `time << 17 | cpu << 1 | 1` (see [`WinEv`]). Each lane's
+//! events, and the carry pool of events held back from earlier
+//! windows, are already in key order, so the merge never sorts: it
+//! replays a k-way merge of those runs on the coordinating thread,
+//! straight out of the lanes' buffers. The canonical order is
+//! `(time, cpu)`, then the carry before a lane (the carry's events
+//! were emitted in earlier windows: moving an event to the carry clears
+//! its low bit), then emission order within a run. The result depends
+//! only on the *window size*, never on how lanes are grouped onto host
+//! threads. `--shards 1` and `--shards 8` are the same computation with
+//! different thread placement; reports are byte-identical by
+//! construction.
 //!
 //! A lane runs the one per-reference step (`memory::step`) with itself
 //! as the buffering sink: every effect on shared state becomes an event
 //! in the lane's ordered run. A TLB refill reaches the sink only when
 //! its replay can do something (see `StepEnv::tlb_events`); eliding it
-//! is exact, since `seq` only breaks ties within one CPU and stays
-//! monotone.
+//! is exact, since it leaves the other events' order unchanged.
 //!
 //! Directory-controller contention (§7.1.2) is charged entirely at the
 //! merge: lanes charge the uncontended miss latency, and the canonical
@@ -58,38 +61,73 @@ use std::convert::Infallible;
 /// boundary.
 pub(super) const WINDOW: Ns = Ns(100_000);
 
+/// Bits of [`WinEv::k`] below the time.
+const TIME_SHIFT: u32 = 17;
+
+/// The low bit of [`WinEv::k`]: set on a lane's events, cleared on the
+/// carry's.
+const LANE: u64 = 1;
+
 /// An [`Ev`] with its canonical merge key.
 #[derive(Clone, Copy)]
 pub(super) struct WinEv {
-    /// Lane clock when the event was emitted.
-    pub time: Ns,
-    /// Emitting CPU.
-    pub cpu: u16,
-    /// Per-CPU sequence number, never reset: `(time, cpu, seq)` is a
-    /// strict total order over all events of a run.
-    pub seq: u64,
+    /// `time << 17 | cpu << 1 | LANE`: the lane clock when the event
+    /// was emitted (below `2^47` ns), the emitting CPU, and [`LANE`]
+    /// while the event is in its lane's run. Equal keys occur only
+    /// within one run, whose order is emission order, so the merge
+    /// needs no tie-breaker. No key is `u64::MAX`, the merge's mark for
+    /// an exhausted run: CPU numbers stay below
+    /// [`ProcSet::MAX_PROCS`](ccnuma_types::ProcSet::MAX_PROCS).
+    k: u64,
     /// The deferred interaction.
-    pub ev: Ev,
+    ev: Ev,
 }
 
-/// Exclusive bound on a per-CPU `seq`: it must fit in the low 48 bits
-/// of [`WinEv::key`] and never be all ones, so no key is `u128::MAX`,
-/// the merge's mark for an exhausted run.
-const SEQ_END: u64 = (1 << 48) - 1;
-
 impl WinEv {
-    /// The canonical `(time, cpu, seq)` key packed into one integer, so
-    /// the merge compares one number instead of a tuple.
+    /// A lane's event, emitted at `time` by `cpu`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is `2^47` ns (about 39 hours) or later.
     #[inline]
-    fn key(&self) -> u128 {
-        (u128::from(self.time.0) << 64) | (u128::from(self.cpu) << 48) | u128::from(self.seq)
+    fn lane(time: Ns, cpu: u16, ev: Ev) -> WinEv {
+        assert!(
+            time.0 >> (64 - TIME_SHIFT) == 0,
+            "event time {} ns is beyond the merge key's range",
+            time.0
+        );
+        WinEv {
+            k: time.0 << TIME_SHIFT | u64::from(cpu) << 1 | LANE,
+            ev,
+        }
+    }
+
+    /// The event as the carry holds it: it sorts before every lane
+    /// event with its `(time, cpu)`.
+    #[inline]
+    fn carried(self) -> WinEv {
+        WinEv {
+            k: self.k & !LANE,
+            ..self
+        }
+    }
+
+    /// Lane clock when the event was emitted.
+    #[inline]
+    fn time(&self) -> Ns {
+        Ns(self.k >> TIME_SHIFT)
+    }
+
+    /// Emitting CPU.
+    #[inline]
+    fn cpu(&self) -> usize {
+        (self.k >> 1) as usize & 0xffff
     }
 }
 
-/// Feeds every event of `runs` to `f` in canonical `(time, cpu, seq)`
-/// order, stopping at the first error. Each run must already be sorted
-/// by that key; keys are unique across runs because `seq` is per CPU
-/// and never reset.
+/// Feeds every event of `runs` to `f` in key order, stopping at the
+/// first error. Each run must already be in key order, and equal keys
+/// must not span two runs.
 ///
 /// A k-way merge over a loser tree: each internal node holds the head
 /// that lost the match there, so taking the next event replays only
@@ -105,15 +143,15 @@ fn merge_runs<E>(
     if left == 0 {
         return Ok(());
     }
-    let head = |run: &[WinEv]| run.first().map_or(u128::MAX, WinEv::key);
+    let head = |run: &[WinEv]| run.first().map_or(u64::MAX, |e| e.k);
     // Leaves are padded to a power of two with exhausted runs; each
     // node is `(key, run)`. Build bottom-up: `win` holds each
     // subtree's winner, `losers` what it beat.
     let leaves = runs.len().next_power_of_two();
-    let mut win = vec![(u128::MAX, 0); 2 * leaves];
-    let mut losers = vec![(u128::MAX, 0); leaves];
+    let mut win = vec![(u64::MAX, 0); 2 * leaves];
+    let mut losers = vec![(u64::MAX, 0); leaves];
     for (i, slot) in win[leaves..].iter_mut().enumerate() {
-        *slot = (runs.get(i).map_or(u128::MAX, |r| head(r)), i);
+        *slot = (runs.get(i).map_or(u64::MAX, |r| head(r)), i);
     }
     for n in (1..leaves).rev() {
         let (a, b) = (win[2 * n], win[2 * n + 1]);
@@ -141,11 +179,12 @@ fn merge_runs<E>(
 }
 
 /// One window's merge over the carry and the lanes' event runs, each
-/// sorted by key: feeds every event stamped before `end` to `f` in
-/// canonical order, and appends the rest, in the same order, to
-/// `later`. Those belong to a later merge: every lane clock is >= `end`
-/// once its window ran, so the next window's events can only be later
-/// and global order holds.
+/// in key order: feeds every event stamped before `end` to `f` in
+/// canonical order, and appends the rest, in the same order and
+/// [`carried`](WinEv::carried), to `later`. Those belong to a later
+/// merge: every lane clock is >= `end` once its window ran, so the next
+/// window's events can only be later or, at an equal `(time, cpu)`,
+/// follow the carry, and global order holds.
 fn merge_window<'e, E>(
     runs: impl IntoIterator<Item = &'e Vec<WinEv>>,
     end: Ns,
@@ -154,10 +193,10 @@ fn merge_window<'e, E>(
 ) -> Result<(), E> {
     let (mut now, mut tails): (Vec<&[WinEv]>, Vec<&[WinEv]>) = runs
         .into_iter()
-        .map(|run| run.split_at(run.partition_point(|e| e.time < end)))
+        .map(|run| run.split_at(run.partition_point(|e| e.time() < end)))
         .unzip();
     let Ok(()) = merge_runs(&mut tails, |ev| {
-        later.push(*ev);
+        later.push(ev.carried());
         Ok::<(), Infallible>(())
     });
     merge_runs(&mut now, f)
@@ -183,9 +222,6 @@ pub(super) struct LaneBuf {
     touched: FxHashMap<(Pid, VirtPage), NodeId>,
     /// References stepped this window.
     refs: u64,
-    /// Last event sequence number; never reset, so `(cpu, seq)` is
-    /// unique across the whole run and the merge order total.
-    seq: u64,
     events: Vec<WinEv>,
 }
 
@@ -264,18 +300,8 @@ impl Sink for Lane<'_> {
         if let Ev::FirstTouch { pid, page, home } = ev {
             buf.touched.insert((pid, page), home);
         }
-        buf.seq += 1;
-        assert!(
-            buf.seq < SEQ_END,
-            "cpu {} event sequence overflow",
-            self.core.cpu
-        );
-        buf.events.push(WinEv {
-            time: self.core.clock,
-            cpu: self.core.cpu,
-            seq: buf.seq,
-            ev,
-        });
+        buf.events
+            .push(WinEv::lane(self.core.clock, self.core.cpu, ev));
         Ok(())
     }
 }
@@ -353,9 +379,8 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
         self.prof.exit(Phase::Lanes, span);
 
         // Fold lane tallies in CPU order (deterministic sums), then
-        // replay the carry and the lanes' event runs in canonical
-        // (time, cpu, seq) order. Handoff, merge and replay are all
-        // merge time.
+        // replay the carry and the lanes' event runs in canonical key
+        // order. Handoff, merge and replay are all merge time.
         let span = self.prof.enter(Phase::Merge);
         let mut lanes = std::mem::take(&mut self.lanes);
         let mut consumed = 0u64;
@@ -409,7 +434,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
     /// here, before its next window (a one-window deferral, the price
     /// of relaxed synchronization).
     fn replay(&mut self, wev: &WinEv) -> Result<(), SimError> {
-        let cpu = usize::from(wev.cpu);
+        let cpu = wev.cpu();
         let mut ev = wev.ev;
         if let Ev::Miss {
             rec,
@@ -418,7 +443,7 @@ impl<R: Recorder, F: FaultInjector, P: Profiler> Sim<'_, R, F, P> {
             remote,
         } = &mut ev
         {
-            let wait = self.directory.request(wev.time, *home, *remote);
+            let wait = self.directory.request(wev.time(), *home, *remote);
             if wait > Ns::ZERO {
                 let tier = self.topo.tier(self.cores[cpu].node, *home);
                 self.tally
@@ -441,70 +466,136 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    fn ev(time: u64, cpu: u16, seq: u64) -> WinEv {
-        WinEv {
-            time: Ns(time),
-            cpu,
-            seq,
-            ev: Ev::CohFill {
-                page: VirtPage(0),
-                line: 0,
-            },
+    /// Lane ids start here; carry ids stay below.
+    const LANE_IDS: u64 = 1_000;
+
+    /// A lane event tagged with `id` (as its page), so the test can
+    /// follow it through the merge.
+    fn ev(time: u64, cpu: u16, id: u64) -> WinEv {
+        let ev = Ev::CohFill {
+            page: VirtPage(id),
+            line: 0,
+        };
+        WinEv::lane(Ns(time), cpu, ev)
+    }
+
+    fn id(e: &WinEv) -> u64 {
+        match e.ev {
+            Ev::CohFill { page, .. } => page.0,
+            _ => unreachable!("the tests merge only tagged fills"),
         }
     }
 
-    fn keys(evs: &[WinEv]) -> Vec<(Ns, u16, u64)> {
-        evs.iter().map(|e| (e.time, e.cpu, e.seq)).collect()
+    fn ids(evs: &[WinEv]) -> Vec<u64> {
+        evs.iter().map(id).collect()
+    }
+
+    /// Feeds `runs` through one window's merge; returns what it
+    /// replayed and what it carried.
+    fn merge(runs: &[Vec<WinEv>], end: u64) -> (Vec<WinEv>, Vec<WinEv>) {
+        let mut replayed = Vec::new();
+        let mut later = Vec::new();
+        let Ok(()) = merge_window(runs, Ns(end), &mut later, |e| {
+            replayed.push(*e);
+            Ok::<(), Infallible>(())
+        });
+        (replayed, later)
+    }
+
+    #[test]
+    fn key_packs_time_and_cpu() {
+        let e = ev((1 << 47) - 1, 1023, 0);
+        assert_eq!((e.time(), e.cpu()), (Ns((1 << 47) - 1), 1023));
+        assert!(e.k < u64::MAX && e.k & LANE == LANE);
+        let c = e.carried();
+        assert_eq!((c.time(), c.cpu(), c.k & LANE), (e.time(), e.cpu(), 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the merge key's range")]
+    fn event_time_past_the_key_range_panics() {
+        ev(1 << 47, 0, 0);
+    }
+
+    /// A carried event and a lane event at the same `(time, cpu)`: the
+    /// carried one, emitted in an earlier window, replays first.
+    #[test]
+    fn carry_wins_a_tie_with_a_lane() {
+        let runs = vec![vec![ev(5, 2, 0).carried()], vec![ev(5, 2, LANE_IDS)]];
+        let (replayed, later) = merge(&runs, 6);
+        assert_eq!(ids(&replayed), vec![0, LANE_IDS]);
+        assert!(later.is_empty());
+        let (replayed, later) = merge(&runs, 5);
+        assert!(replayed.is_empty());
+        assert_eq!(ids(&later), vec![0, LANE_IDS]);
     }
 
     proptest! {
-        /// The merge replays exactly what sorting the pooled events by
-        /// `(time, cpu, seq)` and cutting at `end` would, and carries
-        /// the rest in that same order. Up to nine lanes are drawn as
-        /// per-CPU time steps and the carry as `(time, cpu)` pairs:
-        /// lane events take odd sequence numbers and carry events even
-        /// ones, so keys are unique as the merge requires, and carry
-        /// times reach past any window end.
+        /// The merge replays exactly what a stable sort of the pooled
+        /// events by key (carry first) and a cut at `end` would, and
+        /// carries the rest in that same order with the lane bit
+        /// cleared. Up to nine lanes are drawn as per-CPU time steps (a
+        /// step of 0 repeats a `(time, cpu)` within a lane); the carry
+        /// holds random `(time, cpu)` pairs, which reach past any window
+        /// end, and copies of lane events' `(time, cpu)`, so the carry
+        /// ties with lanes and must come first at every tie.
         #[test]
         fn merge_matches_sort_then_cut(
             cpus in 1usize..=9,
             lanes in vec(vec(0u64..40, 0..40), 9),
             carry in vec((0u64..1_500, 0u16..9), 0..40),
+            ties in vec((0usize..9, 0usize..40), 0..12),
             end in 0u64..1_200,
         ) {
-            let mut runs: Vec<Vec<WinEv>> = Vec::new();
+            let lane_runs: Vec<Vec<WinEv>> = lanes
+                .iter()
+                .take(cpus)
+                .enumerate()
+                .map(|(cpu, steps)| {
+                    let mut time = 0;
+                    let first = LANE_IDS + 100 * cpu as u64;
+                    steps
+                        .iter()
+                        .enumerate()
+                        .map(|(i, step)| {
+                            time += step;
+                            ev(time, cpu as u16, first + i as u64)
+                        })
+                        .collect()
+                })
+                .collect();
+            let tied = ties.iter().filter_map(|&(lane, i)| {
+                let e = lane_runs.get(lane)?.get(i)?;
+                Some((e.time().0, e.cpu() as u16))
+            });
             let mut carry: Vec<WinEv> = carry
                 .iter()
+                .map(|&(time, cpu)| (time, cpu % cpus as u16))
+                .chain(tied)
                 .enumerate()
-                .map(|(i, &(time, cpu))| ev(time, cpu % cpus as u16, 2 * i as u64))
+                .map(|(i, (time, cpu))| ev(time, cpu, i as u64).carried())
                 .collect();
-            carry.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
-            runs.push(carry);
-            for (cpu, steps) in lanes.iter().take(cpus).enumerate() {
-                let mut time = 0;
-                let lane = steps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, step)| {
-                        time += step;
-                        ev(time, cpu as u16, 2 * i as u64 + 1)
-                    })
-                    .collect();
-                runs.push(lane);
-            }
+            carry.sort_by_key(|e| e.k);
+            let runs: Vec<Vec<WinEv>> = std::iter::once(carry).chain(lane_runs).collect();
 
             let mut pool: Vec<WinEv> = runs.iter().flatten().copied().collect();
-            pool.sort_unstable_by_key(|e| (e.time, e.cpu, e.seq));
-            let cut = pool.partition_point(|e| e.time < Ns(end));
+            pool.sort_by_key(|e| e.k);
+            let cut = pool.partition_point(|e| e.time() < Ns(end));
 
-            let mut replayed = Vec::new();
-            let mut later = Vec::new();
-            let Ok(()) = merge_window(&runs, Ns(end), &mut later, |e| {
-                replayed.push(*e);
-                Ok::<(), Infallible>(())
-            });
-            prop_assert_eq!(keys(&replayed), keys(&pool[..cut]));
-            prop_assert_eq!(keys(&later), keys(&pool[cut..]));
+            let (replayed, later) = merge(&runs, end);
+            prop_assert_eq!(ids(&replayed), ids(&pool[..cut]));
+            prop_assert_eq!(ids(&later), ids(&pool[cut..]));
+            prop_assert!(later.iter().all(|e| e.k & LANE == 0));
+            let order: Vec<&WinEv> = replayed.iter().chain(&later).collect();
+            for w in order.windows(2) {
+                let tie = (w[0].time(), w[0].cpu()) == (w[1].time(), w[1].cpu());
+                prop_assert!(
+                    !(tie && id(w[0]) >= LANE_IDS && id(w[1]) < LANE_IDS),
+                    "lane event {} replayed before carried event {}",
+                    id(w[0]),
+                    id(w[1])
+                );
+            }
 
             // An error stops the replay at the failing event.
             if cut > 0 {

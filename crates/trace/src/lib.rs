@@ -11,7 +11,6 @@
 //! * [`Sampler`] and [`Trace::sampled`] — the deterministic 1-in-N
 //!   sampling the paper uses to cut information-gathering cost (§8.3);
 //! * [`read_chains`] — the read-chain analysis behind Figure 4;
-//! * [`io`] — the record codec the stored trace format builds on;
 //! * [`TraceStats`] — miss-composition and page-concentration summaries
 //!   (the §7.1.1 "90 % of misses in 5 % of pages" analysis).
 //!
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 mod read_chains;
 mod record;
 mod sampling;

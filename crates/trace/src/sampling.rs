@@ -41,6 +41,7 @@ impl Sampler {
 
     /// Returns `true` if this event is admitted (counted), advancing the
     /// sampler's phase.
+    #[inline]
     pub fn admit(&mut self) -> bool {
         let hit = self.count == 0;
         self.count += 1;

@@ -63,6 +63,7 @@ impl TraceBuilder {
     /// [`finish`](TraceBuilder::finish); use
     /// [`push_ordered`](TraceBuilder::push_ordered) to enforce ordering
     /// eagerly.
+    #[inline]
     pub fn push(&mut self, record: MissRecord) {
         self.records.push(record);
     }

@@ -1,7 +1,6 @@
-//! Property-based tests for traces, sampling, the record codec and read
-//! chains.
+//! Property-based tests for traces, sampling and read chains.
 
-use ccnuma_trace::{io, read_chains, MissRecord, Sampler, Trace, TraceBuilder};
+use ccnuma_trace::{read_chains, MissRecord, Sampler, Trace, TraceBuilder};
 use ccnuma_types::{AccessKind, Mode, Ns, Pid, ProcId, RefClass, VirtPage};
 use proptest::prelude::*;
 
@@ -35,13 +34,6 @@ fn arb_record() -> impl Strategy<Value = MissRecord> {
 }
 
 proptest! {
-    /// The record codec round-trips any record exactly.
-    #[test]
-    fn codec_roundtrip(r in arb_record()) {
-        let back = io::record_from_parts(r.time.0, r.page.0, r.pid.0, r.proc.0, io::encode_flags(&r));
-        prop_assert_eq!(back.unwrap(), r);
-    }
-
     /// Traces are always sorted by time after building, whatever the
     /// insertion order.
     #[test]

@@ -16,8 +16,9 @@
 //! records; the delta baseline resets to zero at every chunk boundary,
 //! so any chunk decodes on its own. Each record is four zigzag varints
 //! (time, page, pid and processor deltas) plus the one-byte record
-//! flags, which for the simulator's sorted, page-local traces comes to
-//! ~3–8 bytes instead of the 24 a fixed-width record needs.
+//! flags ([`encode_flags`], [`record_from_parts`]), which for the
+//! simulator's sorted, page-local traces comes to ~3–8 bytes instead of
+//! the 24 a fixed-width record needs.
 //!
 //! The footer body is `varint(chunk_count)`, then per chunk
 //! `varint(file_offset) varint(record_count)`, then
@@ -34,11 +35,13 @@
 
 use crate::varint;
 use ccnuma_obs::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
-use ccnuma_trace::io::{encode_flags, record_from_parts, ReadTraceError, MAGIC};
-use ccnuma_trace::MissRecord;
+use ccnuma_trace::{MissRecord, MissSource};
+use ccnuma_types::{AccessKind, Mode, Ns, Pid, ProcId, RefClass, VirtPage};
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
+/// The four magic bytes every stored trace starts with.
+pub const MAGIC: &[u8; 4] = b"CCNT";
 /// Format version written by [`TraceWriter`].
 pub const VERSION: u32 = 3;
 /// Marker byte that opens every chunk.
@@ -132,12 +135,67 @@ impl From<io::Error> for StoreError {
     }
 }
 
-impl From<ReadTraceError> for StoreError {
-    fn from(e: ReadTraceError) -> StoreError {
-        match e {
-            ReadTraceError::BadFlags(b) => StoreError::BadFlags(b),
-        }
+/// Packs a record's four booleans into its flag byte: bit 0 write,
+/// bit 1 kernel, bit 2 instruction fetch, bit 3 TLB miss.
+pub fn encode_flags(r: &MissRecord) -> u8 {
+    u8::from(r.kind.is_write())
+        | u8::from(r.mode.is_kernel()) << 1
+        | u8::from(r.class.is_instr()) << 2
+        | u8::from(r.source == MissSource::Tlb) << 3
+}
+
+/// Rebuilds a record from its stored fields (the inverse of
+/// [`encode_flags`]).
+///
+/// # Errors
+///
+/// Returns [`StoreError::BadFlags`] if `flags` has reserved bits set.
+///
+/// # Examples
+///
+/// ```
+/// use ccnuma_trace::MissRecord;
+/// use ccnuma_tracestore::format::{encode_flags, record_from_parts};
+/// use ccnuma_types::{Ns, Pid, ProcId, VirtPage};
+///
+/// let r = MissRecord::user_data_read(Ns(7), ProcId(1), Pid(2), VirtPage(3)).as_tlb();
+/// let back = record_from_parts(7, 3, 2, 1, encode_flags(&r)).unwrap();
+/// assert_eq!(back, r);
+/// assert!(record_from_parts(7, 3, 2, 1, 0x10).is_err());
+/// ```
+pub fn record_from_parts(
+    time: u64,
+    page: u64,
+    pid: u32,
+    proc: u16,
+    flags: u8,
+) -> Result<MissRecord, StoreError> {
+    if flags & !0x0f != 0 {
+        return Err(StoreError::BadFlags(flags));
     }
+    let bit = |b: u8| flags & b != 0;
+    Ok(MissRecord {
+        time: Ns(time),
+        page: VirtPage(page),
+        pid: Pid(pid),
+        proc: ProcId(proc),
+        kind: if bit(1) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
+        mode: if bit(2) { Mode::Kernel } else { Mode::User },
+        class: if bit(4) {
+            RefClass::Instr
+        } else {
+            RefClass::Data
+        },
+        source: if bit(8) {
+            MissSource::Tlb
+        } else {
+            MissSource::Cache
+        },
+    })
 }
 
 /// One entry of the footer's chunk index.

@@ -2,7 +2,7 @@
 
 use ccnuma_types::{AccessKind, MemAccess, Mode, Pid, RefClass, VirtPage};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Hands out disjoint virtual-page ranges to segments, so every segment's
 /// pool is unique machine-wide.
@@ -132,30 +132,88 @@ impl Segment {
         self
     }
 
-    /// Size of the hot subset: `ceil(pages × hot_frac)`, at least one page.
-    fn hot_pages(&self) -> u64 {
-        ((self.pages as f64 * self.hot_frac).ceil() as u64).clamp(1, self.pages)
-    }
-
     /// One past the last page of the pool.
     fn end(&self) -> u64 {
         self.base.0 + self.pages
     }
+}
 
-    /// Draws a page from this segment's pool; `hot_pages` is
-    /// [`hot_pages`](Segment::hot_pages), computed once per stream.
-    fn pick_page(&self, hot_pages: u64, rng: &mut SmallRng) -> VirtPage {
-        let in_hot = rng.gen_bool(self.hot_weight);
-        let idx = if in_hot {
-            rng.gen_range(0..hot_pages)
-        } else {
-            rng.gen_range(0..self.pages)
-        };
-        self.base.offset(idx)
+/// `2^53`: the segment, hot and store draws each take the top 53 bits of
+/// one RNG output, as the vendored `rand`'s `gen_range(0.0..x)` and
+/// `gen_bool` do.
+const UNIT: u64 = 1 << 53;
+
+/// The next 53-bit draw `m`; `gen_range(0.0..x)` and `gen_bool` see it
+/// as the float `m · 2^-53`.
+#[inline]
+fn draw53(rng: &mut SmallRng) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// `gen_bool(p)` as a threshold on the 53-bit draw: `m · 2^-53 < p`
+/// holds exactly when `m < p · 2^53` (both sides are scaled by a power
+/// of two, which is exact), so for integer `m` when `m < ceil(p · 2^53)`.
+fn bool_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "gen_bool: p = {p} out of range");
+    (p * UNIT as f64).ceil() as u64
+}
+
+/// The segment a weighted pick chooses for the 53-bit draw `m`: the
+/// value `gen_range(0.0..total)` makes of it (`0.0 + (total - 0.0) ·
+/// m · 2^-53`, whose `0.0` terms are exact no-ops), then sequential
+/// subtraction, falling back to the last segment. Each step is a
+/// monotone rounding, so the choice is a monotone step function of `m`.
+fn segment_of(weights: &[f64], total: f64, m: u64) -> usize {
+    let mut pick = total * (m as f64 / UNIT as f64);
+    for (i, &w) in weights.iter().enumerate() {
+        if pick < w {
+            return i;
+        }
+        pick -= w;
+    }
+    weights.len() - 1
+}
+
+/// One segment's draws, precomputed by [`ProcessStream::new`].
+#[derive(Debug, Clone)]
+struct Draw {
+    base: VirtPage,
+    pages: u64,
+    /// Size of the hot subset: `ceil(pages × hot_frac)`, at least one
+    /// page.
+    hot_pages: u64,
+    /// The hot draw's threshold (see [`bool_threshold`]).
+    hot: u64,
+    /// The store draw's threshold; `None` for instruction fetches,
+    /// which draw no store.
+    store: Option<u64>,
+    mode: Mode,
+    class: RefClass,
+}
+
+impl Draw {
+    fn new(seg: &Segment) -> Draw {
+        Draw {
+            base: seg.base,
+            pages: seg.pages,
+            hot_pages: ((seg.pages as f64 * seg.hot_frac).ceil() as u64).clamp(1, seg.pages),
+            hot: bool_threshold(seg.hot_weight),
+            store: (seg.class == RefClass::Data).then(|| bool_threshold(seg.write_frac)),
+            mode: seg.mode,
+            class: seg.class,
+        }
     }
 }
 
 /// One simulated process: a weighted mixture over its segments.
+///
+/// A reference draws, in order: its segment (weighted by
+/// [`Segment::weight`]), whether it lands in the hot subset, its page,
+/// for data segments whether it is a store, and its line. The segment
+/// choice is a table of 53-bit boundaries built once per stream, and
+/// the Bernoulli draws are integer thresholds, so a reference costs no
+/// float arithmetic and consumes the same RNG outputs as the weighted
+/// loop and `gen_bool` calls it replaces.
 ///
 /// # Examples
 ///
@@ -176,9 +234,12 @@ impl Segment {
 pub struct ProcessStream {
     pid: Pid,
     segments: Vec<Segment>,
-    /// Each segment's hot-subset size, parallel to `segments`.
-    hot_pages: Vec<u64>,
-    total_weight: f64,
+    /// Each segment's draws, parallel to `segments`.
+    draws: Vec<Draw>,
+    /// `bounds[i - 1]` is the first 53-bit draw that picks segment `i`
+    /// or a later one (`2^53` when none does), so the segment of draw
+    /// `m` is the number of bounds `<= m`.
+    bounds: Vec<u64>,
     lines_per_page: u16,
 }
 
@@ -187,16 +248,34 @@ impl ProcessStream {
     ///
     /// # Panics
     ///
-    /// Panics if `segments` is empty or total weight is non-positive.
+    /// Panics if `segments` is empty, total weight is non-positive, or
+    /// a hot weight or a data segment's write fraction lies outside
+    /// `[0, 1]`.
     pub fn new(pid: Pid, segments: Vec<Segment>) -> ProcessStream {
         assert!(!segments.is_empty(), "a process needs at least one segment");
-        let total_weight: f64 = segments.iter().map(|s| s.weight).sum();
-        assert!(total_weight > 0.0, "total segment weight must be positive");
+        let weights: Vec<f64> = segments.iter().map(|s| s.weight).collect();
+        let total: f64 = weights.iter().sum();
+        assert!(total > 0.0, "total segment weight must be positive");
+        // Bisect for the first draw whose segment is at or after `i`.
+        let bounds = (1..segments.len())
+            .map(|i| {
+                let (mut lo, mut hi) = (0, UNIT);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if segment_of(&weights, total, mid) >= i {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                lo
+            })
+            .collect();
         ProcessStream {
             pid,
-            hot_pages: segments.iter().map(Segment::hot_pages).collect(),
+            draws: segments.iter().map(Draw::new).collect(),
             segments,
-            total_weight,
+            bounds,
             lines_per_page: 32,
         }
     }
@@ -217,34 +296,33 @@ impl ProcessStream {
         self.segments.iter().map(Segment::end).max().unwrap_or(0)
     }
 
+    /// The segment the 53-bit draw `m` picks.
+    #[inline]
+    fn segment_for(&self, m: u64) -> usize {
+        self.bounds.iter().filter(|&&b| b <= m).count()
+    }
+
     /// Generates the next reference.
+    #[inline]
     pub fn next_ref(&mut self, rng: &mut SmallRng) -> MemAccess {
-        let mut pick = rng.gen_range(0.0..self.total_weight);
-        let mut chosen = self.segments.len() - 1;
-        for (i, seg) in self.segments.iter().enumerate() {
-            if pick < seg.weight {
-                chosen = i;
-                break;
-            }
-            pick -= seg.weight;
-        }
-        let hot_pages = self.hot_pages[chosen];
-        let chosen = &self.segments[chosen];
-        let page = chosen.pick_page(hot_pages, rng);
-        let kind = if chosen.class == RefClass::Instr {
-            AccessKind::Read
-        } else if rng.gen_bool(chosen.write_frac) {
-            AccessKind::Write
+        let d = &self.draws[self.segment_for(draw53(rng))];
+        let span = if draw53(rng) < d.hot {
+            d.hot_pages
         } else {
-            AccessKind::Read
+            d.pages
+        };
+        let page = d.base.offset(rng.gen_range(0..span));
+        let kind = match d.store {
+            Some(store) if draw53(rng) < store => AccessKind::Write,
+            _ => AccessKind::Read,
         };
         MemAccess {
             pid: self.pid,
             page,
             line: rng.gen_range(0..self.lines_per_page),
             kind,
-            mode: chosen.mode,
-            class: chosen.class,
+            mode: d.mode,
+            class: d.class,
         }
     }
 }
@@ -252,10 +330,99 @@ impl ProcessStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
+    }
+
+    /// An RNG whose every 53-bit draw is `m`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0 << 11
+        }
+    }
+
+    /// The weighted pick the boundary table replaces, as it was:
+    /// `gen_range(0.0..total)`, sequential subtraction, and the last
+    /// segment when the float sum falls short.
+    fn weighted_loop(weights: &[f64], m: u64) -> usize {
+        let total: f64 = weights.iter().sum();
+        let mut pick = Fixed(m).gen_range(0.0..total);
+        for (i, &w) in weights.iter().enumerate() {
+            if pick < w {
+                return i;
+            }
+            pick -= w;
+        }
+        weights.len() - 1
+    }
+
+    fn stream(weights: &[f64]) -> ProcessStream {
+        let mut space = PageSpace::new();
+        let segs = weights
+            .iter()
+            .map(|&w| Segment::data("s", space.reserve(1), 1, w, 0.5))
+            .collect();
+        ProcessStream::new(Pid(0), segs)
+    }
+
+    proptest! {
+        /// The boundary table picks the weighted loop's segment for
+        /// every draw: random ones, both sides of every boundary, and
+        /// the ends of the range. Zero weights (never picked unless
+        /// last) and sums that fall short of the last weight are drawn.
+        #[test]
+        fn boundary_table_matches_the_weighted_loop(
+            weights in vec(
+                (0u8..4, 0.0f64..10.0).prop_map(|(z, w)| if z == 0 { 0.0 } else { w }),
+                1..9,
+            ),
+            draws in vec(0u64..UNIT, 0..64),
+        ) {
+            let mut weights = weights;
+            if weights.iter().sum::<f64>() <= 0.0 {
+                weights.push(1.0);
+            }
+            let p = stream(&weights);
+            let edges = p.bounds.iter().flat_map(|&b| [b.saturating_sub(1), b]);
+            for m in draws.into_iter().chain(edges).chain([0, UNIT - 1]) {
+                let m = m.min(UNIT - 1);
+                prop_assert_eq!(p.segment_for(m), weighted_loop(&weights, m), "m = {}", m);
+            }
+        }
+
+        /// `m < bool_threshold(p)` is `gen_bool(p)` for the same draw,
+        /// on both sides of the threshold.
+        #[test]
+        fn bool_threshold_matches_gen_bool(p in 0.0f64..1.0, m in 0u64..UNIT) {
+            let t = bool_threshold(p);
+            for m in [m, t.saturating_sub(1), t, t + 1] {
+                let m = m.min(UNIT - 1);
+                prop_assert_eq!(m < t, Fixed(m).gen_bool(p), "p = {}, m = {}", p, m);
+            }
+        }
+    }
+
+    #[test]
+    fn bool_threshold_at_the_ends_and_on_the_grid() {
+        let tiny = f64::from_bits(1);
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for p in [0.0, 1.0, 0.5, 0.8, 0.02, tiny, 1.0 / UNIT as f64, below_one] {
+            let t = bool_threshold(p);
+            for m in [0, t.saturating_sub(1), t, t + 1, UNIT - 1] {
+                let m = m.min(UNIT - 1);
+                assert_eq!(m < t, Fixed(m).gen_bool(p), "p = {p}, m = {m}");
+            }
+        }
+        assert_eq!(bool_threshold(0.0), 0);
+        assert_eq!(bool_threshold(1.0), UNIT);
+        assert_eq!(bool_threshold(tiny), 1);
+        assert_eq!(bool_threshold(below_one), UNIT - 1);
     }
 
     #[test]
